@@ -8,27 +8,20 @@
 //! The workspace is hermetic, so no external benchmarking framework is
 //! used.
 
+use apres_bench::calibrate::Microbench;
 use apres_core::sim::{PrefetcherChoice, SchedulerChoice, Simulation};
-use gpu_common::config::{CacheConfig, Replacement};
-use gpu_common::{Addr, GpuConfig, LineAddr, Pc, SmId, WarpId};
-use gpu_kernel::{AddressPattern, PatternSampler};
-use gpu_mem::cache::TagStore;
-use gpu_mem::coalesce::coalesce;
-use gpu_mem::mshr::MshrFile;
-use gpu_mem::request::MemRequest;
+use gpu_common::GpuConfig;
 use gpu_workloads::Benchmark;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Runs `f` for `iters` iterations, `reps` times; prints the best rep as
-/// time per iteration.
-fn measure<F: FnMut()>(name: &str, iters: u64, reps: u32, mut f: F) {
+/// Runs `batch` (which performs `iters` iterations) `reps` times; prints
+/// the best rep as time per iteration.
+fn measure(name: &str, iters: u64, reps: u32, mut batch: impl FnMut()) {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
+        batch();
         let per_iter = t0.elapsed().as_nanos() as f64 / iters as f64;
         best = best.min(per_iter);
     }
@@ -67,58 +60,10 @@ fn bench_full_runs() {
 
 fn bench_substrate() {
     println!("substrate");
-
-    let l1_cfg = CacheConfig {
-        capacity_bytes: 32 * 1024,
-        ways: 8,
-        line_bytes: 128,
-        mshrs: 64,
-        mshr_merge_slots: 8,
-        hit_latency: 28,
-        replacement: Replacement::Lru,
-        bypass: false,
-    };
-    let mut tags = TagStore::new(&l1_cfg);
-    let mut i = 0u64;
-    measure("  tagstore-touch-fill", 200_000, 3, || {
-        i = i.wrapping_add(97);
-        let line = LineAddr(i % 1024);
-        if !tags.touch(black_box(line)) {
-            tags.fill(line, false, i);
-        }
-    });
-
-    let mut mshrs = MshrFile::new(64, 8);
-    let mut j = 0u64;
-    measure("  mshr-register-complete", 200_000, 3, || {
-        j = j.wrapping_add(1);
-        let line = LineAddr(j % 48);
-        let req = MemRequest::load(line, SmId(0), WarpId((j % 48) as u32), Pc(0x10), 0, j, j);
-        mshrs.register(black_box(req));
-        if j.is_multiple_of(3) {
-            mshrs.complete(line);
-        }
-    });
-
-    let addrs: Vec<Addr> = (0..32).map(|l| Addr::new(l * 136)).collect();
-    measure("  coalesce-32-lanes", 200_000, 3, || {
-        black_box(coalesce(black_box(&addrs), 128));
-    });
-
-    let s = PatternSampler::new(7, 32);
-    let p = AddressPattern::warp_strided(0, 4352, 0, 136).with_wrap(2 << 20);
-    let mut k = 0u64;
-    measure("  pattern-sample-strided", 100_000, 3, || {
-        k += 1;
-        black_box(s.addresses(black_box(&p), 0, (k % 48) as u32, k, 32));
-    });
-
-    let pi = AddressPattern::irregular(0, 1 << 22, 1 << 16, 0.8);
-    let mut m = 0u64;
-    measure("  pattern-sample-irregular", 100_000, 3, || {
-        m += 1;
-        black_box(s.addresses(black_box(&pi), 0, (m % 48) as u32, m, 16));
-    });
+    for bench in Microbench::ALL {
+        let iters = bench.iterations();
+        measure(&format!("  {}", bench.name()), iters, 3, || bench.run(iters));
+    }
 }
 
 fn main() {

@@ -1,7 +1,7 @@
-//! Measured-performance trajectory: times a pinned simulation sub-suite
-//! in both [`StepMode`]s and under the epoch engine at 2 and 4 worker
-//! threads, and records the result as a `BENCH_<n>.json` checkpoint
-//! (rebar-style measurement methodology; see METHODOLOGY.md).
+//! Measured-performance trajectory: times a pinned simulation suite
+//! against an in-process calibration loop and records the result as a
+//! `BENCH_<n>.json` checkpoint (rebar-style measurement methodology; see
+//! METHODOLOGY.md).
 //!
 //! ```text
 //! cargo run --release -p apres-bench --bin perf_trajectory -- [--fast|--tiny]
@@ -11,29 +11,28 @@
 //! * default — measure and print the trajectory without writing anything;
 //! * `--write` — measure and write the next `BENCH_<n>.json` in the
 //!   current directory;
-//! * `--check` — measure and compare the skip/tick speedup against the
-//!   newest checked-in `BENCH_*.json`; exits 1 on a >10% regression
-//!   (`just perf-gate`);
+//! * `--check` — measure and compare `tick_over_calibration` against the
+//!   newest checked-in `BENCH_*.json`; exits 1 when it exceeds the
+//!   recorded value by more than 25% (`just perf-gate`);
 //! * `--dry-run` — print the pinned suite and exit without reading the
 //!   clock at all (the `bench_smoke.sh` smoke path: no timing figures,
-//!   so output is byte-comparable across runs).
+//!   so output is byte-comparable across runs);
+//! * `--reps N` — suite passes (default 7).
 //!
-//! The regression gate compares *ratios*, not absolute rates: absolute
-//! cycles/s depends on the host machine, while the skip/tick speedup and
-//! the epoch-engine/serial speedup are properties of the engine
-//! (METHODOLOGY.md). The epoch ratio is gated only when the newest
-//! checked-in trajectory records one (older checkpoints predate the
-//! epoch engine).
+//! The gate compares a ratio, not absolute rates: absolute cycles/s
+//! depends on the host, while suite seconds ÷ calibration seconds — both
+//! timed in this process, pass by pass — cancels the host's speed and
+//! tracks the cycle loop (METHODOLOGY.md). The calibration loop is the
+//! substrate microbenchmarks of [`apres_bench::calibrate`].
 
+use apres_bench::calibrate::{calibration_pass, Microbench};
 use apres_bench::{simulation_for, BenchArgs, Combo, Scale, StageTimer, APRES, BASELINE};
 use gpu_common::json::{parse, Json};
-use gpu_sm::StepMode;
 use gpu_workloads::Benchmark;
 
 /// One pinned suite entry; `hi_lat` applies the latency-stress config
-/// (ample MSHRs, 600-cycle DRAM) where skip-ahead has long silent spans
-/// to reclaim — at baseline geometry the MSHR-retry path does observable
-/// work almost every cycle, so there is little to skip (METHODOLOGY.md).
+/// (ample MSHRs, 600-cycle DRAM), where memory latency rather than MSHR
+/// retries bounds the run (METHODOLOGY.md).
 struct Entry {
     bench: Benchmark,
     combo: Combo,
@@ -56,26 +55,17 @@ const SUITE: [Entry; 6] = [
     entry(Benchmark::Spmv, BASELINE, true),
 ];
 
-/// Maximum tolerated regression of the skip/tick speedup ratio.
-const GATE_TOLERANCE: f64 = 0.10;
+/// Maximum tolerated rise of `tick_over_calibration` over the recorded
+/// value: ten processes read within +14% of their median on a shared
+/// 2-vCPU host (METHODOLOGY.md), and a tick loop 1.5× slower reads +50%.
+const GATE_TOLERANCE: f64 = 0.25;
 
-/// Maximum tolerated regression of the epoch(2)/serial speedup ratio.
-/// Wider than [`GATE_TOLERANCE`]: the epoch engine's worker threads
-/// time-slice the container's single hardware core, so its ratio's
-/// run-to-run spread is ~±10% (observed 0.52x–0.63x around a recorded
-/// 0.60x) where skip/tick — two serial runs in one process — stays
-/// within ±5%. The gate still catches structural regressions (a
-/// barrier turning quadratic halves the ratio) without flaking on
-/// scheduler noise.
-const EPOCH_GATE_TOLERANCE: f64 = 0.25;
+/// Trajectory file format version (v3: tick only, gated against the
+/// calibration loop).
+const FORMAT_VERSION: u64 = 3;
 
-/// Trajectory file format version (bumped on schema change; v2 added the
-/// `parallel` engine measurements and `speedup_epoch2_over_serial`).
-const FORMAT_VERSION: u64 = 2;
-
-/// Epoch-engine thread counts measured per trajectory (tick mode; the
-/// first is the gated one).
-const PARALLEL_THREADS: [usize; 2] = [2, 4];
+/// Default number of interleaved suite passes.
+const DEFAULT_PASSES: u64 = 7;
 
 enum Action {
     Measure,
@@ -86,7 +76,7 @@ enum Action {
 
 fn main() {
     let mut action = Action::Measure;
-    let mut reps: u64 = 3;
+    let mut passes = DEFAULT_PASSES;
     // Split our own flags off before handing the rest to the shared
     // parser (which rejects unknown flags).
     let mut rest: Vec<String> = Vec::new();
@@ -98,8 +88,8 @@ fn main() {
             "--check" => action = Action::Check,
             "--reps" => {
                 let v = argv.next().unwrap_or_default();
-                reps = v.parse().unwrap_or(0);
-                if reps == 0 {
+                passes = v.parse().unwrap_or(0);
+                if passes == 0 {
                     eprintln!("--reps: expected a positive number, got {v:?}");
                     std::process::exit(2);
                 }
@@ -119,7 +109,7 @@ fn main() {
         }
     };
     if let Action::DryRun = action {
-        dry_run(&args, reps);
+        dry_run(&args, passes);
         return;
     }
     if args.no_time {
@@ -129,7 +119,7 @@ fn main() {
         eprintln!("--no-time conflicts with measurement; use --dry-run instead");
         std::process::exit(2);
     }
-    let trajectory = measure(&args, reps);
+    let trajectory = measure(args.scale, passes);
     println!("{}", render(&trajectory));
     match action {
         Action::Measure | Action::DryRun => {}
@@ -138,73 +128,43 @@ fn main() {
     }
 }
 
-/// One mode's aggregate measurement.
-struct ModeRun {
-    mode: StepMode,
-    /// Per-suite-entry best-of-`reps` seconds, parallel to [`SUITE`].
+struct Trajectory {
+    scale: Scale,
+    /// Per-suite-entry best seconds over all passes, parallel to [`SUITE`].
     seconds: Vec<f64>,
-    /// Simulated cycles per entry (identical across modes by contract).
+    /// Simulated cycles per entry (identical in every pass).
     cycles: Vec<u64>,
+    /// Fastest calibration pass, in seconds.
+    calibration_seconds: f64,
+    /// Per pass: suite seconds ÷ the faster of the calibration passes
+    /// just before and just after it.
+    ratios: Vec<f64>,
 }
 
-impl ModeRun {
+impl Trajectory {
     fn total_seconds(&self) -> f64 {
         self.seconds.iter().sum()
     }
 
-    fn cycles_per_sec(&self) -> f64 {
+    fn per_sec(&self, work: f64) -> f64 {
         let secs = self.total_seconds();
         if secs <= 0.0 {
-            return 0.0;
+            0.0
+        } else {
+            work / secs
         }
-        self.cycles.iter().sum::<u64>() as f64 / secs
     }
 
-    fn sims_per_sec(&self) -> f64 {
-        let secs = self.total_seconds();
-        if secs <= 0.0 {
-            return 0.0;
+    /// The gated quantity: the median per-pass ratio.
+    fn tick_over_calibration(&self) -> f64 {
+        let mut sorted = self.ratios.clone();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            (sorted[mid - 1] + sorted[mid]) / 2.0
         }
-        SUITE.len() as f64 / secs
-    }
-}
-
-/// One epoch-engine measurement (tick mode at a fixed thread count).
-struct EngineRun {
-    threads: usize,
-    run: ModeRun,
-}
-
-struct Trajectory {
-    scale: Scale,
-    reps: u64,
-    tick: ModeRun,
-    skip: ModeRun,
-    /// Epoch-engine runs, parallel to [`PARALLEL_THREADS`].
-    parallel: Vec<EngineRun>,
-}
-
-impl Trajectory {
-    /// Skip-ahead throughput relative to tick mode (the gated quantity).
-    fn speedup(&self) -> f64 {
-        ratio(self.tick.total_seconds(), self.skip.total_seconds())
-    }
-
-    /// Epoch-engine throughput at `threads` relative to the serial
-    /// tick-mode run (the second gated quantity, at 2 threads).
-    fn epoch_speedup(&self, threads: usize) -> Option<f64> {
-        self.parallel
-            .iter()
-            .find(|e| e.threads == threads)
-            .map(|e| ratio(self.tick.total_seconds(), e.run.total_seconds()))
-    }
-}
-
-fn ratio(baseline_secs: f64, secs: f64) -> f64 {
-    if secs <= 0.0 {
-        0.0
-    } else {
-        baseline_secs / secs
     }
 }
 
@@ -218,107 +178,80 @@ fn suite_label(e: &Entry) -> String {
 }
 
 /// Prints the pinned suite without ever reading the clock.
-fn dry_run(args: &BenchArgs, reps: u64) {
+fn dry_run(args: &BenchArgs, passes: u64) {
     println!(
-        "perf_trajectory dry run: {} suite entries x (2 step modes + {} epoch-engine \
-         thread counts) at {} scale, best of {} rep(s)",
+        "perf_trajectory dry run: {} suite entries at {} scale, {} pass(es) \
+         interleaved with a calibration pass of {} microbenchmarks",
         SUITE.len(),
-        PARALLEL_THREADS.len(),
         args.scale.label(),
-        reps
+        passes,
+        Microbench::ALL.len()
     );
     for entry in &SUITE {
         println!("  {}", suite_label(entry));
     }
+    for bench in Microbench::ALL {
+        println!("  calibration: {}", bench.name());
+    }
     println!("no simulations were run and no clock was read");
 }
 
-/// Measures the pinned suite in both modes: one untimed warmup run, then
-/// best-of-`reps` wall-clock per (entry, mode), serially (worker-count
-/// jitter would contaminate the measurement; METHODOLOGY.md).
-fn measure(args: &BenchArgs, reps: u64) -> Trajectory {
+/// Measures `passes` suite passes, each between two calibration passes,
+/// serially (worker-count jitter would contaminate the measurement;
+/// METHODOLOGY.md). One untimed warmup of each comes first, so first
+/// allocation and page-cache effects land on untimed runs.
+fn measure(scale: Scale, passes: u64) -> Trajectory {
     let timer = StageTimer::new(false);
-    // Warmup: first allocation/page-cache effects land on an untimed run.
-    run_entry(&SUITE[0], args.scale, StepMode::Tick, 0);
-    let mut runs = Vec::new();
-    for mode in [StepMode::Tick, StepMode::SkipAhead] {
-        runs.push(measure_suite(&timer, args.scale, reps, mode, 0, &mode.to_string()));
-    }
-    let skip = runs.pop().expect("two modes measured");
-    let tick = runs.pop().expect("two modes measured");
-    assert_eq!(
-        tick.cycles, skip.cycles,
-        "step modes must simulate identical cycle counts"
-    );
-    let parallel = PARALLEL_THREADS
-        .iter()
-        .map(|&threads| {
-            let run = measure_suite(
-                &timer,
-                args.scale,
-                reps,
-                StepMode::Tick,
-                threads,
-                &format!("epoch({threads})"),
+    let time = |f: &mut dyn FnMut()| {
+        let start = timer.start();
+        f();
+        timer
+            .seconds_since(start)
+            .expect("timer is armed outside --dry-run")
+    };
+    run_entry(&SUITE[0], scale);
+    calibration_pass();
+    let mut seconds = vec![f64::INFINITY; SUITE.len()];
+    let mut cycles = vec![0; SUITE.len()];
+    let mut before = time(&mut calibration_pass);
+    let mut calibration_seconds = before;
+    let mut ratios = Vec::new();
+    for pass in 1..=passes {
+        let mut suite = 0.0;
+        for (i, entry) in SUITE.iter().enumerate() {
+            let mut simulated = 0;
+            let secs = time(&mut || simulated = run_entry(entry, scale));
+            assert!(
+                pass == 1 || simulated == cycles[i],
+                "{} simulated a different cycle count in pass {pass}",
+                suite_label(entry)
             );
-            assert_eq!(
-                tick.cycles, run.cycles,
-                "engines must simulate identical cycle counts"
-            );
-            EngineRun { threads, run }
-        })
-        .collect();
-    Trajectory { scale: args.scale, reps, tick, skip, parallel }
-}
-
-/// Times the whole suite once for one (mode, engine) combination:
-/// best-of-`reps` wall-clock per entry.
-fn measure_suite(
-    timer: &StageTimer,
-    scale: Scale,
-    reps: u64,
-    mode: StepMode,
-    sim_threads: usize,
-    label: &str,
-) -> ModeRun {
-    let mut seconds = Vec::new();
-    let mut cycles = Vec::new();
-    for entry in &SUITE {
-        let mut best = f64::INFINITY;
-        let mut simulated = 0;
-        for _ in 0..reps {
-            let start = timer.start();
-            simulated = run_entry(entry, scale, mode, sim_threads);
-            let elapsed = timer
-                .seconds_since(start)
-                .expect("timer is armed outside --dry-run");
-            best = best.min(elapsed);
+            cycles[i] = simulated;
+            seconds[i] = seconds[i].min(secs);
+            suite += secs;
         }
+        let after = time(&mut calibration_pass);
+        calibration_seconds = calibration_seconds.min(after);
+        let ratio = suite / before.min(after);
         eprintln!(
-            "[perf] {} {} {:.3}s ({} cycles)",
-            label,
-            suite_label(entry),
-            best,
-            simulated
+            "[perf] pass {pass}: suite {suite:.3}s, calibration {before:.3}s/{after:.3}s, \
+             ratio {ratio:.3}"
         );
-        seconds.push(best);
-        cycles.push(simulated);
+        ratios.push(ratio);
+        before = after;
     }
-    ModeRun { mode, seconds, cycles }
+    Trajectory { scale, seconds, cycles, calibration_seconds, ratios }
 }
 
 /// Runs one suite entry to completion, returning simulated cycles.
-fn run_entry(entry: &Entry, scale: Scale, mode: StepMode, sim_threads: usize) -> u64 {
+fn run_entry(entry: &Entry, scale: Scale) -> u64 {
     let mut cfg = scale.config();
     if entry.hi_lat {
         cfg.l1.mshrs = 256;
         cfg.l1.mshr_merge_slots = 16;
         cfg.dram.latency = 600;
     }
-    let sim = simulation_for(entry.bench, entry.combo, scale, &cfg)
-        .step_mode(mode)
-        .sim_threads(sim_threads);
-    match sim.run() {
+    match simulation_for(entry.bench, entry.combo, scale, &cfg).run() {
         Ok(r) => r.cycles,
         Err(e) => {
             eprintln!("fatal: {} failed: [{}] {e}", suite_label(entry), e.class());
@@ -327,59 +260,46 @@ fn run_entry(entry: &Entry, scale: Scale, mode: StepMode, sim_threads: usize) ->
     }
 }
 
-fn mode_json(run: &ModeRun) -> Json {
-    Json::Obj(vec![
-        ("mode".into(), Json::str(run.mode.label())),
-        ("seconds".into(), Json::from_f64(run.total_seconds())),
-        ("sims_per_sec".into(), Json::from_f64(run.sims_per_sec())),
-        ("cycles_per_sec".into(), Json::from_f64(run.cycles_per_sec())),
-        (
-            "exhibits".into(),
-            Json::Arr(
-                SUITE
-                    .iter()
-                    .enumerate()
-                    .map(|(i, entry)| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::str(suite_label(entry))),
-                            ("seconds".into(), Json::from_f64(run.seconds[i])),
-                            ("cycles".into(), Json::from_u64(run.cycles[i])),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 fn render(t: &Trajectory) -> String {
-    let parallel = t
-        .parallel
+    let exhibits = SUITE
         .iter()
-        .map(|e| {
-            let Json::Obj(mut fields) = mode_json(&e.run) else {
-                unreachable!("mode_json returns an object");
-            };
-            fields[0] = ("sim_threads".into(), Json::from_u64(e.threads as u64));
-            fields.push((
-                "speedup_over_serial".into(),
-                Json::from_f64(ratio(t.tick.total_seconds(), e.run.total_seconds())),
-            ));
-            Json::Obj(fields)
+        .enumerate()
+        .map(|(i, entry)| {
+            Json::Obj(vec![
+                ("name".into(), Json::str(suite_label(entry))),
+                ("seconds".into(), Json::from_f64(t.seconds[i])),
+                ("cycles".into(), Json::from_u64(t.cycles[i])),
+            ])
         })
         .collect();
+    let calibration = Json::Obj(vec![
+        ("seconds".into(), Json::from_f64(t.calibration_seconds)),
+        (
+            "microbenches".into(),
+            Json::Arr(Microbench::ALL.iter().map(|b| Json::str(b.name())).collect()),
+        ),
+    ]);
+    let tick = Json::Obj(vec![
+        ("seconds".into(), Json::from_f64(t.total_seconds())),
+        ("sims_per_sec".into(), Json::from_f64(t.per_sec(SUITE.len() as f64))),
+        (
+            "cycles_per_sec".into(),
+            Json::from_f64(t.per_sec(t.cycles.iter().sum::<u64>() as f64)),
+        ),
+        ("exhibits".into(), Json::Arr(exhibits)),
+    ]);
     let doc = Json::Obj(vec![
         ("format".into(), Json::from_u64(FORMAT_VERSION)),
         ("tool".into(), Json::str("perf_trajectory")),
         ("scale".into(), Json::str(t.scale.label())),
-        ("reps".into(), Json::from_u64(t.reps)),
-        ("modes".into(), Json::Arr(vec![mode_json(&t.tick), mode_json(&t.skip)])),
-        ("speedup_skip_over_tick".into(), Json::from_f64(t.speedup())),
-        ("parallel".into(), Json::Arr(parallel)),
+        ("reps".into(), Json::from_u64(t.ratios.len() as u64)),
+        ("tick".into(), tick),
+        ("calibration".into(), calibration),
         (
-            "speedup_epoch2_over_serial".into(),
-            Json::from_f64(t.epoch_speedup(2).unwrap_or(0.0)),
+            "tick_over_calibration_passes".into(),
+            Json::Arr(t.ratios.iter().map(|&r| Json::from_f64(r)).collect()),
         ),
+        ("tick_over_calibration".into(), Json::from_f64(t.tick_over_calibration())),
     ]);
     let mut text = doc.to_pretty();
     text.push('\n');
@@ -431,50 +351,22 @@ fn check_gate(t: &Trajectory) {
         eprintln!("perf-gate: no BENCH_*.json trajectory to compare against");
         std::process::exit(1);
     };
-    let Some(recorded) = doc.get("speedup_skip_over_tick").and_then(Json::as_f64) else {
-        eprintln!("perf-gate: BENCH_{n:04}.json lacks speedup_skip_over_tick");
+    let Some(recorded) = doc.get("tick_over_calibration").and_then(Json::as_f64) else {
+        eprintln!("perf-gate: BENCH_{n:04}.json lacks tick_over_calibration (format < 3)");
         std::process::exit(1);
     };
-    let current = t.speedup();
-    let floor = recorded * (1.0 - GATE_TOLERANCE);
-    if current < floor {
+    let current = t.tick_over_calibration();
+    let ceiling = recorded * (1.0 + GATE_TOLERANCE);
+    if current > ceiling {
         eprintln!(
-            "perf-gate: FAIL — skip/tick speedup {current:.2}x regressed more than \
-             {:.0}% below the recorded {recorded:.2}x (BENCH_{n:04}.json floor {floor:.2}x)",
+            "perf-gate: FAIL — tick/calibration {current:.2} rose more than {:.0}% above \
+             the recorded {recorded:.2} (BENCH_{n:04}.json ceiling {ceiling:.2})",
             GATE_TOLERANCE * 100.0
         );
         std::process::exit(1);
     }
     eprintln!(
-        "perf-gate: OK — skip/tick speedup {current:.2}x vs recorded {recorded:.2}x \
-         (BENCH_{n:04}.json, floor {floor:.2}x)"
-    );
-    // The epoch-engine ratio is gated only against trajectories that
-    // record one (BENCH_0001 and older predate the epoch engine).
-    let Some(recorded_epoch) = doc.get("speedup_epoch2_over_serial").and_then(Json::as_f64)
-    else {
-        eprintln!(
-            "perf-gate: note — BENCH_{n:04}.json predates the epoch engine; \
-             parallel ratio not gated"
-        );
-        return;
-    };
-    let Some(current_epoch) = t.epoch_speedup(2) else {
-        eprintln!("perf-gate: FAIL — no epoch(2) measurement to compare");
-        std::process::exit(1);
-    };
-    let epoch_floor = recorded_epoch * (1.0 - EPOCH_GATE_TOLERANCE);
-    if current_epoch < epoch_floor {
-        eprintln!(
-            "perf-gate: FAIL — epoch(2)/serial speedup {current_epoch:.2}x regressed \
-             more than {:.0}% below the recorded {recorded_epoch:.2}x \
-             (BENCH_{n:04}.json floor {epoch_floor:.2}x)",
-            EPOCH_GATE_TOLERANCE * 100.0
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "perf-gate: OK — epoch(2)/serial speedup {current_epoch:.2}x vs recorded \
-         {recorded_epoch:.2}x (BENCH_{n:04}.json, floor {epoch_floor:.2}x)"
+        "perf-gate: OK — tick/calibration {current:.2} vs recorded {recorded:.2} \
+         (BENCH_{n:04}.json, ceiling {ceiling:.2})"
     );
 }

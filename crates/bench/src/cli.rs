@@ -16,15 +16,6 @@
 //!   change recomputes only the changed jobs (see [`crate::cache`]);
 //! * `--no-time` — suppress wall-clock columns (binaries that print any),
 //!   so output is byte-comparable across runs;
-//! * `--step-mode tick|skip` — clock-advance strategy for every simulation
-//!   (default: the `APRES_STEP_MODE` environment variable, else `tick`);
-//!   the two modes produce byte-identical output (DESIGN.md §13), which
-//!   `scripts/bench_smoke.sh` re-checks on every run;
-//! * `--sim-threads N` — intra-simulation worker threads: `0` (default,
-//!   via the `APRES_SIM_THREADS` environment variable when set) runs the
-//!   reference serial engine, `N ≥ 1` the epoch engine, with byte-identical
-//!   output at any value (DESIGN.md §14) — also re-checked by
-//!   `scripts/bench_smoke.sh`;
 //! * positional arguments — benchmark names for the binaries that take
 //!   them (`sweep`, `diag`).
 //!
@@ -33,7 +24,6 @@
 //! `std::env::args` themselves.
 
 use crate::Scale;
-use gpu_sm::StepMode;
 
 /// Parsed command line shared by the bench binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,11 +42,6 @@ pub struct BenchArgs {
     pub cache: Option<String>,
     /// Suppress wall-clock output columns (`--no-time`).
     pub no_time: bool,
-    /// Clock-advance strategy (`--step-mode`, `APRES_STEP_MODE`, else tick).
-    pub step_mode: StepMode,
-    /// Intra-simulation worker threads (`--sim-threads`,
-    /// `APRES_SIM_THREADS`, else 0 = serial engine).
-    pub sim_threads: usize,
     /// Non-flag arguments, in order.
     pub positional: Vec<String>,
 }
@@ -71,8 +56,7 @@ impl BenchArgs {
                 eprintln!("{msg}");
                 eprintln!(
                     "usage: [--fast | --tiny] [--jobs N] [--csv DIR] [--json DIR] \
-                     [--seed S] [--cache DIR] [--no-time] [--step-mode tick|skip] \
-                     [--sim-threads N] [ARGS...]"
+                     [--seed S] [--cache DIR] [--no-time] [ARGS...]"
                 );
                 std::process::exit(2);
             }
@@ -94,13 +78,9 @@ impl BenchArgs {
             seed: None,
             cache: None,
             no_time: false,
-            step_mode: StepMode::Tick,
-            sim_threads: 0,
             positional: Vec::new(),
         };
         let mut jobs_flag: Option<usize> = None;
-        let mut mode_flag: Option<StepMode> = None;
-        let mut sim_threads_flag: Option<usize> = None;
         let mut args = args.peekable();
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -133,20 +113,6 @@ impl BenchArgs {
                 "--cache" => {
                     out.cache = Some(args.next().ok_or("--cache requires a directory")?);
                 }
-                "--step-mode" => {
-                    let v = args.next().ok_or("--step-mode requires tick or skip")?;
-                    mode_flag = Some(
-                        StepMode::from_label(&v)
-                            .ok_or_else(|| format!("--step-mode: unknown mode {v:?}"))?,
-                    );
-                }
-                "--sim-threads" => {
-                    let v = args.next().ok_or("--sim-threads requires a value")?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("--sim-threads: not a number: {v:?}"))?;
-                    sim_threads_flag = Some(n);
-                }
                 flag if flag.starts_with("--") => {
                     return Err(format!("unknown flag {flag}"));
                 }
@@ -154,8 +120,6 @@ impl BenchArgs {
             }
         }
         out.jobs = resolve_jobs(jobs_flag);
-        out.step_mode = resolve_step_mode(mode_flag);
-        out.sim_threads = resolve_sim_threads(sim_threads_flag);
         Ok(out)
     }
 
@@ -183,38 +147,6 @@ pub fn resolve_jobs(explicit: Option<usize>) -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Resolves the clock-advance strategy: an explicit `--step-mode` wins,
-/// then the `APRES_STEP_MODE` environment variable, then [`StepMode::Tick`].
-pub fn resolve_step_mode(explicit: Option<StepMode>) -> StepMode {
-    if let Some(m) = explicit {
-        return m;
-    }
-    if let Ok(v) = std::env::var("APRES_STEP_MODE") {
-        if let Some(m) = StepMode::from_label(v.trim()) {
-            return m;
-        }
-        eprintln!("warning: ignoring unparsable APRES_STEP_MODE={v:?}");
-    }
-    StepMode::Tick
-}
-
-/// Resolves the intra-simulation thread count: an explicit `--sim-threads`
-/// wins, then the `APRES_SIM_THREADS` environment variable, then `0`
-/// (serial engine). Unlike `--jobs`, `0` is a valid explicit value: it
-/// selects [`gpu_sm::Parallelism::Serial`].
-pub fn resolve_sim_threads(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        return n;
-    }
-    if let Ok(v) = std::env::var("APRES_SIM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n;
-        }
-        eprintln!("warning: ignoring unparsable APRES_SIM_THREADS={v:?}");
-    }
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,30 +165,7 @@ mod tests {
         assert_eq!(a.seed, None);
         assert_eq!(a.cache, None);
         assert!(!a.no_time);
-        assert_eq!(a.step_mode, StepMode::Tick);
         assert!(a.positional.is_empty());
-    }
-
-    #[test]
-    fn step_mode_flag() {
-        let a = parse(&["--step-mode", "skip"]).unwrap();
-        assert_eq!(a.step_mode, StepMode::SkipAhead);
-        let a = parse(&["--step-mode", "skip-ahead", "--tiny"]).unwrap();
-        assert_eq!(a.step_mode, StepMode::SkipAhead);
-        let a = parse(&["--step-mode", "tick"]).unwrap();
-        assert_eq!(a.step_mode, StepMode::Tick);
-        assert!(parse(&["--step-mode"]).unwrap_err().contains("--step-mode"));
-        assert!(parse(&["--step-mode", "warp9"])
-            .unwrap_err()
-            .contains("unknown mode"));
-    }
-
-    #[test]
-    fn explicit_step_mode_beats_env() {
-        assert_eq!(
-            resolve_step_mode(Some(StepMode::SkipAhead)),
-            StepMode::SkipAhead
-        );
     }
 
     #[test]
@@ -299,30 +208,17 @@ mod tests {
         assert!(parse(&["--seed", "-1"]).unwrap_err().contains("not a number"));
         assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
         assert!(parse(&["--csv"]).unwrap_err().contains("directory"));
+        // The removed engine knobs are unknown flags, not silently ignored.
+        assert!(parse(&["--step-mode", "skip"])
+            .unwrap_err()
+            .contains("unknown flag"));
+        assert!(parse(&["--sim-threads", "2"])
+            .unwrap_err()
+            .contains("unknown flag"));
     }
 
     #[test]
     fn explicit_jobs_beats_env() {
         assert_eq!(resolve_jobs(Some(3)), 3);
-    }
-
-    #[test]
-    fn sim_threads_flag() {
-        let a = parse(&["--sim-threads", "4"]).unwrap();
-        assert_eq!(a.sim_threads, 4);
-        let a = parse(&["--sim-threads", "0", "--tiny"]).unwrap();
-        assert_eq!(a.sim_threads, 0);
-        assert!(parse(&["--sim-threads"])
-            .unwrap_err()
-            .contains("--sim-threads"));
-        assert!(parse(&["--sim-threads", "x"])
-            .unwrap_err()
-            .contains("not a number"));
-    }
-
-    #[test]
-    fn explicit_sim_threads_beats_env() {
-        assert_eq!(resolve_sim_threads(Some(2)), 2);
-        assert_eq!(resolve_sim_threads(Some(0)), 0);
     }
 }

@@ -45,7 +45,7 @@ use gpu_common::config::GpuConfig;
 use gpu_common::error::{SimError, SimResult};
 use gpu_common::rng::SeedStream;
 use gpu_common::stats::Throughput;
-use gpu_sm::{RunResult, StepMode};
+use gpu_sm::RunResult;
 use gpu_workloads::Benchmark;
 use std::io::IsTerminal;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -92,15 +92,6 @@ pub struct SimSweep {
     /// `--no-time`: suppress wall-clock figures in the stderr summary so
     /// runs are byte-comparable end to end (stdout already is).
     no_time: bool,
-    /// Clock-advance strategy for every standard point (`--step-mode`).
-    /// Modes are byte-identical by contract (DESIGN.md §13), so cached
-    /// results are shared across modes on purpose.
-    step_mode: StepMode,
-    /// Intra-simulation worker threads for every standard point
-    /// (`--sim-threads`; 0 = serial engine). Engines are byte-identical
-    /// by contract (DESIGN.md §14), so cached results are shared across
-    /// thread counts on purpose, exactly like step modes.
-    sim_threads: usize,
 }
 
 impl SimSweep {
@@ -115,8 +106,6 @@ impl SimSweep {
             reseed: false,
             cache: None,
             no_time: false,
-            step_mode: StepMode::Tick,
-            sim_threads: 0,
         }
     }
 
@@ -127,8 +116,6 @@ impl SimSweep {
     pub fn from_args(name: impl Into<String>, args: &crate::cli::BenchArgs) -> Self {
         let mut sweep = SimSweep::new(name);
         sweep.no_time = args.no_time;
-        sweep.step_mode = args.step_mode;
-        sweep.sim_threads = args.sim_threads;
         if let Some(base_seed) = args.seed {
             sweep = sweep.reseed_from(base_seed);
         }
@@ -155,23 +142,6 @@ impl SimSweep {
     pub fn reseed_from(mut self, base_seed: u64) -> Self {
         self.seeds = SeedStream::new(base_seed);
         self.reseed = true;
-        self
-    }
-
-    /// Selects the clock-advance strategy for every standard point
-    /// (custom [`SimSweep::add_fn`] jobs choose their own).
-    pub fn step_mode(mut self, mode: StepMode) -> Self {
-        self.step_mode = mode;
-        self
-    }
-
-    /// Selects the intra-simulation engine for every standard point by
-    /// thread count (`0` = serial, `n ≥ 1` = epoch engine; custom
-    /// [`SimSweep::add_fn`] jobs choose their own). Orthogonal to the
-    /// sweep-level `--jobs` pool: `--jobs` parallelises *across*
-    /// simulations, `--sim-threads` *inside* each one.
-    pub fn sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads;
         self
     }
 
@@ -205,12 +175,8 @@ impl SimSweep {
     ) -> JobId {
         let spec = JobSpec::new(bench, combo, scale, cfg);
         let cfg = cfg.clone();
-        let mode = self.step_mode;
-        let sim_threads = self.sim_threads;
         let id = self.add_fn(label, move |ctx| {
-            let mut sim = crate::simulation_for(bench, combo, scale, &cfg)
-                .step_mode(mode)
-                .sim_threads(sim_threads);
+            let mut sim = crate::simulation_for(bench, combo, scale, &cfg);
             if ctx.reseed {
                 sim = sim.workload_seed(ctx.seed);
             }
@@ -261,8 +227,6 @@ impl SimSweep {
             reseed,
             cache,
             no_time,
-            step_mode: _,
-            sim_threads: _,
         } = self;
         let total = tasks.len();
         // Sweep elapsed feeds only stderr (TTY repaints + summary), never
@@ -755,48 +719,6 @@ mod tests {
             assert_eq!(ra.sim, rb.sim);
         }
         assert!(r1.throughput.cycles > 0);
-    }
-
-    #[test]
-    fn sweep_results_identical_across_step_modes() {
-        let run_mode = |mode: StepMode| {
-            let mut sweep = SimSweep::new("test").step_mode(mode);
-            let ids: Vec<JobId> = Benchmark::ALL
-                .iter()
-                .take(3)
-                .map(|b| sweep.add(*b, BASELINE, Scale::Tiny))
-                .collect();
-            let r = sweep.run(2);
-            ids.iter()
-                .map(|id| r.get(*id).cloned())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run_mode(StepMode::Tick), run_mode(StepMode::SkipAhead));
-    }
-
-    #[test]
-    fn sweep_results_identical_across_sim_threads() {
-        // The harness-layer leg of the epoch-engine contract: a sweep over
-        // real benchmarks is byte-identical whether each simulation runs
-        // serially or on the epoch engine, in both step modes.
-        let run_threads = |threads: usize, mode: StepMode| {
-            let mut sweep = SimSweep::new("test").step_mode(mode).sim_threads(threads);
-            let ids: Vec<JobId> = Benchmark::ALL
-                .iter()
-                .take(3)
-                .map(|b| sweep.add(*b, BASELINE, Scale::Tiny))
-                .collect();
-            let r = sweep.run(2);
-            ids.iter()
-                .map(|id| r.get(*id).cloned())
-                .collect::<Vec<_>>()
-        };
-        for mode in [StepMode::Tick, StepMode::SkipAhead] {
-            let serial = run_threads(0, mode);
-            assert!(serial.iter().all(Option::is_some));
-            assert_eq!(serial, run_threads(1, mode), "{mode} x1");
-            assert_eq!(serial, run_threads(2, mode), "{mode} x2");
-        }
     }
 
     #[test]

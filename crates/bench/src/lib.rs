@@ -45,6 +45,7 @@ use gpu_sm::RunResult;
 use gpu_workloads::Benchmark;
 
 pub mod cache;
+pub mod calibrate;
 pub mod cli;
 pub mod harness;
 

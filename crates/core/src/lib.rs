@@ -51,5 +51,4 @@ pub mod sim;
 
 pub use laws::Laws;
 pub use sap::Sap;
-pub use gpu_sm::StepMode;
 pub use sim::{PrefetcherChoice, SchedulerChoice, Simulation};

@@ -22,7 +22,7 @@ use gpu_kernel::Kernel;
 use gpu_prefetch::PrefetchEngine;
 use gpu_sched::SchedPolicy;
 use gpu_sm::traits::{NullPrefetcher, Prefetcher, WarpScheduler};
-use gpu_sm::{Gpu, Parallelism, RunResult, StepMode, DEFAULT_WATCHDOG_WINDOW};
+use gpu_sm::{Gpu, RunResult, DEFAULT_WATCHDOG_WINDOW};
 
 /// Default cycle budget; generous for every bundled workload. Runs that hit
 /// it end with [`gpu_sm::Termination::BudgetExhausted`] rather than being
@@ -141,8 +141,6 @@ pub struct Simulation {
     watchdog: Option<Cycle>,
     fault_plan: Option<FaultPlan>,
     seed_override: Option<u64>,
-    step_mode: StepMode,
-    sim_threads: usize,
 }
 
 impl Simulation {
@@ -158,8 +156,6 @@ impl Simulation {
             watchdog: Some(DEFAULT_WATCHDOG_WINDOW),
             fault_plan: None,
             seed_override: None,
-            step_mode: StepMode::default(),
-            sim_threads: 0,
         }
     }
 
@@ -246,28 +242,6 @@ impl Simulation {
         self
     }
 
-    /// Selects the clock-advance strategy ([`StepMode::Tick`] by default).
-    ///
-    /// [`StepMode::SkipAhead`] produces byte-identical results while
-    /// jumping over provably silent cycle spans (DESIGN.md §13); the
-    /// equivalence is re-checked on every bench-smoke run.
-    pub fn step_mode(mut self, mode: StepMode) -> Self {
-        self.step_mode = mode;
-        self
-    }
-
-    /// Selects the intra-simulation execution engine by thread count:
-    /// `0` (the default) runs the reference serial loop, `n ≥ 1` runs the
-    /// epoch engine on `n` worker threads ([`gpu_sm::Parallelism`]).
-    ///
-    /// Results are byte-identical at every value — the epoch engine only
-    /// changes wall-clock time (DESIGN.md §14); the equivalence is
-    /// re-checked on every bench-smoke run.
-    pub fn sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads;
-        self
-    }
-
     /// Runs the simulation to completion (or the cycle budget).
     ///
     /// # Errors
@@ -299,11 +273,7 @@ impl Simulation {
         if let Some(plan) = &self.fault_plan {
             gpu.arm_faults(plan);
         }
-        gpu.run_with(
-            self.max_cycles,
-            self.step_mode,
-            Parallelism::from_threads(self.sim_threads),
-        )
+        gpu.run(self.max_cycles)
     }
 }
 
@@ -532,83 +502,6 @@ mod tests {
         assert_eq!(a.cycles, b.cycles, "same derived seed must reproduce");
         assert_eq!(a.l1, b.l1);
         assert_ne!(a.cycles, c.cycles, "different derived seeds must diverge");
-    }
-
-    #[test]
-    fn skip_ahead_matches_tick_through_the_facade() {
-        // End-to-end equivalence including LAWS+SAP policy state: the
-        // full RunResult must be identical in both step modes.
-        for (s, p) in [
-            (SchedulerChoice::Lrr, PrefetcherChoice::None),
-            (SchedulerChoice::Laws, PrefetcherChoice::Sap),
-        ] {
-            let at = |mode: StepMode| {
-                Simulation::new(strided_kernel())
-                    .config(gpu_common::GpuConfig::small_test())
-                    .scheduler(s)
-                    .prefetcher(p)
-                    .max_cycles(3_000_000)
-                    .step_mode(mode)
-                    .run()
-                    .unwrap()
-            };
-            assert_eq!(at(StepMode::Tick), at(StepMode::SkipAhead), "{s:?}+{p:?}");
-        }
-    }
-
-    #[test]
-    fn sim_threads_matches_serial_through_the_facade() {
-        // Full-stack equivalence of the epoch engine, including LAWS+SAP
-        // policy state: the whole RunResult must be byte-identical for
-        // every thread count, in both step modes.
-        for (s, p) in [
-            (SchedulerChoice::Lrr, PrefetcherChoice::None),
-            (SchedulerChoice::Laws, PrefetcherChoice::Sap),
-        ] {
-            for mode in [StepMode::Tick, StepMode::SkipAhead] {
-                let at = |threads: usize| {
-                    Simulation::new(strided_kernel())
-                        .config(gpu_common::GpuConfig::small_test())
-                        .scheduler(s)
-                        .prefetcher(p)
-                        .max_cycles(3_000_000)
-                        .step_mode(mode)
-                        .sim_threads(threads)
-                        .run()
-                        .unwrap()
-                };
-                let serial = at(0);
-                for threads in [1, 2, 4] {
-                    assert_eq!(serial, at(threads), "{s:?}+{p:?} {mode} x{threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sim_threads_matches_serial_under_fault_plan() {
-        use gpu_common::FaultPlan;
-        // Dropped/delayed DRAM responses must land on the same cycle under
-        // the epoch engine (the barrier preserves fault-RNG draw order).
-        let at = |threads: usize| {
-            Simulation::new(strided_kernel())
-                .config(gpu_common::GpuConfig::small_test())
-                .apres()
-                .max_cycles(3_000_000)
-                .fault_plan(
-                    FaultPlan::seeded(3)
-                        .delaying_dram_responses(0.5, 400)
-                        .exhausting_mshrs(128, 8),
-                )
-                .sim_threads(threads)
-                .run()
-                .unwrap()
-        };
-        let serial = at(0);
-        assert!(serial.faults.total() > 0, "faults must actually fire");
-        for threads in [1, 2, 4] {
-            assert_eq!(serial, at(threads), "x{threads}");
-        }
     }
 
     #[test]

@@ -197,31 +197,6 @@ impl WarpProgress {
     pub fn load_outstanding(&self, body_idx: usize) -> bool {
         self.ready_at[body_idx] == PENDING
     }
-
-    /// Earliest cycle at which the current instruction could issue given the
-    /// scoreboard alone, or `None` when no future cycle is knowable from
-    /// warp-local state: the warp is finished, blocked at a barrier, or a
-    /// dependency is an in-flight load (whose completion is an external
-    /// event — the memory system's fill delivery covers it).
-    ///
-    /// The skip-ahead engine uses this as one rail of its next-event
-    /// lattice: when `can_issue` is false at `now` but this returns
-    /// `Some(c)`, cycles in `now..c` are provably silent for this warp.
-    pub fn next_issue_cycle(&self, kernel: &Kernel) -> Option<Cycle> {
-        if self.barrier_blocked {
-            return None;
-        }
-        let ins = self.current(kernel)?;
-        let mut ready = 0;
-        for &d in &ins.deps {
-            let at = self.ready_at[d];
-            if at == PENDING {
-                return None;
-            }
-            ready = ready.max(at);
-        }
-        Some(ready)
-    }
 }
 
 #[cfg(test)]
@@ -342,41 +317,6 @@ mod tests {
         assert!(w.at_barrier());
         w.release_barrier();
         assert!(w.can_issue(&k, 1000));
-    }
-
-    #[test]
-    fn next_issue_cycle_tracks_scoreboard() {
-        let p = program();
-        let k = p.kernel().clone();
-        let mut w = p.start();
-        // Fresh warp: load has no deps, issueable immediately.
-        assert_eq!(w.next_issue_cycle(&k), Some(0));
-        w.issue(&k, 0);
-        // Consumer waits on an in-flight load: no warp-local bound exists.
-        assert_eq!(w.next_issue_cycle(&k), None);
-        w.complete_load(0, 0, 40);
-        assert_eq!(w.next_issue_cycle(&k), Some(40));
-        w.issue(&k, 40);
-        // ALU producer with latency 8: dependent ready at 48.
-        assert_eq!(w.next_issue_cycle(&k), Some(48));
-    }
-
-    #[test]
-    fn next_issue_cycle_none_when_finished_or_at_barrier() {
-        let k = Kernel::builder("b")
-            .barrier(&[])
-            .iterations(1)
-            .build();
-        let p = WarpProgram::new(Arc::new(k));
-        let k = p.kernel().clone();
-        let mut w = p.start();
-        assert_eq!(w.next_issue_cycle(&k), Some(0));
-        w.block_at_barrier();
-        assert_eq!(w.next_issue_cycle(&k), None);
-        w.release_barrier();
-        w.issue(&k, 5);
-        assert!(w.is_finished());
-        assert_eq!(w.next_issue_cycle(&k), None);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct Fixture {
 }
 
 /// The full corpus: seven defective fixtures (at least one per rule) plus
-/// two escape-hatch fixtures that must lint clean.
+/// one escape-hatch fixture that must lint clean.
 pub fn all() -> Vec<Fixture> {
     vec![
         // The real-tree analogue of this fixture (L1 per-PC stats) was
@@ -92,9 +92,8 @@ pub struct Scoreboard { slots: std::sync::Mutex<Vec<u64>> }
             expect_rule: Some("shared-mut"),
             expect_line: 2,
         },
-        // Channels are shared-mut in sim crates everywhere except the
-        // epoch barrier (crates/sm/src/epoch.rs), whose waivers are
-        // counted and pinned by tests/workspace_lint.rs.
+        // Channels are shared-mut in sim crates: cross-thread traffic
+        // order is scheduler-chosen.
         Fixture {
             name: "shared-mut-channel-in-sim",
             path: "crates/mem/src/fixture.rs",
@@ -103,15 +102,6 @@ pub struct FillPath { tx: std::sync::mpsc::Sender<u64> }
 "#,
             expect_rule: Some("shared-mut"),
             expect_line: 2,
-        },
-        Fixture {
-            name: "shared-mut-channel-epoch-waiver",
-            path: "crates/sm/src/fixture.rs",
-            source: r#"
-type Tx<T> = std::sync::mpsc::Sender<T>; // lint: allow(shared-mut)
-"#,
-            expect_rule: None,
-            expect_line: 0,
         },
         Fixture {
             name: "panic-path-on-audited-file",

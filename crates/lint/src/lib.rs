@@ -1,12 +1,12 @@
 //! `apres-lint` — workspace determinism & concurrency static analysis.
 //!
-//! ROADMAP item 1 (epoch-parallel multi-SM simulation) is only viable if
-//! the simulator's byte-identical-output guarantee survives threading,
-//! and that guarantee dies quietly: a `HashMap` iteration here, a raw
-//! `Instant::now()` there, and the output starts depending on
-//! `RandomState` or the wall clock instead of the seed. This crate is
-//! the static auditor for those hazards — the same role the PR-2
-//! kernel-IR pipeline plays for kernel specs, pointed at our own source.
+//! The simulator promises byte-identical output for a given seed at any
+//! `--jobs` value, and that guarantee dies quietly: a `HashMap`
+//! iteration here, a raw `Instant::now()` there, and the output starts
+//! depending on `RandomState` or the wall clock instead of the seed.
+//! This crate is the static auditor for those hazards — the same role
+//! the kernel-IR analysis plays for kernel specs, pointed at our own
+//! source.
 //!
 //! The pass is std-only (the build is offline, so no `syn`): a
 //! lightweight lexer ([`lexer`]) produces a token stream with full

@@ -3,8 +3,7 @@
 //! Each rule has a stable identifier, a severity, a fix-it hint, and an
 //! in-source escape hatch: a `// lint: allow(<rule>)` comment on the
 //! finding's line (or the line directly above) suppresses it. The rules
-//! exist to protect the simulator's byte-identical-output guarantee — the
-//! property the epoch-parallel multi-SM roadmap item depends on — by
+//! exist to protect the simulator's byte-identical-output guarantee by
 //! refusing the constructs that let hidden ordering or wall-clock state
 //! leak into simulation results:
 //!
@@ -462,12 +461,11 @@ fn shared_mut(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 i,
                 format!(
                     "`{}` in a simulator crate: lock-acquisition order is \
-                     scheduler-chosen and would leak into results under \
-                     intra-sim threading",
+                     scheduler-chosen and would leak into results",
                     tok.text
                 ),
                 "keep per-SM state owned by the SM; exchange inter-SM \
-                 messages at epoch barriers in a fixed order",
+                 messages through owned queues in a fixed order",
             );
         }
         if tok.is_ident("Relaxed")
@@ -487,10 +485,9 @@ fn shared_mut(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                  is unavoidable use SeqCst and document why",
             );
         }
-        // Channels are cross-thread communication too: only the epoch
-        // barrier (gpu-sm's `epoch` module) may use them, through explicit
-        // shared-mut waiver comments — tests/workspace_lint.rs caps how
-        // many such waivers exist and pins them to that file.
+        // Channels are cross-thread communication too; simulator state
+        // has no waiver for them (tests/workspace_lint.rs asserts that no
+        // shared-mut finding is waived anywhere).
         let is_channel_ctor = tok.is_ident("channel")
             && i >= 2
             && t[i - 1].is_punct(':')
@@ -508,13 +505,11 @@ fn shared_mut(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 i,
                 format!(
                     "`{}` in a simulator crate: channel traffic order is \
-                     scheduler-chosen unless drained at a deterministic \
-                     barrier",
+                     scheduler-chosen",
                     tok.text
                 ),
-                "only the epoch-barrier shard exchange may use channels; \
-                 anywhere else, exchange inter-SM messages through owned \
-                 queues in a fixed order",
+                "exchange inter-SM messages through owned queues in a \
+                 fixed order",
             );
         }
     }
@@ -725,7 +720,7 @@ mod tests {
         // A bare `channel` identifier (helper fn, local) is not a ctor call.
         let ok = run("fn channel() -> u32 { let channel = 3; channel }", true, false);
         assert!(ok.is_empty(), "{ok:?}");
-        // The epoch-barrier escape hatch works per line.
+        // The escape hatch works per line.
         let allowed = run(
             "type Tx<T> = mpsc::Sender<T>; // lint: allow(shared-mut)\n",
             true,

@@ -48,7 +48,6 @@ pub const PANIC_AUDITED: &[&str] = &[
     "crates/mem/src/l1.rs",
     "crates/mem/src/memsys.rs",
     "crates/sm/src/gpu.rs",
-    "crates/sm/src/epoch.rs",
     "crates/core/src/sim.rs",
     "crates/bench/src/cache.rs",
     "crates/serve/src/batch.rs",

@@ -158,24 +158,6 @@ impl DramPartition {
         self.queue.is_empty()
     }
 
-    /// Earliest future cycle at which [`DramPartition::tick`] could start a
-    /// service, or `None` when the queue is empty (an idle partition only
-    /// wakes on a new push, which is someone else's event).
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.queue.is_empty() {
-            None
-        } else {
-            Some(now.max(self.next_free))
-        }
-    }
-
-    /// Compensates the per-cycle occupancy accounting for `delta` skipped
-    /// cycles: `tick` adds `queue.len()` each cycle unconditionally, so a
-    /// silent span of `delta` cycles would have added `len × delta`.
-    pub fn note_skipped(&mut self, delta: Cycle) {
-        self.occupancy_cycles += self.queue.len() as u64 * delta;
-    }
-
     /// Fraction of serviced requests that hit an open row.
     pub fn row_hit_rate(&self) -> f64 {
         if self.serviced == 0 {
@@ -288,28 +270,6 @@ mod tests {
     fn idle_tick_returns_none() {
         let mut d = DramPartition::new(10, 1);
         assert!(d.tick(0).is_none());
-    }
-
-    #[test]
-    fn next_event_and_skip_compensation() {
-        let mut d = DramPartition::new(100, 5);
-        assert_eq!(d.next_event(7), None, "idle partition has no event");
-        d.push(req(0));
-        d.push(req(64));
-        assert_eq!(d.next_event(3), Some(3), "queued work is due now");
-        d.tick(3).unwrap();
-        // Service occupancy: next_free = 3 + 5 = 8.
-        assert_eq!(d.next_event(4), Some(8));
-        assert_eq!(d.next_event(9), Some(9), "past next_free the event is now");
-        // Skipping 4..8 must add exactly what four ticks would have.
-        let mut ticked = d.clone();
-        let before = d.occupancy_cycles;
-        for now in 4..8 {
-            assert!(ticked.tick(now).is_none());
-        }
-        d.note_skipped(4);
-        assert_eq!(d.occupancy_cycles, before + 4);
-        assert_eq!(d.occupancy_cycles, ticked.occupancy_cycles);
     }
 
     #[test]

@@ -188,32 +188,6 @@ impl L2Bank {
     pub fn dram_depth(&self) -> usize {
         self.dram.depth()
     }
-
-    /// Earliest future cycle at which [`L2Bank::tick`] does observable work,
-    /// or `None` when the bank is idle. A non-empty retry queue pins the
-    /// event to `now` (one retry is attempted every cycle), otherwise the
-    /// bank wakes at the earlier of its first matured `pending` entry and
-    /// the DRAM partition's next service start.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.retry.is_empty() {
-            return Some(now);
-        }
-        let pending = self.pending.first_key_value().map(|(&(at, _), _)| at);
-        let dram = self.dram.next_event(now);
-        match (pending, dram) {
-            (Some(p), Some(d)) => Some(p.min(d).max(now)),
-            (Some(p), None) => Some(p.max(now)),
-            (None, Some(d)) => Some(d.max(now)),
-            (None, None) => None,
-        }
-    }
-
-    /// Forwards per-cycle accounting compensation for `delta` skipped
-    /// cycles to the DRAM partition (the only per-cycle counter below the
-    /// bank).
-    pub fn note_skipped(&mut self, delta: Cycle) {
-        self.dram.note_skipped(delta);
-    }
 }
 
 #[cfg(test)]
@@ -322,37 +296,6 @@ mod tests {
         let done = run_until(&mut bank, 0, 400, 20);
         assert_eq!(done.len(), 5, "retried request eventually completes");
         assert!(bank.is_idle());
-    }
-
-    #[test]
-    fn next_event_bounds_every_observable_tick() {
-        let (l2, dr) = cfgs();
-        let mut bank = L2Bank::new(&l2, &dr);
-        assert_eq!(bank.next_event(0), None, "fresh bank is idle");
-        bank.access(load(1, 0), 0, 20);
-        // Miss queued to DRAM: event is the DRAM service start.
-        assert_eq!(bank.next_event(0), Some(0));
-        // Tick 0 starts the service; fill matures at 100.
-        assert!(bank.tick(0, 20).is_empty());
-        assert_eq!(bank.next_event(1), Some(100));
-        // Ticks inside the silent span do nothing observable.
-        for now in 1..100 {
-            assert!(bank.tick(now, 20).is_empty());
-        }
-        let done = bank.tick(100, 20);
-        assert_eq!(done.len(), 1);
-        assert_eq!(bank.next_event(101), None);
-    }
-
-    #[test]
-    fn retry_queue_pins_next_event_to_now() {
-        let (l2, dr) = cfgs();
-        let mut bank = L2Bank::new(&l2, &dr);
-        for i in 0..5 {
-            bank.access(load(i, 0), 0, 20);
-        }
-        assert_eq!(bank.stats().reservation_fails, 1);
-        assert_eq!(bank.next_event(3), Some(3), "retries happen every cycle");
     }
 
     #[test]

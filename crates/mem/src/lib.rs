@@ -20,9 +20,7 @@
 //!
 //! Hot-path containers follow the flat-vs-ordered policy of DESIGN.md §13:
 //! flat arrays / vectors on per-cycle lookup paths, ordered containers only
-//! where iteration order is emitted or models an event queue. Every
-//! component also exposes a `next_event` bound so the skip-ahead cycle
-//! engine (`gpu_sm::StepMode`) can jump over provably silent spans.
+//! where iteration order is emitted or models an event queue.
 
 #![deny(missing_docs)]
 

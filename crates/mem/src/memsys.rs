@@ -187,8 +187,8 @@ impl MemorySystem {
 
     /// Removes every in-flight response bound for `sm`, returning each fill
     /// with the cycle at which it completes NoC traversal (FIFO order).
-    /// Engines that hand fills to per-SM inboxes call this after
-    /// [`MemorySystem::tick`]; the receiver must respect the ready cycles to
+    /// The cycle loop calls this after [`MemorySystem::tick`] to hand fills
+    /// to per-SM inboxes; the receiver must respect the ready cycles to
     /// preserve [`MemorySystem::drain_fills`] semantics.
     pub fn take_fills(&mut self, sm: usize) -> Vec<(Cycle, MemRequest)> {
         self.from_l2
@@ -205,9 +205,8 @@ impl MemorySystem {
     }
 
     /// Folds in a batch of completed-load latencies accumulated elsewhere
-    /// (the per-SM ports of the epoch engine). Pure sums, so the merge is
-    /// order-independent and byte-identical to per-load
-    /// [`MemorySystem::note_load_latency`] calls.
+    /// (the per-SM ports). Pure sums, so the merge is order-independent and
+    /// byte-identical to per-load [`MemorySystem::note_load_latency`] calls.
     pub fn add_load_latencies(&mut self, total: Cycle, count: u64) {
         self.stats.total_load_latency += total;
         self.stats.completed_loads += count;
@@ -299,42 +298,6 @@ impl MemorySystem {
             && self.from_l2.iter().all(DelayPipe::is_empty)
             && self.banks.iter().all(L2Bank::is_idle)
             && self.delayed.is_empty()
-    }
-
-    /// Earliest future cycle at which [`MemorySystem::tick`] does observable
-    /// work, or `None` when the whole off-core system is idle: the minimum
-    /// over request-pipe arrivals at the L2, response-pipe arrivals at the
-    /// SMs, per-bank events (retries, matured responses, DRAM services) and
-    /// fault-delayed response releases. May be conservative (early) — an
-    /// early wake-up ticks harmlessly — but never late.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut fold = |c: Option<Cycle>| {
-            if let Some(c) = c {
-                let c = c.max(now);
-                next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-            }
-        };
-        for pipe in &self.to_l2 {
-            fold(pipe.next_ready());
-        }
-        for pipe in &self.from_l2 {
-            fold(pipe.next_ready());
-        }
-        for bank in &self.banks {
-            fold(bank.next_event(now));
-        }
-        fold(self.delayed.first_key_value().map(|(&(at, _), _)| at));
-        next
-    }
-
-    /// Compensates per-cycle accounting (DRAM queue-occupancy integrals)
-    /// for `delta` skipped cycles. Must only be called over spans where
-    /// [`MemorySystem::tick`] would have done no observable work.
-    pub fn note_skipped(&mut self, delta: Cycle) {
-        for bank in &mut self.banks {
-            bank.note_skipped(delta);
-        }
     }
 }
 
@@ -453,46 +416,6 @@ mod tests {
             }
         }
         assert!(got[0] && got[1]);
-    }
-
-    #[test]
-    fn next_event_never_overshoots_a_fill() {
-        // Tick the system to completion, recording every cycle at which a
-        // fill arrives; then replay with skip-ahead over next_event() and
-        // check the same arrival cycle is observed.
-        let cfg = small_cfg();
-        let mut ticked = MemorySystem::new(&cfg).unwrap();
-        ticked.submit(0, load(1, 0), 0);
-        let mut tick_arrival = None;
-        for now in 0..3000 {
-            ticked.tick(now);
-            if !ticked.drain_fills(0, now).is_empty() {
-                tick_arrival = Some(now);
-                break;
-            }
-        }
-        let mut skipped = MemorySystem::new(&cfg).unwrap();
-        skipped.submit(0, load(1, 0), 0);
-        let mut now = 0;
-        let mut skip_arrival = None;
-        let mut iterations = 0;
-        while now < 3000 {
-            skipped.tick(now);
-            if !skipped.drain_fills(0, now).is_empty() {
-                skip_arrival = Some(now);
-                break;
-            }
-            let next = skipped.next_event(now + 1).unwrap_or(now + 1);
-            assert!(next > now, "next_event must make progress");
-            if next > now + 1 {
-                skipped.note_skipped(next - now - 1);
-            }
-            now = next;
-            iterations += 1;
-            assert!(iterations < 200, "skip loop failed to converge");
-        }
-        assert_eq!(skip_arrival, tick_arrival, "skip-ahead must not miss the fill");
-        assert!(iterations < 50, "skip-ahead barely skipped: {iterations} steps");
     }
 
     #[test]

@@ -68,15 +68,10 @@ impl<T> DelayPipe<T> {
         self.queue.is_empty()
     }
 
-    /// Earliest cycle at which an in-flight item becomes ready.
-    pub fn next_ready(&self) -> Option<Cycle> {
-        self.queue.front().map(|&(r, _)| r)
-    }
-
     /// Empties the pipe, returning every in-flight item together with the
     /// cycle at which it completes traversal (FIFO order, ready cycles
-    /// non-decreasing). Used by engines that re-home in-flight responses
-    /// into per-SM inboxes at an epoch barrier.
+    /// non-decreasing). Used by the cycle loop to re-home in-flight
+    /// responses into per-SM inboxes.
     pub fn drain_timed(&mut self) -> Vec<(Cycle, T)> {
         self.queue.drain(..).collect()
     }
@@ -111,14 +106,6 @@ mod tests {
         let mut p = DelayPipe::new(0);
         p.push("a", 3);
         assert_eq!(p.pop_ready(3, 1), vec!["a"]);
-    }
-
-    #[test]
-    fn next_ready() {
-        let mut p = DelayPipe::new(7);
-        assert_eq!(p.next_ready(), None);
-        p.push(1, 2);
-        assert_eq!(p.next_ready(), Some(9));
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //!
 //! Per-SM state (core, LSU, L1) and the shared memory system (NoC pipes,
 //! L2 banks, DRAM, fault plan) are owned separately; every cross-boundary
-//! message flows through an [`SmPort`]. The serial loop routes each port
-//! every cycle; the epoch engine ([`crate::epoch`]) batches E cycles of
-//! port traffic per barrier — byte-identically (see `DESIGN.md` §14).
+//! message flows through an [`SmPort`], which the cycle loop routes once
+//! per cycle in fixed SM-id order (see `DESIGN.md` §14).
 
-use crate::epoch::Parallelism;
 use crate::port::SmPort;
 use crate::sm::Sm;
 use crate::traits::{Prefetcher, WarpScheduler};
@@ -24,50 +22,6 @@ use std::sync::Arc;
 /// against the worst legitimate gap (a full DRAM queue drain is thousands
 /// of cycles, not tens of thousands).
 pub const DEFAULT_WATCHDOG_WINDOW: Cycle = 100_000;
-
-/// How the cycle loop advances time (see `DESIGN.md` §13).
-///
-/// Both modes produce **byte-identical** results: skip-ahead only elides
-/// cycles on which no component could have done observable work, and
-/// compensates the per-cycle counters (stall attribution, DRAM queue
-/// occupancy) those elided ticks would have incremented. `bench_smoke.sh`
-/// enforces the equivalence by `cmp`-ing full exhibit output across modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StepMode {
-    /// Tick every SM and the memory system every cycle (the reference
-    /// serial loop).
-    #[default]
-    Tick,
-    /// After each tick, compute the next interesting cycle (scoreboard
-    /// release, NoC delivery, L2/DRAM event, watchdog deadline) and jump
-    /// the clock there when no warp is issueable anywhere.
-    SkipAhead,
-}
-
-impl StepMode {
-    /// Stable CLI / artifact label (`"tick"` / `"skip"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            StepMode::Tick => "tick",
-            StepMode::SkipAhead => "skip",
-        }
-    }
-
-    /// Parses a CLI label; accepts `"tick"`, `"skip"`, and `"skip-ahead"`.
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "tick" => Some(StepMode::Tick),
-            "skip" | "skip-ahead" => Some(StepMode::SkipAhead),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for StepMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// How a run ended (never silently — a budget-capped run is distinguishable
 /// from a drained one).
@@ -179,17 +133,17 @@ impl RunResult {
 
 /// A GPU instance ready to run one kernel under one policy combination.
 pub struct Gpu {
-    pub(crate) cfg: GpuConfig,
-    pub(crate) sms: Vec<Sm>,
+    cfg: GpuConfig,
+    sms: Vec<Sm>,
     /// One message-queue boundary per SM (same index as `sms`).
-    pub(crate) ports: Vec<SmPort>,
-    pub(crate) mem: MemorySystem,
-    pub(crate) kernel: Arc<Kernel>,
-    pub(crate) now: Cycle,
+    ports: Vec<SmPort>,
+    mem: MemorySystem,
+    kernel: Arc<Kernel>,
+    now: Cycle,
     /// Forward-progress watchdog window (`None` disables the watchdog).
-    pub(crate) watchdog_window: Option<Cycle>,
-    pub(crate) wd_last_count: u64,
-    pub(crate) wd_last_cycle: Cycle,
+    watchdog_window: Option<Cycle>,
+    wd_last_count: u64,
+    wd_last_cycle: Cycle,
 }
 
 impl Gpu {
@@ -262,10 +216,8 @@ impl Gpu {
     /// `now`, in fixed SM-id order: outboxes replay into the NoC (each
     /// request at the cycle its SM submitted it), latency sums flush, the
     /// memory system ticks once, and matured responses re-home into the
-    /// inboxes with their ready cycles intact. The epoch barrier runs this
-    /// same exchange once per cycle of the epoch, so serial and epoch
-    /// engines drive the memory system through identical sequences.
-    pub(crate) fn route(&mut self, now: Cycle) {
+    /// inboxes with their ready cycles intact.
+    fn route(&mut self, now: Cycle) {
         for (i, port) in self.ports.iter_mut().enumerate() {
             for (at, req) in port.take_outbox() {
                 self.mem.submit(i, req, at);
@@ -302,135 +254,6 @@ impl Gpu {
             self.watchdog_check()?;
         }
         self.finish(max_cycles)
-    }
-
-    /// Like [`Gpu::run`], selecting how the clock advances. Results are
-    /// byte-identical across modes ([`StepMode`]); only wall-clock differs.
-    /// Sampled ([`Gpu::run_sampled`]) and traced ([`Gpu::run_traced`]) runs
-    /// always tick every cycle — their whole point is per-cycle visibility.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gpu::run`]'s errors, at exactly the same cycles.
-    pub fn run_with_mode(mut self, max_cycles: Cycle, mode: StepMode) -> SimResult<RunResult> {
-        match mode {
-            StepMode::Tick => self.run(max_cycles),
-            StepMode::SkipAhead => {
-                while self.now < max_cycles && !self.is_finished() {
-                    self.step();
-                    self.watchdog_check()?;
-                    self.try_skip(max_cycles)?;
-                }
-                self.finish(max_cycles)
-            }
-        }
-    }
-
-    /// Like [`Gpu::run_with_mode`], additionally selecting the execution
-    /// engine: [`Parallelism::Serial`] is `run_with_mode` verbatim, while
-    /// [`Parallelism::EpochThreads`] shards the SMs across a scoped thread
-    /// pool and exchanges port traffic at epoch barriers. Results are
-    /// byte-identical across engines and thread counts.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Gpu::run`]'s errors, at exactly the same cycles; the epoch
-    /// engine can additionally report [`SimError::InvariantViolation`] if a
-    /// worker thread dies.
-    pub fn run_with(
-        self,
-        max_cycles: Cycle,
-        mode: StepMode,
-        parallelism: Parallelism,
-    ) -> SimResult<RunResult> {
-        match parallelism {
-            Parallelism::Serial => self.run_with_mode(max_cycles, mode),
-            Parallelism::EpochThreads(threads) => {
-                crate::epoch::run_epochs(self, max_cycles, mode, threads)
-            }
-        }
-    }
-
-    /// The skip-ahead core: when every SM is provably silent at `self.now`,
-    /// jump the clock to the next interesting cycle — the minimum over
-    /// per-warp scoreboard releases, NoC deliveries, L2/DRAM events and the
-    /// cycle budget — after compensating the per-cycle counters the elided
-    /// ticks would have incremented. Exactly emulates the tick-mode
-    /// watchdog, whose 256-cycle-aligned checkpoints may fall inside the
-    /// elided span (see `DESIGN.md` §13 for the equivalence argument).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::WatchdogTimeout`] at the same cycle tick mode reports it.
-    pub(crate) fn try_skip(&mut self, max_cycles: Cycle) -> SimResult<()> {
-        /// Watchdog checkpoints sit at multiples of this stride.
-        const WD_STRIDE: Cycle = 0x100;
-        if self.now >= max_cycles || self.is_finished() {
-            return Ok(());
-        }
-        if !self.sms.iter().all(|sm| sm.is_quiescent(self.now)) {
-            return Ok(());
-        }
-        let n0 = self.now;
-        // Next-event lattice: every rail is conservative (may wake early,
-        // never late), so the minimum bounds the provably silent span.
-        let mut target = max_cycles;
-        for sm in &self.sms {
-            if let Some(c) = sm.next_event(n0) {
-                target = target.min(c);
-            }
-        }
-        for port in &self.ports {
-            if let Some(c) = port.next_fill_ready() {
-                target = target.min(c.max(n0));
-            }
-        }
-        if let Some(c) = self.mem.next_event(n0) {
-            target = target.min(c);
-        }
-        if target <= n0 {
-            return Ok(());
-        }
-        if let Some(window) = self.watchdog_window {
-            // Tick mode samples the watchdog after each step, at cycles
-            // divisible by 256. Replay the checkpoints falling in
-            // (n0, target]: progress is frozen across the span, so the
-            // first one may record fresh progress, and the deadline
-            // checkpoint (if it lands inside the span) must fire the exact
-            // timeout tick mode would produce.
-            let progress = self.sms.iter().map(|s| s.stats().instructions).sum::<u64>()
-                + self.mem.delivered();
-            let first_check = (n0 | (WD_STRIDE - 1)) + 1;
-            if progress != self.wd_last_count && first_check <= target {
-                self.wd_last_count = progress;
-                self.wd_last_cycle = first_check;
-            }
-            let deadline = (self.wd_last_cycle + window).div_ceil(WD_STRIDE) * WD_STRIDE;
-            debug_assert!(deadline > n0, "missed watchdog deadline {deadline} <= {n0}");
-            if deadline <= target {
-                self.compensate_skipped(deadline - n0);
-                self.now = deadline;
-                return Err(SimError::WatchdogTimeout {
-                    cycle: deadline,
-                    idle_cycles: deadline - self.wd_last_cycle,
-                    diagnosis: self.diagnose(),
-                });
-            }
-        }
-        self.compensate_skipped(target - n0);
-        self.now = target;
-        Ok(())
-    }
-
-    /// Applies the per-cycle counter increments `delta` elided silent ticks
-    /// would have produced (SM stall attribution, DRAM queue-occupancy
-    /// integrals). Everything else is event-driven and untouched by a
-    /// silent cycle.
-    fn compensate_skipped(&mut self, delta: Cycle) {
-        for sm in &mut self.sms {
-            sm.note_skipped(delta);
-        }
-        self.mem.note_skipped(delta);
     }
 
     /// Watchdog: progress = instructions issued + responses delivered.
@@ -477,7 +300,7 @@ impl Gpu {
         }
     }
 
-    pub(crate) fn finish(self, budget: Cycle) -> SimResult<RunResult> {
+    fn finish(self, budget: Cycle) -> SimResult<RunResult> {
         let termination = if self.is_finished() {
             // The ledger only balances at drain; a budget-capped run still
             // legitimately has requests in flight.
@@ -1015,146 +838,6 @@ mod tests {
             sum_instr,
             plain.sim.instructions
         );
-    }
-
-    /// Runs `make()` twice — tick mode and skip-ahead — and asserts the
-    /// full [`RunResult`] (every counter, including compensated per-cycle
-    /// ones) is identical.
-    fn assert_skip_equals_tick(make: impl Fn() -> Gpu, budget: Cycle) -> RunResult {
-        let tick = make().run(budget).unwrap();
-        let skip = make().run_with_mode(budget, StepMode::SkipAhead).unwrap();
-        assert_eq!(tick, skip, "skip-ahead diverged from tick mode");
-        assert_eq!(
-            make().run_with_mode(budget, StepMode::Tick).unwrap(),
-            tick,
-            "StepMode::Tick must be the plain loop"
-        );
-        tick
-    }
-
-    #[test]
-    fn skip_ahead_identical_on_memory_bound_kernel() {
-        let r = assert_skip_equals_tick(|| small_gpu(strided_kernel(8)), 2_000_000);
-        assert!(r.sim.stall_cycles > 0, "kernel must actually stall");
-    }
-
-    #[test]
-    fn skip_ahead_identical_on_shared_stream_kernel() {
-        let k = || {
-            Kernel::builder("shared")
-                .load(AddressPattern::shared_stream(0, 0), &[])
-                .alu(8, &[0])
-                .iterations(8)
-                .build()
-        };
-        assert_skip_equals_tick(|| small_gpu(k()), 2_000_000);
-    }
-
-    #[test]
-    fn skip_ahead_identical_with_barriers() {
-        let k = || {
-            Kernel::builder("sync")
-                .load(AddressPattern::warp_strided(0, 4096, 1 << 20, 4), &[])
-                .alu(8, &[0])
-                .barrier(&[1])
-                .alu(4, &[1])
-                .iterations(4)
-                .build()
-        };
-        assert_skip_equals_tick(|| small_gpu(k()), 2_000_000);
-    }
-
-    #[test]
-    fn skip_ahead_identical_with_waves_skew_and_dual_issue() {
-        let mut cfg = GpuConfig::small_test();
-        cfg.core.waves_per_slot = 2;
-        cfg.core.launch_skew = 50;
-        cfg.core.issue_width = 2;
-        let make = || {
-            Gpu::new(
-                &cfg,
-                strided_kernel(4),
-                &|_| Box::new(SimpleRoundRobin::default()),
-                &|_| Box::new(NullPrefetcher),
-            )
-            .unwrap()
-        };
-        assert_skip_equals_tick(make, 2_000_000);
-    }
-
-    #[test]
-    fn skip_ahead_identical_on_store_kernel() {
-        let k = || {
-            Kernel::builder("st")
-                .store(AddressPattern::warp_strided(0, 4096, 4096 * 16, 4), &[])
-                .iterations(3)
-                .build()
-        };
-        assert_skip_equals_tick(|| small_gpu(k()), 2_000_000);
-    }
-
-    #[test]
-    fn skip_ahead_identical_under_fault_injection() {
-        let make = || {
-            let mut gpu = small_gpu(strided_kernel(5));
-            gpu.arm_faults(
-                &gpu_common::FaultPlan::seeded(3)
-                    .delaying_dram_responses(0.5, 400)
-                    .exhausting_mshrs(128, 8),
-            );
-            gpu
-        };
-        let r = assert_skip_equals_tick(make, 2_000_000);
-        assert!(r.faults.total() > 0, "faults must actually fire");
-    }
-
-    #[test]
-    fn skip_ahead_identical_on_budget_exhaustion() {
-        let r = assert_skip_equals_tick(|| small_gpu(strided_kernel(50)), 700);
-        assert_eq!(r.termination, Termination::BudgetExhausted { budget: 700 });
-    }
-
-    #[test]
-    fn skip_ahead_watchdog_fires_at_the_same_cycle() {
-        let make = || {
-            let mut gpu = small_gpu(strided_kernel(4));
-            gpu.arm_faults(&gpu_common::FaultPlan::seeded(7).dropping_dram_responses(1.0));
-            gpu.set_watchdog(Some(2_000));
-            gpu
-        };
-        let tick_err = make().run(2_000_000).expect_err("must deadlock");
-        let skip_err = make()
-            .run_with_mode(2_000_000, StepMode::SkipAhead)
-            .expect_err("must deadlock");
-        let cycle_of = |e: &gpu_common::SimError| match e {
-            gpu_common::SimError::WatchdogTimeout { cycle, idle_cycles, .. } => {
-                (*cycle, *idle_cycles)
-            }
-            other => panic!("expected watchdog timeout, got {other:?}"),
-        };
-        assert_eq!(cycle_of(&tick_err), cycle_of(&skip_err));
-    }
-
-    #[test]
-    fn skip_ahead_with_watchdog_disabled_reaches_budget() {
-        let make = || {
-            let mut gpu = small_gpu(strided_kernel(4));
-            gpu.arm_faults(&gpu_common::FaultPlan::seeded(7).dropping_dram_responses(1.0));
-            gpu.set_watchdog(None);
-            gpu
-        };
-        let r = assert_skip_equals_tick(make, 50_000);
-        assert_eq!(r.termination, Termination::BudgetExhausted { budget: 50_000 });
-    }
-
-    #[test]
-    fn step_mode_labels_round_trip() {
-        for mode in [StepMode::Tick, StepMode::SkipAhead] {
-            assert_eq!(StepMode::from_label(mode.label()), Some(mode));
-        }
-        assert_eq!(StepMode::from_label("skip-ahead"), Some(StepMode::SkipAhead));
-        assert_eq!(StepMode::from_label("warp"), None);
-        assert_eq!(StepMode::default(), StepMode::Tick);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * [`sm`] — one streaming multiprocessor: warp contexts, scoreboard-driven
 //!   ready set, issue stage, LSU, L1, and the scheduler/prefetcher hook
 //!   wiring of Figure 5;
+//! * [`port`] — the [`SmPort`] message boundary between one SM and the
+//!   shared memory system;
 //! * [`gpu`] — the whole GPU: N SMs sharing a [`gpu_mem::MemorySystem`], the
 //!   cycle loop, and aggregated [`RunResult`]s.
 //!
@@ -18,19 +20,12 @@
 //! hand a warp group to the prefetcher; the prefetcher reports back the
 //! warps it targeted so the scheduler can prioritise them.
 //!
-//! The cycle loop supports two clock-advance strategies ([`StepMode`]):
-//! the reference tick-every-cycle loop and an opt-in skip-ahead mode that
-//! jumps over provably silent spans with byte-identical results
-//! (DESIGN.md §13). Orthogonally, [`Parallelism`] selects the execution
-//! engine: the serial reference loop, or the epoch engine ([`epoch`]) that
-//! shards SMs across a scoped thread pool and exchanges [`port`] traffic
-//! at deterministic barriers — again with byte-identical results
-//! (DESIGN.md §14).
+//! The cycle loop ticks every SM and the memory system once per cycle; the
+//! engines tried and rejected in its place are recorded in DESIGN.md §15.
 
 #![deny(missing_docs)]
 
 pub mod codec;
-pub mod epoch;
 pub mod gpu;
 pub mod lsu;
 pub mod port;
@@ -38,8 +33,7 @@ pub mod sm;
 pub mod trace;
 pub mod traits;
 
-pub use epoch::Parallelism;
-pub use gpu::{Gpu, RunResult, StepMode, Termination, DEFAULT_WATCHDOG_WINDOW};
+pub use gpu::{Gpu, RunResult, Termination, DEFAULT_WATCHDOG_WINDOW};
 pub use port::SmPort;
 pub use sm::Sm;
 pub use traits::{

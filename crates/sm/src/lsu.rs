@@ -139,14 +139,6 @@ impl Lsu {
         self.queue.is_empty() && self.store_queue.is_empty() && self.outstanding.is_empty()
     }
 
-    /// `true` when both the load and store queues are empty (in-flight
-    /// fills may remain). While any queue is non-empty,
-    /// [`Lsu::process_one`] does observable work every cycle — sending or
-    /// retrying a line — so a cycle is only skippable when this holds.
-    pub fn queues_empty(&self) -> bool {
-        self.queue.is_empty() && self.store_queue.is_empty()
-    }
-
     /// Accepts a memory instruction.
     ///
     /// # Panics

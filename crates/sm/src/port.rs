@@ -2,21 +2,17 @@
 //!
 //! An [`SmPort`] is the only conduit for cross-boundary traffic: the SM
 //! pushes outgoing L1 misses/stores/prefetches into the outbox and pops
-//! matured line fills from the inbox; the cycle engine (serial or epoch,
-//! see [`crate::epoch`]) drains the outbox into the shared
+//! matured line fills from the inbox; once per cycle the cycle loop
+//! ([`crate::gpu::Gpu::step`]) drains every outbox into the shared
 //! [`gpu_mem::memsys::MemorySystem`] in fixed SM-id order and re-homes
-//! responses into the inbox with their NoC-ready cycles intact. Because
-//! every entry is cycle-stamped, replaying a port's traffic at a barrier
-//! reproduces the exact interleaving of the serial engine — this is what
-//! makes epoch-parallel runs byte-identical to serial ones.
+//! responses into the inboxes with their NoC-ready cycles intact.
 
 use gpu_common::Cycle;
 use gpu_mem::request::MemRequest;
 use std::collections::VecDeque;
 
 /// Per-SM message queues decoupling the SM core from the shared memory
-/// system. Owned by the cycle engine alongside its [`crate::sm::Sm`]; the
-/// pair travels together when an epoch worker takes ownership of a shard.
+/// system. Owned by the cycle loop alongside its [`crate::sm::Sm`].
 #[derive(Debug, Default)]
 pub struct SmPort {
     /// Matured responses en route to the SM, `(ready_cycle, fill)` in FIFO
@@ -64,13 +60,13 @@ impl SmPort {
     }
 
     /// Accumulates one completed demand load's round-trip latency (flushed
-    /// into [`gpu_mem::stats::MemStats`]-equivalent sums at the barrier).
+    /// into the memory system's latency sums when the port is routed).
     pub fn note_load_latency(&mut self, latency: Cycle) {
         self.latency_total += latency;
         self.latency_count += 1;
     }
 
-    // --- engine side -------------------------------------------------
+    // --- cycle-loop side ---------------------------------------------
 
     /// Re-homes one in-flight response into the inbox, preserving the
     /// ready cycle it was assigned inside the memory system.
@@ -82,8 +78,8 @@ impl SmPort {
         self.inbox.push_back((ready, req));
     }
 
-    /// Takes the whole outbox for barrier replay (submission order, cycle
-    /// stamps non-decreasing).
+    /// Takes the whole outbox for routing (submission order, cycle stamps
+    /// non-decreasing).
     pub fn take_outbox(&mut self) -> Vec<(Cycle, MemRequest)> {
         std::mem::take(&mut self.outbox)
     }
@@ -95,17 +91,6 @@ impl SmPort {
         self.latency_total = 0;
         self.latency_count = 0;
         out
-    }
-
-    /// Earliest cycle at which a queued fill becomes visible to the SM
-    /// (a rail of the skip-ahead lattice).
-    pub fn next_fill_ready(&self) -> Option<Cycle> {
-        self.inbox.front().map(|&(r, _)| r)
-    }
-
-    /// `true` when no fill is queued for the SM.
-    pub fn inbox_is_empty(&self) -> bool {
-        self.inbox.is_empty()
     }
 
     /// `true` when nothing sits on either side of the boundary.
@@ -129,11 +114,10 @@ mod tests {
         p.deliver(5, req(1));
         p.deliver(5, req(2));
         p.deliver(9, req(3));
-        assert_eq!(p.next_fill_ready(), Some(5));
         assert!(p.drain_fills(4).is_empty());
         let ready: Vec<_> = p.drain_fills(5).iter().map(|r| r.line).collect();
         assert_eq!(ready, vec![LineAddr(1), LineAddr(2)]);
-        assert!(!p.inbox_is_empty());
+        assert!(!p.is_idle());
         assert_eq!(p.drain_fills(9).len(), 1);
         assert!(p.is_idle());
     }

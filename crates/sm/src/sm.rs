@@ -114,7 +114,7 @@ impl Sm {
 
     /// Executes one cycle. `port` is this SM's boundary to the shared
     /// memory system: fills are popped from its inbox, outgoing requests
-    /// are queued into its outbox (the cycle engine routes both).
+    /// are queued into its outbox (the cycle loop routes both).
     pub fn tick(&mut self, now: Cycle, port: &mut SmPort) {
         self.apply_fills(now, port);
         self.lsu_stage(now, port);
@@ -527,63 +527,6 @@ impl Sm {
             .inflight_mshrs()
             .map(|e| (self.id, e.line, 1 + e.merged.len()))
             .collect()
-    }
-
-    /// `true` when a [`Sm::tick`] at `now` would provably do no observable
-    /// work beyond fixed stall accounting: the LSU queues are empty (no
-    /// line to send or retry), nothing waits in the L1's outgoing buffer,
-    /// and no launched warp can issue. With empty LSU queues there is no
-    /// structural hazard, so an empty ready set here really means *no warp
-    /// is issueable* — the scheduler's `pick` is never consulted on such a
-    /// cycle and its state cannot drift from tick mode.
-    pub fn is_quiescent(&self, now: Cycle) -> bool {
-        if !self.lsu.queues_empty() || self.l1.outgoing_len() != 0 {
-            return false;
-        }
-        let skew = self.cfg.core.launch_skew;
-        !self.warps.iter().enumerate().any(|(i, w)| {
-            now >= i as Cycle * skew && w.can_issue(&self.kernel, now)
-        })
-    }
-
-    /// Earliest future cycle at which a warp of this SM could issue based
-    /// on warp-local state (scoreboard release, block-launch skew), or
-    /// `None` when every unfinished warp waits on an external event (an
-    /// in-flight load fill or a barrier release — both covered by other
-    /// rails of the skip-ahead lattice).
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let skew = self.cfg.core.launch_skew;
-        let mut next: Option<Cycle> = None;
-        for (i, w) in self.warps.iter().enumerate() {
-            if let Some(c) = w.next_issue_cycle(&self.kernel) {
-                let at = c.max(i as Cycle * skew).max(now);
-                next = Some(next.map_or(at, |n: Cycle| n.min(at)));
-            }
-        }
-        next
-    }
-
-    /// Compensates per-cycle stall accounting for `delta` skipped quiescent
-    /// cycles: each such cycle runs `issue_width` empty issue slots, each
-    /// adding one `stall_cycles` and (no structural hazard possible with
-    /// empty LSU queues) one `stall_dependency`.
-    pub fn note_skipped(&mut self, delta: Cycle) {
-        let slots = self.cfg.core.issue_width.max(1) as u64 * delta;
-        self.stats.stall_cycles += slots;
-        self.stats.stall_dependency += slots;
-    }
-
-    /// Reverts the fixed stall accounting of `delta` trailing cycles that
-    /// an epoch worker executed past the run's true finish cycle. A cycle
-    /// ticked while the SM is finished with an empty inbox does exactly
-    /// `issue_width` empty issue slots (one `stall_cycles` and one
-    /// `stall_dependency` each — the inverse of [`Sm::note_skipped`]) and
-    /// touches nothing else, so subtracting those slots restores the state
-    /// the serial engine would have stopped at.
-    pub(crate) fn rewind_overrun(&mut self, delta: Cycle) {
-        let slots = self.cfg.core.issue_width.max(1) as u64 * delta;
-        self.stats.stall_cycles = self.stats.stall_cycles.saturating_sub(slots);
-        self.stats.stall_dependency = self.stats.stall_dependency.saturating_sub(slots);
     }
 }
 

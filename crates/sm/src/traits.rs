@@ -113,11 +113,8 @@ pub struct SchedFeedback {
 }
 
 /// A warp scheduler: picks the next warp to issue and reacts to pipeline
-/// feedback. Implementations must be deterministic, and `Send` so an epoch
-/// worker thread can take ownership of the SM that owns them (plain owned
-/// state satisfies this automatically; shared interior mutability would
-/// both break determinism and be rejected by the workspace lint).
-pub trait WarpScheduler: Send {
+/// feedback. Implementations must be deterministic.
+pub trait WarpScheduler {
     /// Human-readable policy name (e.g. `"lrr"`, `"ccws"`, `"laws"`).
     fn name(&self) -> &'static str;
 
@@ -155,9 +152,8 @@ pub trait WarpScheduler: Send {
     }
 }
 
-/// A hardware prefetcher. `Send` for the same reason as
-/// [`WarpScheduler`]: epoch workers take ownership of whole SMs.
-pub trait Prefetcher: Send {
+/// A hardware prefetcher. Implementations must be deterministic.
+pub trait Prefetcher {
     /// Human-readable engine name (e.g. `"none"`, `"str"`, `"sld"`, `"sap"`).
     fn name(&self) -> &'static str;
 

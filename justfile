@@ -47,9 +47,10 @@ serve-smoke:
     bash scripts/serve_smoke.sh
 
 # Measured-performance regression gate: re-times the pinned suite of
-# perf_trajectory in both step modes and fails if the skip/tick speedup
-# ratio regressed >10% vs the newest checked-in BENCH_*.json (the ratio,
-# not absolute rates, so the gate is machine-portable; METHODOLOGY.md).
+# perf_trajectory against an in-process calibration loop and fails if
+# suite/calibration rose >25% above the newest checked-in BENCH_*.json
+# (a same-process ratio, not absolute rates, so the gate is
+# machine-portable; METHODOLOGY.md).
 perf-gate:
     cargo run --release -p apres-bench --bin perf_trajectory -- --fast --check > /dev/null
 

@@ -81,113 +81,6 @@ no_time_check() {
   fi
 }
 
-# Skip-ahead equivalence gate: every exhibit must print byte-identical
-# stdout under APRES_STEP_MODE=tick and APRES_STEP_MODE=skip (DESIGN.md
-# §13 — skip-ahead elides only provably silent cycles, so the statistics
-# are identical by construction, and this check keeps it that way).
-mode_compare() {
-  local name="$1"
-  shift
-  local out1 out2 rc
-  out1="$(APRES_STEP_MODE=tick "$BIN/$name" "$@" --jobs 1 2>/dev/null)"
-  rc=$?
-  if [ $rc -ne 0 ]; then
-    echo "FAIL $name: tick-mode run exited $rc"
-    fail=1
-    return
-  fi
-  out2="$(APRES_STEP_MODE=skip "$BIN/$name" "$@" --jobs 1 2>/dev/null)"
-  rc=$?
-  if [ $rc -ne 0 ]; then
-    echo "FAIL $name: skip-mode run exited $rc"
-    fail=1
-    return
-  fi
-  if [ "$out1" = "$out2" ]; then
-    echo "ok   $name (skip-ahead byte-identical to tick)"
-  else
-    echo "FAIL $name: stdout differs between step modes"
-    diff <(printf '%s\n' "$out1") <(printf '%s\n' "$out2") | head -10
-    fail=1
-  fi
-}
-
-# JSON variant of the step-mode equivalence check.
-mode_json_compare() {
-  local name="$1"
-  shift
-  local d1 d2
-  d1=$(mktemp -d)
-  d2=$(mktemp -d)
-  APRES_STEP_MODE=tick "$BIN/$name" "$@" --jobs 1 --json "$d1" >/dev/null 2>&1
-  APRES_STEP_MODE=skip "$BIN/$name" "$@" --jobs 1 --json "$d2" >/dev/null 2>&1
-  if diff -r "$d1" "$d2" >/dev/null 2>&1 && [ -n "$(ls -A "$d1")" ]; then
-    echo "ok   $name (skip-ahead json identical to tick)"
-  else
-    echo "FAIL $name: JSON artifacts differ between step modes"
-    fail=1
-  fi
-  rm -rf "$d1" "$d2"
-}
-
-# Epoch-engine equivalence gate: every exhibit must print byte-identical
-# stdout under the serial engine (--sim-threads 0) and the epoch engine at
-# 1 and 2 worker threads (DESIGN.md §14 — the barrier replays port traffic
-# in a fixed order, so statistics are identical by construction, and this
-# check keeps it that way). CSV artifacts are compared when the binary
-# writes them.
-sim_threads_compare() {
-  local name="$1"
-  shift
-  local out0 outn rc n
-  out0="$("$BIN/$name" "$@" --jobs 1 --sim-threads 0 2>/dev/null)"
-  rc=$?
-  if [ $rc -ne 0 ]; then
-    echo "FAIL $name: serial-engine run exited $rc"
-    fail=1
-    return
-  fi
-  for n in 1 2; do
-    outn="$("$BIN/$name" "$@" --jobs 1 --sim-threads "$n" 2>/dev/null)"
-    rc=$?
-    if [ $rc -ne 0 ]; then
-      echo "FAIL $name: --sim-threads $n run exited $rc"
-      fail=1
-      return
-    fi
-    if [ "$out0" != "$outn" ]; then
-      echo "FAIL $name: stdout differs between serial and --sim-threads $n"
-      diff <(printf '%s\n' "$out0") <(printf '%s\n' "$outn") | head -10
-      fail=1
-      return
-    fi
-  done
-  echo "ok   $name (epoch engine byte-identical to serial)"
-}
-
-# JSON+CSV variant of the epoch-engine equivalence check, crossed with
-# both step modes so skip-ahead composes with the epoch barrier too.
-sim_threads_json_compare() {
-  local name="$1"
-  shift
-  local mode d0 d2
-  for mode in tick skip; do
-    d0=$(mktemp -d)
-    d2=$(mktemp -d)
-    APRES_STEP_MODE=$mode "$BIN/$name" "$@" --jobs 1 --sim-threads 0 \
-      --json "$d0" --csv "$d0" >/dev/null 2>&1
-    APRES_STEP_MODE=$mode "$BIN/$name" "$@" --jobs 1 --sim-threads 2 \
-      --json "$d2" --csv "$d2" >/dev/null 2>&1
-    if diff -r "$d0" "$d2" >/dev/null 2>&1 && [ -n "$(ls -A "$d0")" ]; then
-      echo "ok   $name (epoch json+csv identical to serial, $mode mode)"
-    else
-      echo "FAIL $name: artifacts differ between serial and epoch engines ($mode mode)"
-      fail=1
-    fi
-    rm -rf "$d0" "$d2"
-  done
-}
-
 # Every exhibit and study binary, at the scale bench-smoke exercises.
 compare fig2 --tiny
 compare fig3 --tiny
@@ -214,47 +107,6 @@ compare kernel-lint --oracle
 json_compare fig10 --tiny
 json_compare fig12 --tiny
 json_compare sweep --tiny
-
-# Skip-ahead ≡ tick for every simulating exhibit (stdout), plus the two
-# JSON shapes. `--step-mode` reaches the binaries via APRES_STEP_MODE.
-mode_compare fig2 --tiny
-mode_compare fig3 --tiny
-mode_compare fig4 --tiny
-mode_compare fig10 --tiny
-mode_compare fig11 --tiny
-mode_compare fig12 --tiny
-mode_compare fig13 --tiny
-mode_compare fig14 --tiny
-mode_compare fig15 --tiny
-mode_compare table1 --tiny
-mode_compare sweep --tiny
-mode_compare diag --tiny SRAD
-mode_compare ablation_apres --tiny
-mode_compare ablation_substrate --tiny
-mode_compare bypass_study --tiny
-mode_json_compare fig10 --tiny
-mode_json_compare sweep --tiny
-
-# Serial ≡ epoch engine for every simulating exhibit (stdout), plus the
-# two artifact shapes crossed with both step modes. `--sim-threads`
-# parallelises inside each simulation; nothing may leak into results.
-sim_threads_compare fig2 --tiny
-sim_threads_compare fig3 --tiny
-sim_threads_compare fig4 --tiny
-sim_threads_compare fig10 --tiny
-sim_threads_compare fig11 --tiny
-sim_threads_compare fig12 --tiny
-sim_threads_compare fig13 --tiny
-sim_threads_compare fig14 --tiny
-sim_threads_compare fig15 --tiny
-sim_threads_compare table1 --tiny
-sim_threads_compare sweep --tiny
-sim_threads_compare diag --tiny SRAD
-sim_threads_compare ablation_apres --tiny
-sim_threads_compare ablation_substrate --tiny
-sim_threads_compare bypass_study --tiny
-sim_threads_json_compare fig10 --tiny
-sim_threads_json_compare sweep --tiny
 
 # --no-time runs must be silent about wall time everywhere (the Clock
 # routing of the bench binaries plus the harness's no-time summary).
@@ -284,4 +136,4 @@ if [ $fail -ne 0 ]; then
   echo "bench-smoke: FAILED"
   exit 1
 fi
-echo "bench-smoke: all binaries byte-identical across --jobs, step modes, and --sim-threads"
+echo "bench-smoke: all binaries byte-identical across --jobs"

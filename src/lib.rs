@@ -62,7 +62,7 @@ pub use gpu_common::{Diagnostic, Report, Severity};
 pub use gpu_kernel::{AddressPattern, Kernel};
 pub use gpu_sm::gpu::Sample;
 pub use gpu_sm::trace::{IssueKind, TraceEvent};
-pub use gpu_sm::{Gpu, Parallelism, RunResult, StepMode, Termination, DEFAULT_WATCHDOG_WINDOW};
+pub use gpu_sm::{Gpu, RunResult, Termination, DEFAULT_WATCHDOG_WINDOW};
 pub use gpu_workloads::{
     characterize, fidelity_report, Benchmark, Category, KernelSpec, LoadProfile,
 };

@@ -64,30 +64,6 @@ fn all_benchmarks_complete_under_apres() {
 }
 
 #[test]
-fn epoch_engine_matches_serial_on_every_benchmark() {
-    // Harness-layer leg of the DESIGN.md §14 contract: for all 15 Table-I
-    // kernels, in both step modes, the epoch engine at 2 threads produces
-    // the exact RunResult of the serial engine.
-    use apres::StepMode;
-    for b in Benchmark::ALL {
-        for mode in [StepMode::Tick, StepMode::SkipAhead] {
-            let at = |threads: usize| {
-                Simulation::new(b.kernel_scaled(8))
-                    .config(cfg())
-                    .scheduler(SchedulerChoice::Laws)
-                    .prefetcher(PrefetcherChoice::Sap)
-                    .max_cycles(5_000_000)
-                    .step_mode(mode)
-                    .sim_threads(threads)
-                    .run()
-                    .expect("determinism workloads run to completion")
-            };
-            assert_eq!(at(0), at(2), "{} {mode}", b.label());
-        }
-    }
-}
-
-#[test]
 fn different_seeds_change_behaviour_of_noisy_kernels() {
     let base = Benchmark::Km.kernel_scaled(8);
     let r1 = Simulation::new(base.clone())

@@ -100,12 +100,11 @@ fn audit_covers_the_lint_itself() {
 
 #[test]
 fn escape_hatches_stay_rare_and_narrowly_scoped() {
-    // The `// lint: allow(...)` hatch exists for the Clock implementation,
-    // the harness's TTY progress path (wall-clock), and the epoch barrier's
-    // shard-exchange channels (shared-mut, pinned to crates/sm/src/epoch.rs).
-    // If allows proliferate, spread to other files, or new rules start
-    // being waived, the lint is being routed around — fail loudly with the
-    // full inventory.
+    // The `// lint: allow(...)` hatch exists for the Clock implementation
+    // and the harness's TTY progress path (wall-clock) only. If allows
+    // proliferate or other rules start being waived — shared-mut above
+    // all, since simulator state is never shared across threads — the
+    // lint is being routed around: fail loudly with the full inventory.
     let mut allows: Vec<(String, String)> = Vec::new();
     for dir in ["crates", "src"] {
         collect_allows(&repo_root().join(dir), &mut allows);
@@ -114,35 +113,24 @@ fn escape_hatches_stay_rare_and_narrowly_scoped() {
     // captured by the lexer but can never waive anything: only a real
     // rule ID matches a finding. Audit the effective waivers.
     allows.retain(|(_, rule)| apres_lint::RULE_IDS.contains(&rule.as_str()));
-    let epoch_file = repo_root().join("crates/sm/src/epoch.rs");
     let shared_mut: Vec<_> = allows
         .iter()
         .filter(|(_, rule)| rule == "shared-mut")
         .collect();
     assert!(
-        shared_mut
-            .iter()
-            .all(|(at, _)| at.starts_with(&format!("{}:", epoch_file.display()))),
-        "shared-mut may only be waived by the epoch barrier \
-         (crates/sm/src/epoch.rs), found: {shared_mut:?}"
-    );
-    assert!(
-        shared_mut.len() <= 4,
-        "epoch-barrier channel waivers grew to {}: {shared_mut:?} — the \
-         carve-out is two type aliases and one constructor call",
-        shared_mut.len()
+        shared_mut.is_empty(),
+        "shared-mut may not be waived anywhere, found: {shared_mut:?}"
     );
     let unexpected: Vec<_> = allows
         .iter()
-        .filter(|(_, rule)| rule != "wall-clock" && rule != "shared-mut")
+        .filter(|(_, rule)| rule != "wall-clock")
         .collect();
     assert!(
         unexpected.is_empty(),
-        "only wall-clock and epoch-barrier shared-mut findings may be \
-         waived in-source, found: {unexpected:?}"
+        "only wall-clock findings may be waived in-source, found: {unexpected:?}"
     );
     assert!(
-        allows.len() <= 10,
+        allows.len() <= 4,
         "escape-hatch count grew to {}: {allows:?} — fix findings instead \
          of waiving them",
         allows.len()
