@@ -12,7 +12,10 @@
 //!   its canonical string (which embeds the *entire* `GpuConfig`, so any
 //!   configuration change changes the key);
 //! * [`ResultCache`] — a crash-safe on-disk store of
-//!   [`RunResult`]s, one JSON file per spec hash.
+//!   [`RunResult`]s, one JSON file per spec hash;
+//! * [`Executor`] — the one job protocol on top of both (verified lookup,
+//!   panic-isolated compute, store, counted), which the sweep harness and
+//!   the batch service each run every job through.
 //!
 //! Integrity is non-negotiable: a cache hit **never returns unverified
 //! bytes**. Every entry stores its payload as an exact string alongside a
@@ -21,9 +24,10 @@
 //! [`gpu_sm::codec`]. A truncated file, a flipped byte, a stale layout, or
 //! an entry recorded for a different spec all classify as
 //! [`Lookup::Corrupt`]: the entry is evicted (best-effort unlink) and the
-//! caller recomputes. Writes go through a temp file in the same directory
-//! followed by an atomic rename, so a crashed writer can leave a stale
-//! temp file but never a half-written entry under a live entry name.
+//! caller recomputes. Writes go through a temp file in the same directory,
+//! unique to the call, followed by an atomic rename, so neither a crashed
+//! writer nor two concurrent writers of one spec can leave a half-written
+//! entry under a live entry name.
 
 use crate::{Combo, Scale};
 use apres_core::sim::{PrefetcherChoice, SchedulerChoice, Simulation};
@@ -34,6 +38,7 @@ use gpu_common::{SimError, SimResult};
 use gpu_sm::RunResult;
 use gpu_workloads::Benchmark;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Version tag baked into every canonical spec string and cache entry.
 /// Bump it when the spec canonicalisation, the result codec, or the entry
@@ -324,9 +329,11 @@ impl ResultCache {
         Lookup::Hit(Box::new(result))
     }
 
-    /// Persists a result for a spec: temp file in the cache directory,
-    /// then atomic rename over the entry name. A concurrent writer of the
-    /// same spec writes identical bytes (determinism), so last-rename-wins
+    /// Persists a result for a spec: a temp file in the cache directory,
+    /// named uniquely per call (process id plus a process-wide counter),
+    /// then an atomic rename over the entry name. Concurrent writers of the
+    /// same spec, in this process or another, therefore never share a temp
+    /// file; they write identical bytes (determinism), so last-rename-wins
     /// is harmless.
     ///
     /// # Errors
@@ -346,10 +353,12 @@ impl ResultCache {
         let mut text = entry.to_pretty();
         text.push('\n');
         let final_path = self.entry_path(spec);
+        static STORES: AtomicU64 = AtomicU64::new(0);
         let tmp_path = self.dir.join(format!(
-            ".tmp-{}-{}",
+            ".tmp-{}-{}-{}",
             spec.hash_hex(),
-            std::process::id()
+            std::process::id(),
+            STORES.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&tmp_path, &text)?;
         match std::fs::rename(&tmp_path, &final_path) {
@@ -426,6 +435,117 @@ impl ResultCache {
         let _ = std::fs::remove_file(path);
         Lookup::Corrupt { detail }
     }
+}
+
+/// Cache traffic counted by an [`Executor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheSummary {
+    /// Jobs served from a verified cache entry without recomputation.
+    pub hits: usize,
+    /// Jobs computed because no entry existed.
+    pub misses: usize,
+    /// Entries that failed verification and were evicted (then recomputed).
+    pub evicted: usize,
+    /// Results that computed fine but could not be persisted.
+    pub store_failures: usize,
+}
+
+/// The one job protocol: verified lookup, panic-isolated compute, store,
+/// with the cache traffic counted. [`crate::SimSweep::run`] and
+/// `apres-serve`'s `serve_batch` run every job through it, from any number
+/// of worker threads.
+#[derive(Debug, Default)]
+pub struct Executor<'a> {
+    cache: Option<&'a ResultCache>,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    evicted: AtomicUsize,
+    store_failures: AtomicUsize,
+}
+
+impl<'a> Executor<'a> {
+    /// An executor over `cache` (`None`: every job is computed).
+    pub fn new(cache: Option<&'a ResultCache>) -> Self {
+        Executor {
+            cache,
+            ..Executor::default()
+        }
+    }
+
+    /// Serves job `index` (its submission index, named in panic reports).
+    ///
+    /// With a cache and a `spec`, a verified entry is returned without
+    /// computing, and a corrupt one is evicted with a warning on stderr.
+    /// Otherwise `compute` runs under `catch_unwind`: a panic becomes a
+    /// typed [`SimError::InvariantViolation`] naming the job and the panic
+    /// payload, and the worker thread survives. A successful result is then
+    /// stored (a failed store is a warning, not an error); a failed job is
+    /// never stored.
+    pub fn run(
+        &self,
+        index: usize,
+        spec: Option<&JobSpec>,
+        compute: impl FnOnce() -> SimResult<RunResult>,
+    ) -> SimResult<RunResult> {
+        let cached = self.cache.zip(spec);
+        if let Some((cache, spec)) = cached {
+            match cache.lookup(spec) {
+                Lookup::Hit(result) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(*result);
+                }
+                Lookup::Miss => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                }
+                Lookup::Corrupt { detail } => {
+                    self.evicted.fetch_add(1, Ordering::Relaxed);
+                    eprintln!(
+                        "warning: evicted corrupt cache entry for job {}: {detail}",
+                        spec.hash_hex()
+                    );
+                }
+            }
+        }
+        let outcome = catch_panic(index, compute);
+        if let (Some((cache, spec)), Ok(result)) = (cached, &outcome) {
+            if let Err(e) = cache.store(spec, result) {
+                self.store_failures.fetch_add(1, Ordering::Relaxed);
+                eprintln!(
+                    "warning: could not store cache entry for job {}: {e}",
+                    spec.hash_hex()
+                );
+            }
+        }
+        outcome
+    }
+
+    /// The cache traffic so far.
+    pub fn summary(&self) -> CacheSummary {
+        CacheSummary {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evicted: self.evicted.load(Ordering::Relaxed),
+            store_failures: self.store_failures.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Runs `f` under `catch_unwind`; a panic becomes a typed invariant
+/// violation naming job `index` and the panic payload (the two payload
+/// shapes the standard panic machinery produces, else a placeholder).
+fn catch_panic(index: usize, f: impl FnOnce() -> SimResult<RunResult>) -> SimResult<RunResult> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&'static str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-string panic payload>");
+        Err(SimError::invariant(
+            "worker-panic",
+            format!("job {index} panicked: {message}"),
+            0,
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -569,5 +689,93 @@ mod tests {
         assert!(!cache.corrupt_entry(&spec).expect("no entry"));
         assert!(!cache.truncate_entry(&spec).expect("no entry"));
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_spec_never_collide() {
+        // Two threads of one process store the same spec while a third
+        // reads it: every store must land, and the reader must only ever
+        // see a whole entry or none (DESIGN.md §11, cache invariant 3).
+        let cache = ResultCache::open(tmp_dir("race")).expect("open");
+        let spec = tiny_spec();
+        let result = spec.run().expect("tiny run");
+        let writing = AtomicUsize::new(2);
+        let arrived = AtomicUsize::new(0);
+        let (stores, corrupt) = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let ok = (1..=200)
+                            .filter(|round| {
+                                // Both writers start each round's store together.
+                                arrived.fetch_add(1, Ordering::SeqCst);
+                                while arrived.load(Ordering::SeqCst) < 2 * round {
+                                    std::hint::spin_loop();
+                                }
+                                cache.store(&spec, &result).is_ok()
+                            })
+                            .count();
+                        writing.fetch_sub(1, Ordering::SeqCst);
+                        ok
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                let mut corrupt = Vec::new();
+                while writing.load(Ordering::SeqCst) > 0 {
+                    if let Lookup::Corrupt { detail } = cache.lookup(&spec) {
+                        corrupt.push(detail);
+                    }
+                    // Leave the CPUs to the writers between reads.
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+                corrupt
+            });
+            let stores: usize = writers.into_iter().map(|w| w.join().expect("writer")).sum();
+            (stores, reader.join().expect("reader"))
+        });
+        assert_eq!(stores, 400, "every store must succeed");
+        assert!(
+            corrupt.is_empty(),
+            "reader saw half-written entries: {corrupt:?}"
+        );
+        assert!(matches!(cache.lookup(&spec), Lookup::Hit(_)));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn executor_serves_hits_and_stores_only_successes() {
+        let cache = ResultCache::open(tmp_dir("executor")).expect("open");
+        let exec = Executor::new(Some(&cache));
+        let spec = tiny_spec();
+        let cold = exec.run(0, Some(&spec), || spec.run()).expect("computed");
+        let warm = exec
+            .run(0, Some(&spec), || unreachable!("a hit never computes"))
+            .expect("served");
+        assert_eq!(warm, cold);
+        let mut other = tiny_spec();
+        other.iterations += 1;
+        let err = exec
+            .run(1, Some(&other), || Err(SimError::config("l1.ways", "zero")))
+            .expect_err("failure is reported");
+        assert_eq!(err.class(), "config-validation");
+        assert!(
+            matches!(cache.lookup(&other), Lookup::Miss),
+            "failures are never stored"
+        );
+        let summary = exec.summary();
+        assert_eq!((summary.hits, summary.misses, summary.evicted), (1, 2, 0));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn panic_payload_and_index_are_reported() {
+        let err = Executor::new(None)
+            .run(7, None, || std::panic::panic_any("kaboom".to_string()))
+            .expect_err("panic must become an error");
+        assert_eq!(err.class(), "invariant-violation");
+        let text = err.to_string();
+        assert!(text.contains("job 7"), "{text}");
+        assert!(text.contains("kaboom"), "{text}");
     }
 }

@@ -23,9 +23,10 @@
 //!   propagated: the data point becomes `None` (skipped, reported on
 //!   stderr with its error class) and the rest of the sweep is unaffected,
 //!   exactly like the serial crash-safe runner. A job that *panics* is
-//!   isolated the same way: each job runs under `catch_unwind`, the panic
-//!   becomes a typed `InvariantViolation` naming the job index and the
-//!   panic payload, and the worker thread survives to run the next job.
+//!   isolated the same way: every job runs through the shared
+//!   [`Executor`], whose `catch_unwind` turns the panic into a typed
+//!   `InvariantViolation` naming the job index and the panic payload, and
+//!   the worker thread survives to run the next job.
 //! * **Verified result caching.** With `--cache DIR`
 //!   ([`SimSweep::with_cache`]), each standard point's [`JobSpec`] is
 //!   content-hashed; stored entries are served after re-verifying the
@@ -38,11 +39,11 @@
 //! summary line — stdout stays clean for the exhibit tables, which is what
 //! `just bench-smoke` byte-compares across `--jobs` values.
 
-use crate::cache::{JobSpec, Lookup, ResultCache};
+use crate::cache::{CacheSummary, Executor, JobSpec, ResultCache};
 use crate::{report_outcome, Combo, Scale};
 use gpu_common::clock::{Clock, WallClock};
 use gpu_common::config::GpuConfig;
-use gpu_common::error::{SimError, SimResult};
+use gpu_common::error::SimResult;
 use gpu_common::rng::SeedStream;
 use gpu_common::stats::Throughput;
 use gpu_sm::RunResult;
@@ -78,14 +79,19 @@ pub struct JobId(usize);
 
 type SimJobFn = Box<dyn FnOnce(&JobCtx) -> SimResult<RunResult> + Send>;
 
+/// One enqueued job.
+enum Job {
+    /// A standard point: runs (and caches) its spec.
+    Point(Box<JobSpec>),
+    /// A [`SimSweep::add_fn`] job, which the cache skips.
+    Custom(SimJobFn),
+}
+
 /// A batch of independent simulations, executed by [`SimSweep::run`].
 pub struct SimSweep {
     name: String,
     labels: Vec<String>,
-    jobs: Vec<SimJobFn>,
-    /// Parallel to `jobs`: the cacheable spec of each standard point
-    /// (`None` for [`SimSweep::add_fn`] customs, which the cache skips).
-    specs: Vec<Option<JobSpec>>,
+    jobs: Vec<Job>,
     seeds: SeedStream,
     reseed: bool,
     cache: Option<ResultCache>,
@@ -101,7 +107,6 @@ impl SimSweep {
             name: name.into(),
             labels: Vec::new(),
             jobs: Vec::new(),
-            specs: Vec::new(),
             seeds: SeedStream::new(DEFAULT_BASE_SEED),
             reseed: false,
             cache: None,
@@ -173,19 +178,10 @@ impl SimSweep {
         scale: Scale,
         cfg: &GpuConfig,
     ) -> JobId {
-        let spec = JobSpec::new(bench, combo, scale, cfg);
-        let cfg = cfg.clone();
-        let id = self.add_fn(label, move |ctx| {
-            let mut sim = crate::simulation_for(bench, combo, scale, &cfg);
-            if ctx.reseed {
-                sim = sim.workload_seed(ctx.seed);
-            }
-            sim.run()
-        });
-        // Standard points are cacheable; record the spec alongside the job
-        // (the per-job seed is folded in at run time, when it is known).
-        self.specs[id.0] = Some(spec);
-        id
+        self.push(
+            label.into(),
+            Job::Point(Box::new(JobSpec::new(bench, combo, scale, cfg))),
+        )
     }
 
     /// Enqueues a custom job; `label` names the point in stderr
@@ -196,11 +192,13 @@ impl SimSweep {
         label: impl Into<String>,
         f: impl FnOnce(&JobCtx) -> SimResult<RunResult> + Send + 'static,
     ) -> JobId {
-        let id = JobId(self.jobs.len());
-        self.labels.push(label.into());
-        self.jobs.push(Box::new(f));
-        self.specs.push(None);
-        id
+        self.push(label.into(), Job::Custom(Box::new(f)))
+    }
+
+    fn push(&mut self, label: String, job: Job) -> JobId {
+        self.labels.push(label);
+        self.jobs.push(job);
+        JobId(self.jobs.len() - 1)
     }
 
     /// Number of enqueued jobs.
@@ -222,7 +220,6 @@ impl SimSweep {
             name,
             labels,
             jobs: tasks,
-            specs,
             seeds,
             reseed,
             cache,
@@ -233,27 +230,34 @@ impl SimSweep {
         // stdout. lint: allow(wall-clock)
         let started = Instant::now();
         let progress = Progress::new(&name, total, jobs, no_time);
-        let counters = CacheCounters::default();
-        let items: Vec<(SimJobFn, Option<JobSpec>)> =
-            tasks.into_iter().zip(specs).collect();
-        let outcomes = run_ordered(jobs, items, |index, (task, spec)| {
+        let executor = Executor::new(cache.as_ref());
+        let outcomes = map_parallel(jobs, tasks, |index, job| {
             let ctx = JobCtx {
                 index,
                 total,
                 seed: seeds.seed(index as u64),
                 reseed,
             };
-            // The cache key must describe the job exactly as it will run,
-            // so fold the per-job seed in under `--seed`.
-            let spec = spec.map(|s| if reseed { s.with_seed(ctx.seed) } else { s });
-            let outcome = run_one(&ctx, task, spec.as_ref(), cache.as_ref(), &counters);
+            let outcome = match job {
+                Job::Point(spec) => {
+                    // The cache key must describe the job exactly as it
+                    // runs, so the per-job seed is folded in under `--seed`.
+                    let spec = if reseed {
+                        spec.with_seed(ctx.seed)
+                    } else {
+                        *spec
+                    };
+                    executor.run(index, Some(&spec), || spec.run())
+                }
+                Job::Custom(task) => executor.run(index, None, || task(&ctx)),
+            };
             progress.on_done(&outcome);
             outcome
         });
         let elapsed = started.elapsed();
         let throughput = progress.finish(elapsed);
-        let cache_summary = cache.map(|c| {
-            let summary = counters.summary();
+        let cache_summary = cache.as_ref().map(|c| {
+            let summary = executor.summary();
             eprintln!(
                 "[{}] cache: {} hit(s), {} miss(es), {} evicted, {} store failure(s) ({})",
                 name,
@@ -279,106 +283,6 @@ impl SimSweep {
             cache: cache_summary,
         }
     }
-}
-
-/// Executes one job: verified cache lookup, panic-isolated compute, store.
-fn run_one(
-    ctx: &JobCtx,
-    task: SimJobFn,
-    spec: Option<&JobSpec>,
-    cache: Option<&ResultCache>,
-    counters: &CacheCounters,
-) -> SimResult<RunResult> {
-    if let (Some(cache), Some(spec)) = (cache, spec) {
-        match cache.lookup(spec) {
-            Lookup::Hit(result) => {
-                counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(*result);
-            }
-            Lookup::Miss => {
-                counters.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            Lookup::Corrupt { detail } => {
-                counters.evicted.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "warning: evicted corrupt cache entry for job {}: {detail}",
-                    spec.hash_hex()
-                );
-            }
-        }
-    }
-    let outcome = catch_sim_panic(ctx.index, move || task(ctx));
-    if let (Some(cache), Some(spec), Ok(result)) = (cache, spec, &outcome) {
-        if let Err(e) = cache.store(spec, result) {
-            counters.store_failures.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "warning: could not store cache entry for job {}: {e}",
-                spec.hash_hex()
-            );
-        }
-    }
-    outcome
-}
-
-/// Runs a job closure with panic isolation: a panicking job becomes a
-/// typed [`SimError::InvariantViolation`] naming the job index and the
-/// panic payload, and the rest of the sweep is unaffected — a worker
-/// thread never dies mid-sweep.
-fn catch_sim_panic(
-    index: usize,
-    f: impl FnOnce() -> SimResult<RunResult>,
-) -> SimResult<RunResult> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(outcome) => outcome,
-        Err(payload) => Err(SimError::invariant(
-            "worker-panic",
-            format!("job {index} panicked: {}", panic_payload_str(payload.as_ref())),
-            0,
-        )),
-    }
-}
-
-/// Best-effort extraction of a panic payload's message (the two shapes the
-/// standard panic machinery produces, else a placeholder).
-fn panic_payload_str(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&'static str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("<non-string panic payload>")
-}
-
-/// Worker-shared cache traffic counters.
-#[derive(Default)]
-struct CacheCounters {
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    evicted: AtomicUsize,
-    store_failures: AtomicUsize,
-}
-
-impl CacheCounters {
-    fn summary(&self) -> CacheSummary {
-        CacheSummary {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            store_failures: self.store_failures.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Cache traffic of one sweep run (present when a cache was attached).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheSummary {
-    /// Jobs served from a verified cache entry without recomputation.
-    pub hits: usize,
-    /// Jobs computed because no entry existed.
-    pub misses: usize,
-    /// Entries that failed verification and were evicted (then recomputed).
-    pub evicted: usize,
-    /// Results that computed fine but could not be persisted.
-    pub store_failures: usize,
 }
 
 /// Results of a sweep, indexed by the [`JobId`]s handed out at enqueue
@@ -418,20 +322,11 @@ impl SweepResults {
 /// Runs `items` through `f` on a pool of `jobs` scoped worker threads and
 /// returns the outputs **in input order**. Work is distributed by an
 /// atomic cursor (effectively work-stealing for uneven job lengths); with
-/// `jobs == 1` the loop degenerates to the serial order. Used directly by
-/// the analysis-style binaries (`kernel-lint`, `table1`, `fidelity`) whose
-/// jobs are not simulations.
+/// `jobs == 1` the loop degenerates to the serial order. It is the pool
+/// under [`SimSweep::run`] and `apres-serve`; the analysis-style binaries
+/// (`kernel-lint`, `table1`, `fidelity`), whose jobs are not simulations,
+/// call it directly.
 pub fn map_parallel<I, O, F>(jobs: usize, items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(usize, I) -> O + Sync,
-{
-    run_ordered(jobs, items, f)
-}
-
-/// Shared pool core: ordered in, ordered out.
-fn run_ordered<I, O, F>(jobs: usize, items: Vec<I>, f: F) -> Vec<O>
 where
     I: Send,
     O: Send,
@@ -766,16 +661,6 @@ mod tests {
         assert!(r.get(ok_before).is_some());
         assert!(r.get(ok_after).is_some());
         assert_eq!(r.completed(), 2);
-    }
-
-    #[test]
-    fn panic_payload_and_index_are_reported() {
-        let err = catch_sim_panic(7, || std::panic::panic_any("kaboom".to_string()))
-            .expect_err("panic must become an error");
-        assert_eq!(err.class(), "invariant-violation");
-        let text = err.to_string();
-        assert!(text.contains("job 7"), "{text}");
-        assert!(text.contains("kaboom"), "{text}");
     }
 
     #[test]

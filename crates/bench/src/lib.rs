@@ -32,14 +32,15 @@
 //!
 //! All data points go through the crash-safe [`run`] /
 //! [`run_with_config`] entry points or their harness equivalents: a point
-//! whose simulation fails with a typed [`SimError`] (invalid geometry,
-//! watchdog-diagnosed deadlock, …) is reported on stderr and skipped, so
-//! one bad point never aborts a whole sweep. Points that exhausted their
-//! cycle budget instead of draining are flagged on stderr too.
+//! whose simulation fails with a typed [`gpu_common::SimError`] (invalid
+//! geometry, watchdog-diagnosed deadlock, …) is reported on stderr and
+//! skipped, so one bad point never aborts a whole sweep. Points that
+//! exhausted their cycle budget instead of draining are flagged on stderr
+//! too.
 
 use apres_core::sim::{PrefetcherChoice, SchedulerChoice, Simulation};
 use gpu_common::config::GpuConfig;
-use gpu_common::error::{SimError, SimResult};
+use gpu_common::error::SimResult;
 use gpu_common::json::Json;
 use gpu_sm::RunResult;
 use gpu_workloads::Benchmark;
@@ -49,11 +50,9 @@ pub mod calibrate;
 pub mod cli;
 pub mod harness;
 
-pub use cache::{JobSpec, Lookup, ResultCache, CACHE_FORMAT_VERSION};
+pub use cache::{CacheSummary, Executor, JobSpec, Lookup, ResultCache, CACHE_FORMAT_VERSION};
 pub use cli::BenchArgs;
-pub use harness::{
-    map_parallel, CacheSummary, JobCtx, JobId, SimSweep, StageStart, StageTimer, SweepResults,
-};
+pub use harness::{map_parallel, JobCtx, JobId, SimSweep, StageStart, StageTimer, SweepResults};
 
 /// Resolves a benchmark label (case-insensitive) or exits with the known
 /// list on stderr — shared by the binaries that take an `APP` positional.
@@ -113,19 +112,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `--fast` / `--tiny` from the process arguments (prefer
-    /// [`cli::BenchArgs::parse`], which also validates the rest of the
-    /// command line).
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--tiny") {
-            Scale::Tiny
-        } else if std::env::args().any(|a| a == "--fast") {
-            Scale::Fast
-        } else {
-            Scale::Paper
-        }
-    }
-
     /// Lower-case scale name (cache canonicalisation, job specs on the
     /// wire): `"paper"`, `"fast"`, `"tiny"`.
     pub fn label(self) -> &'static str {
@@ -182,7 +168,8 @@ pub fn run_with_config(
     report_outcome(&label, try_run_with_config(bench, combo, scale, cfg))
 }
 
-/// Runs one data point, propagating any [`SimError`] to the caller.
+/// Runs one data point, propagating any [`gpu_common::SimError`] to the
+/// caller.
 pub fn try_run_with_config(
     bench: Benchmark,
     combo: Combo,
@@ -227,11 +214,6 @@ pub fn report_outcome(label: &str, outcome: SimResult<RunResult>) -> Option<RunR
     }
 }
 
-/// `report_outcome` with a plain error (no run to keep).
-pub fn report_error(label: &str, e: &SimError) {
-    eprintln!("skipped {label}: [{}] {e}", e.class());
-}
-
 /// Geometric mean of positive values (the paper averages speedups this
 /// way); zero if empty.
 pub fn geomean(values: &[f64]) -> f64 {
@@ -267,20 +249,6 @@ pub fn csv_string(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Writes the table to `<name>.csv` when the process was invoked with
-/// `--csv <dir>` (legacy path; binaries now route through
-/// [`emit_table`], which also handles `--json`).
-pub fn maybe_write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--csv" {
-            let dir = args.next().unwrap_or_else(|| ".".into());
-            write_file(std::path::Path::new(&dir), name, "csv", &csv_string(headers, rows));
-            return;
-        }
-    }
 }
 
 /// Serialises a table as a deterministic JSON document:

@@ -1,23 +1,21 @@
 //! Wall-clock abstraction with a deterministic virtual implementation.
 //!
-//! The service layer (`apres-serve`) measures per-job deadlines and spaces
-//! retry attempts with exponential backoff. Both behaviours must be
+//! The service layer (`apres-serve`) measures per-job deadlines, and its
+//! stall fault pushes a job past its deadline by sleeping. Both must be
 //! *testable deterministically*: a unit test that really slept through a
-//! backoff schedule would be slow and flaky. So every time-dependent
-//! service component takes a `&dyn Clock`:
+//! deadline would be slow and flaky. So every time-dependent service
+//! component takes a `&dyn Clock`:
 //!
 //! * [`WallClock`] is the production implementation —
 //!   [`std::time::Instant`] plus [`std::thread::sleep`];
-//! * [`VirtualClock`] advances an atomic counter instantly and records
-//!   every sleep, so tests assert the *exact* backoff schedule (and a
-//!   "stalled job" fault can push a job past its deadline without any real
-//!   waiting).
+//! * [`VirtualClock`] advances an atomic counter instantly on every sleep,
+//!   so a "stalled job" fault burns through its deadline without any real
+//!   waiting.
 //!
 //! Implementations must be [`Sync`]: one clock is shared by every worker
 //! thread of a batch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// A monotonic millisecond clock that can also sleep.
@@ -62,37 +60,17 @@ impl Clock for WallClock {
     }
 }
 
-/// A deterministic clock for tests: "time" is an atomic counter, sleeping
-/// advances it instantly, and every sleep is recorded in order.
+/// A deterministic clock for tests: "time" is an atomic counter and
+/// sleeping advances it instantly.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     now: AtomicU64,
-    sleeps: Mutex<Vec<u64>>,
 }
 
 impl VirtualClock {
     /// Starts a virtual clock at t = 0 ms.
     pub fn new() -> Self {
         VirtualClock::default()
-    }
-
-    /// Advances the clock without recording a sleep (models work taking
-    /// time, e.g. a stalled job burning through its deadline).
-    pub fn advance_ms(&self, ms: u64) {
-        self.now.fetch_add(ms, Ordering::SeqCst);
-    }
-
-    /// Every sleep duration requested so far, in call order.
-    pub fn sleeps(&self) -> Vec<u64> {
-        self.sleeps
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Sum of all sleeps so far.
-    pub fn total_slept_ms(&self) -> u64 {
-        self.sleeps().iter().sum()
     }
 }
 
@@ -103,10 +81,6 @@ impl Clock for VirtualClock {
 
     fn sleep_ms(&self, ms: u64) {
         self.now.fetch_add(ms, Ordering::SeqCst);
-        self.sleeps
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(ms);
     }
 }
 
@@ -119,11 +93,8 @@ mod tests {
         let c = VirtualClock::new();
         assert_eq!(c.now_ms(), 0);
         c.sleep_ms(250);
-        c.advance_ms(50);
         c.sleep_ms(500);
-        assert_eq!(c.now_ms(), 800);
-        assert_eq!(c.sleeps(), vec![250, 500]);
-        assert_eq!(c.total_slept_ms(), 750);
+        assert_eq!(c.now_ms(), 750);
     }
 
     #[test]
@@ -144,6 +115,5 @@ mod tests {
             }
         });
         assert_eq!(c.now_ms(), 40);
-        assert_eq!(c.sleeps().len(), 4);
     }
 }

@@ -187,25 +187,6 @@ pub enum SimError {
         /// The deadline that was missed, in milliseconds.
         deadline_ms: u64,
     },
-    /// A job failed on every attempt its retry budget allowed.
-    RetriesExhausted {
-        /// Content hash of the job spec.
-        spec_hash: u128,
-        /// Attempts made (including the first).
-        attempts: u32,
-        /// The error of the final attempt.
-        last: Box<SimError>,
-    },
-    /// A cached result failed integrity verification (truncated file,
-    /// flipped bytes, or an entry recorded for a different spec). The
-    /// service evicts and recomputes; this error is only *returned* when
-    /// the caller asked for verification without recovery.
-    CacheCorruption {
-        /// Content hash of the job spec whose entry was corrupt.
-        spec_hash: u128,
-        /// What the verifier observed.
-        detail: String,
-    },
 }
 
 impl SimError {
@@ -220,8 +201,6 @@ impl SimError {
             SimError::Parse { .. } => "parse",
             SimError::KernelValidation { .. } => "kernel-validation",
             SimError::JobTimeout { .. } => "job-timeout",
-            SimError::RetriesExhausted { .. } => "retries-exhausted",
-            SimError::CacheCorruption { .. } => "cache-corruption",
         }
     }
 
@@ -293,21 +272,6 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "job {} exceeded its deadline of {deadline_ms} ms",
-                crate::hash::short_hex(*spec_hash)
-            ),
-            SimError::RetriesExhausted {
-                spec_hash,
-                attempts,
-                last,
-            } => write!(
-                f,
-                "job {} failed all {attempts} attempt(s); last error: [{}] {last}",
-                crate::hash::short_hex(*spec_hash),
-                last.class()
-            ),
-            SimError::CacheCorruption { spec_hash, detail } => write!(
-                f,
-                "cached result for job {} failed verification: {detail}",
                 crate::hash::short_hex(*spec_hash)
             ),
         }
@@ -382,24 +346,6 @@ mod tests {
         assert_eq!(t.class(), "job-timeout");
         assert!(t.to_string().contains(&short), "{t}");
         assert!(t.to_string().contains("250 ms"), "{t}");
-
-        let r = SimError::RetriesExhausted {
-            spec_hash: hash,
-            attempts: 3,
-            last: Box::new(t.clone()),
-        };
-        assert_eq!(r.class(), "retries-exhausted");
-        assert!(r.to_string().contains(&short), "{r}");
-        assert!(r.to_string().contains("3 attempt"), "{r}");
-        assert!(r.to_string().contains("[job-timeout]"), "{r}");
-
-        let c = SimError::CacheCorruption {
-            spec_hash: hash,
-            detail: "payload hash mismatch".into(),
-        };
-        assert_eq!(c.class(), "cache-corruption");
-        assert!(c.to_string().contains(&short), "{c}");
-        assert!(c.to_string().contains("payload hash mismatch"), "{c}");
     }
 
     #[test]

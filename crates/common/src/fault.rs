@@ -265,12 +265,12 @@ impl FaultState {
 /// tests and in `scripts/serve_smoke.sh` through this plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceFaultPlan {
-    /// Panic the worker running this job index — on the first attempt
-    /// only, so a retry budget ≥ 2 must recover the job.
+    /// Panic the worker running this job index; the job fails with a
+    /// typed `InvariantViolation`.
     pub kill_job: Option<usize>,
-    /// Stall this job index's first attempt past its deadline (the service
-    /// advances its clock by the job's full deadline plus one), forcing a
-    /// typed `JobTimeout` and a retry.
+    /// Stall this job index past its deadline (the service advances its
+    /// clock by the job's full deadline plus one); the job fails with a
+    /// typed `JobTimeout`.
     pub stall_job: Option<usize>,
     /// Flip bytes in this job index's persisted cache entry before the
     /// batch runs (the verified read path must evict and recompute).
@@ -290,21 +290,13 @@ impl ServiceFaultPlan {
         ServiceFaultPlan::default()
     }
 
-    /// `true` when the plan cannot inject any fault.
-    pub fn is_benign(&self) -> bool {
-        self.kill_job.is_none()
-            && self.stall_job.is_none()
-            && self.corrupt_entry.is_none()
-            && self.truncate_entry.is_none()
-    }
-
-    /// Builder: kill the worker on job `index`'s first attempt.
+    /// Builder: kill the worker running job `index`.
     pub fn killing_job(mut self, index: usize) -> Self {
         self.kill_job = Some(index);
         self
     }
 
-    /// Builder: stall job `index`'s first attempt past its deadline.
+    /// Builder: stall job `index` past its deadline.
     pub fn stalling_job(mut self, index: usize) -> Self {
         self.stall_job = Some(index);
         self
@@ -322,19 +314,19 @@ impl ServiceFaultPlan {
         self
     }
 
-    /// Should job `index`'s attempt `attempt` (1-based) be killed?
-    pub fn should_kill(&self, index: usize, attempt: u32) -> bool {
-        self.kill_job == Some(index) && attempt == 1
+    /// Should job `index` be killed?
+    pub fn should_kill(&self, index: usize) -> bool {
+        self.kill_job == Some(index)
     }
 
-    /// Should job `index`'s attempt `attempt` (1-based) be stalled?
-    pub fn should_stall(&self, index: usize, attempt: u32) -> bool {
-        self.stall_job == Some(index) && attempt == 1
+    /// Should job `index` be stalled?
+    pub fn should_stall(&self, index: usize) -> bool {
+        self.stall_job == Some(index)
     }
 
     /// Kills the current worker with a recognisable panic payload. The
     /// service's panic isolation converts this into a typed
-    /// `SimError::InvariantViolation` and the retry path re-runs the job.
+    /// `SimError::InvariantViolation` for the job.
     pub fn kill_worker_now() -> ! {
         std::panic::panic_any(WORKER_KILL_PAYLOAD)
     }
@@ -458,16 +450,14 @@ mod tests {
     }
 
     #[test]
-    fn service_plan_targets_first_attempt_only() {
+    fn service_plan_targets_one_job_each() {
         let plan = ServiceFaultPlan::none().killing_job(3).stalling_job(5);
-        assert!(!plan.is_benign());
-        assert!(plan.should_kill(3, 1));
-        assert!(!plan.should_kill(3, 2), "retry must not be re-killed");
-        assert!(!plan.should_kill(4, 1));
-        assert!(plan.should_stall(5, 1));
-        assert!(!plan.should_stall(5, 2));
-        assert!(ServiceFaultPlan::none().is_benign());
-        assert!(ServiceFaultPlan::default().is_benign());
+        assert!(plan.should_kill(3));
+        assert!(!plan.should_kill(4));
+        assert!(!plan.should_kill(5));
+        assert!(plan.should_stall(5));
+        assert!(!plan.should_stall(3));
+        assert_eq!(ServiceFaultPlan::none(), ServiceFaultPlan::default());
     }
 
     #[test]

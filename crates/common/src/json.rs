@@ -114,14 +114,6 @@ impl Json {
         }
     }
 
-    /// The members, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(members) => Some(members),
-            _ => None,
-        }
-    }
-
     /// Compact single-line serialisation.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();

@@ -29,7 +29,6 @@ pub mod fault;
 pub mod hash;
 pub mod ids;
 pub mod json;
-pub mod retry;
 pub mod rng;
 pub mod stats;
 
@@ -40,6 +39,5 @@ pub use error::{DeadlockDiagnosis, SimError, SimResult, StallReason, StalledWarp
 pub use fault::{FaultCounters, FaultPlan, FaultState, ServiceFaultPlan};
 pub use hash::{content_hash, content_hash_str, hash_hex, short_hex, ContentHasher};
 pub use ids::{Addr, Cycle, LineAddr, Pc, SmId, WarpId};
-pub use retry::RetryPolicy;
 pub use rng::{derive_seed, SeedStream, Xoshiro256};
 pub use stats::Throughput;

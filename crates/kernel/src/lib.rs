@@ -11,8 +11,8 @@
 //! A [`Kernel`] is a linear body of [`StaticInstr`]s executed by every warp
 //! for a configured number of iterations (modelling the grid-stride loops of
 //! the original benchmarks). Scoreboard dependencies are expressed as indices
-//! into the body; divergence is expressed through per-instruction active-lane
-//! specifications backed by the [`simt`] reconvergence stack.
+//! into the body; divergence is expressed as per-instruction active-lane
+//! counts (no reconvergence stack is modelled).
 //!
 //! # Example
 //!
@@ -30,7 +30,6 @@
 mod instr;
 mod kernel;
 mod pattern;
-pub mod simt;
 pub mod verify;
 mod warp;
 

@@ -69,11 +69,6 @@ impl MissClassifier {
     pub fn note_filled(&mut self, line: LineAddr) {
         self.ever_filled.insert(line);
     }
-
-    /// Number of distinct lines ever filled (footprint diagnostics).
-    pub fn distinct_lines(&self) -> usize {
-        self.ever_filled.len()
-    }
 }
 
 #[cfg(test)]

@@ -148,11 +148,6 @@ impl DramPartition {
         })
     }
 
-    /// Requests waiting (not yet serviced).
-    pub fn depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// `true` when nothing is queued.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty()

@@ -342,11 +342,6 @@ impl L1Cache {
         self.tags.probe(line)
     }
 
-    /// `true` if a miss on `line` is in flight.
-    pub fn miss_in_flight(&self, line: LineAddr) -> bool {
-        self.mshrs.contains(line)
-    }
-
     /// MSHR occupancy ratio (MASCAR's memory-saturation signal).
     pub fn mshr_occupancy(&self) -> f64 {
         self.mshrs.occupancy_ratio()

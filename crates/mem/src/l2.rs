@@ -183,11 +183,6 @@ impl L2Bank {
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty() && self.retry.is_empty() && self.dram.is_idle()
     }
-
-    /// DRAM queue depth (diagnostics).
-    pub fn dram_depth(&self) -> usize {
-        self.dram.depth()
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! One [`MemorySystem`] is shared by all SMs. Each cycle the owner calls
 //! [`MemorySystem::tick`]; SMs push L1 misses in with
-//! [`MemorySystem::submit`] and collect matured line fills with
-//! [`MemorySystem::drain_fills`].
+//! [`MemorySystem::submit`] and collect returning line fills, stamped with
+//! their NoC arrival cycles, with [`MemorySystem::take_fills`].
 //!
 //! The system keeps a request-conservation ledger: every non-store request
 //! accepted by [`MemorySystem::submit`] must eventually come back as exactly
@@ -177,19 +177,11 @@ impl MemorySystem {
             * self.cfg.l1.line_bytes;
     }
 
-    /// Collects line fills that have arrived back at `sm` by `now`.
-    pub fn drain_fills(&mut self, sm: usize, now: Cycle) -> Vec<MemRequest> {
-        self.from_l2
-            .get_mut(sm)
-            .map(|pipe| pipe.pop_ready(now, usize::MAX))
-            .unwrap_or_default()
-    }
-
     /// Removes every in-flight response bound for `sm`, returning each fill
-    /// with the cycle at which it completes NoC traversal (FIFO order).
-    /// The cycle loop calls this after [`MemorySystem::tick`] to hand fills
-    /// to per-SM inboxes; the receiver must respect the ready cycles to
-    /// preserve [`MemorySystem::drain_fills`] semantics.
+    /// with the cycle at which it completes NoC traversal (FIFO order,
+    /// ready cycles non-decreasing). The cycle loop calls this after
+    /// [`MemorySystem::tick`] to hand fills to per-SM inboxes; a fill must
+    /// not be applied before its ready cycle.
     pub fn take_fills(&mut self, sm: usize) -> Vec<(Cycle, MemRequest)> {
         self.from_l2
             .get_mut(sm)
@@ -197,16 +189,9 @@ impl MemorySystem {
             .unwrap_or_default()
     }
 
-    /// Records a completed demand load's round-trip latency (called by the
-    /// SM when it wakes the warp).
-    pub fn note_load_latency(&mut self, latency: Cycle) {
-        self.stats.total_load_latency += latency;
-        self.stats.completed_loads += 1;
-    }
-
-    /// Folds in a batch of completed-load latencies accumulated elsewhere
-    /// (the per-SM ports). Pure sums, so the merge is order-independent and
-    /// byte-identical to per-load [`MemorySystem::note_load_latency`] calls.
+    /// Folds in `count` completed demand loads whose round-trip latencies
+    /// sum to `total`, as accumulated by the per-SM ports. Pure sums, so
+    /// the merge is order-independent.
     pub fn add_load_latencies(&mut self, total: Cycle, count: u64) {
         self.stats.total_load_latency += total;
         self.stats.completed_loads += count;
@@ -314,23 +299,23 @@ mod tests {
         MemRequest::load(LineAddr(line), SmId(sm), WarpId(0), Pc(0), 0, 0, 0)
     }
 
+    /// Ticks from `from` until a fill for `sm` is handed over; returns it
+    /// with its ready cycle (when it completes NoC traversal).
+    fn first_fill(ms: &mut MemorySystem, sm: usize, from: Cycle) -> Option<(Cycle, MemRequest)> {
+        (from..3000).find_map(|now| {
+            ms.tick(now);
+            ms.take_fills(sm).into_iter().next()
+        })
+    }
+
     #[test]
     fn round_trip_latency() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
         ms.submit(0, load(1, 0), 0);
-        let mut arrival = None;
-        for now in 0..3000 {
-            ms.tick(now);
-            let fills = ms.drain_fills(0, now);
-            if !fills.is_empty() {
-                arrival = Some(now);
-                assert_eq!(fills[0].line, LineAddr(1));
-                break;
-            }
-        }
+        let (at, fill) = first_fill(&mut ms, 0, 0).expect("fill arrived");
+        assert_eq!(fill.line, LineAddr(1));
         // noc(8) + dram(440) + noc(8) = 456 (plus alignment slack).
-        let at = arrival.expect("fill arrived");
         assert!((456..480).contains(&at), "arrival at {at}");
         assert_eq!(ms.stats().bytes_to_sm, cfg.l1.line_bytes);
         assert!(ms.is_idle());
@@ -352,27 +337,11 @@ mod tests {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
         ms.submit(0, load(1, 0), 0);
-        let mut now = 0;
-        loop {
-            ms.tick(now);
-            if !ms.drain_fills(0, now).is_empty() {
-                break;
-            }
-            now += 1;
-            assert!(now < 3000);
-        }
-        let first = now;
-        let start = now + 1;
+        let (first, _) = first_fill(&mut ms, 0, 0).expect("miss returns");
+        let start = first + 1;
         ms.submit(0, load(1, 0), start);
-        loop {
-            now += 1;
-            ms.tick(now);
-            if !ms.drain_fills(0, now).is_empty() {
-                break;
-            }
-            assert!(now < 3000);
-        }
-        let second_latency = now - start;
+        let (second, _) = first_fill(&mut ms, 0, start).expect("hit returns");
+        let second_latency = second - start;
         // noc + l2 hit (200) + noc ≈ 216 < first trip (~456).
         assert!(second_latency < first, "hit {second_latency} vs miss {first}");
         assert!((200..260).contains(&second_latency), "{second_latency}");
@@ -409,7 +378,7 @@ mod tests {
         for now in 0..3000 {
             ms.tick(now);
             for (sm, seen) in got.iter_mut().enumerate() {
-                for f in ms.drain_fills(sm, now) {
+                for (_, f) in ms.take_fills(sm) {
                     assert_eq!(f.sm.index(), sm);
                     *seen = true;
                 }
@@ -422,8 +391,8 @@ mod tests {
     fn latency_accounting() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
-        ms.note_load_latency(100);
-        ms.note_load_latency(300);
+        ms.add_load_latencies(100, 1);
+        ms.add_load_latencies(500, 2);
         assert!((ms.stats().avg_load_latency() - 200.0).abs() < 1e-12);
     }
 
@@ -435,7 +404,7 @@ mod tests {
         ms.submit(0, st, 0);
         for now in 0..600 {
             ms.tick(now);
-            assert!(ms.drain_fills(0, now).is_empty(), "stores never respond");
+            assert!(ms.take_fills(0).is_empty(), "stores never respond");
         }
         assert_eq!(ms.dram_accesses(), 1);
         assert_eq!(ms.stats().bytes_to_sm, 0);
@@ -452,7 +421,7 @@ mod tests {
         ms.submit(0, load(1, 0), 0);
         for now in 0..2000 {
             ms.tick(now);
-            assert!(ms.drain_fills(0, now).is_empty(), "response was dropped");
+            assert!(ms.take_fills(0).is_empty(), "response was dropped");
         }
         assert!(ms.is_idle());
         assert_eq!(ms.fault_counters().dropped_responses, 1);
@@ -470,15 +439,7 @@ mod tests {
                 .state(0),
         );
         ms.submit(0, load(1, 0), 0);
-        let mut arrival = None;
-        for now in 0..3000 {
-            ms.tick(now);
-            if !ms.drain_fills(0, now).is_empty() {
-                arrival = Some(now);
-                break;
-            }
-        }
-        let at = arrival.expect("delayed fill still arrives");
+        let (at, _) = first_fill(&mut ms, 0, 0).expect("delayed fill still arrives");
         assert!(at > 900, "delay added on top of the base trip: {at}");
         assert_eq!(ms.fault_counters().delayed_responses, 1);
         assert!(ms.is_idle());
@@ -493,7 +454,7 @@ mod tests {
         ms.submit(0, load(1, 0), 0);
         for now in 0..1000 {
             ms.tick(now);
-            assert!(ms.drain_fills(0, now).is_empty());
+            assert!(ms.take_fills(0).is_empty());
         }
         assert_eq!(ms.fault_counters().dropped_requests, 1);
         assert_eq!(ms.submitted(), 1);

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! apres-serve BATCH.json [--out FILE] [--cache DIR] [--jobs N]
-//!             [--retries N] [--backoff-ms MS] [--deadline-ms MS]
-//!             [--direct]
+//!             [--deadline-ms MS] [--direct]
 //!             [--fault-kill I] [--fault-stall I]
 //!             [--fault-corrupt I] [--fault-truncate I]
 //! apres-serve --queue DIR [same flags]
@@ -15,7 +14,14 @@
 //! already have a response) and writes `<stem>.response.json` next to each
 //! — a crash-safe, idempotent file-based queue with no network surface.
 //!
-//! `--direct` bypasses the service (no cache, no retries, no faults) and
+//! Every unique job runs once. A worker killed by `--fault-kill`, a job
+//! stalled past `--deadline-ms` by `--fault-stall`, or a failing
+//! simulation becomes a typed per-job failure in the response, and that
+//! job is never cached. `--fault-corrupt`/`--fault-truncate` damage a
+//! job's cache entry before serving; verification evicts it and the job
+//! is recomputed.
+//!
+//! `--direct` bypasses the service (no cache, no deadline, no faults) and
 //! computes the batch straight on the [`apres_bench::map_parallel`]
 //! worker pool, emitting the same response format — the smoke test
 //! byte-compares it against served output to prove the service machinery
@@ -42,7 +48,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: apres-serve (BATCH.json | --queue DIR) [--out FILE] [--cache DIR] \
-     [--jobs N] [--retries N] [--backoff-ms MS] [--deadline-ms MS] [--direct] \
+     [--jobs N] [--deadline-ms MS] [--direct] \
      [--fault-kill I] [--fault-stall I] [--fault-corrupt I] [--fault-truncate I]";
 
 fn main() {
@@ -87,14 +93,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--jobs" => {
                 let v = value("--jobs")?;
                 out.jobs = parse_num(&v, "--jobs")?.max(1) as usize;
-            }
-            "--retries" => {
-                let v = value("--retries")?;
-                out.opts.retry = out.opts.retry.attempts(parse_num(&v, "--retries")? as u32);
-            }
-            "--backoff-ms" => {
-                let v = value("--backoff-ms")?;
-                out.opts.retry = out.opts.retry.base_delay(parse_num(&v, "--backoff-ms")?);
             }
             "--deadline-ms" => {
                 let v = value("--deadline-ms")?;
@@ -222,8 +220,7 @@ fn process_file(
     let s = &report.stats;
     eprintln!(
         "[apres-serve] batch {:?}: {} job(s) ({} unique, {} duplicate), \
-         cache {} hit(s) / {} miss(es) / {} evicted, {} retry(ies), \
-         {} recovered, {} failed",
+         cache {} hit(s) / {} miss(es) / {} evicted, {} failed",
         report.name,
         report.jobs.len(),
         s.unique_jobs,
@@ -231,15 +228,13 @@ fn process_file(
         s.cache_hits,
         s.cache_misses,
         s.cache_evicted,
-        s.retries,
-        s.recovered_jobs,
         s.failed_jobs,
     );
     Ok(report)
 }
 
 /// `--direct`: compute the batch through the plain bench harness (no
-/// cache, no retries, no service machinery) but emit the same response
+/// cache, no deadline, no service machinery) but emit the same response
 /// format, as the reference for byte-comparison with served output.
 fn direct_report(batch: &Batch, jobs: usize) -> BatchReport {
     let outcomes = apres_bench::map_parallel(jobs.max(1), batch.jobs.clone(), |_, spec| {
@@ -266,4 +261,38 @@ fn render(report: &BatchReport) -> String {
     let mut text = report.to_json().to_pretty();
     text.push('\n');
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn retry_flags_are_unknown() {
+        for flags in [["--retries", "3"], ["--backoff-ms", "5"]] {
+            let err = parse(&["b.json", flags[0], flags[1]]).err();
+            assert_eq!(err, Some(format!("unknown flag {}", flags[0])));
+        }
+    }
+
+    #[test]
+    fn service_flags_parse() {
+        let args = parse(&[
+            "b.json",
+            "--jobs",
+            "3",
+            "--deadline-ms",
+            "9",
+            "--fault-kill",
+            "1",
+        ])
+        .expect("valid command line");
+        assert_eq!(args.opts.workers, 3);
+        assert_eq!(args.opts.deadline_ms, Some(9));
+        assert!(args.opts.fault.should_kill(1));
+    }
 }

@@ -8,28 +8,29 @@
 //! * [`batch`] — the JSON batch request/response documents: a named list
 //!   of [`apres_bench::JobSpec`]s, submitted as a file (or a directory of
 //!   files acting as a queue — std-only, no network);
-//! * [`service`] — [`service::serve_batch`]: content-hashes each spec,
-//!   serves known hashes from a persistent **verified** result cache
-//!   ([`apres_bench::ResultCache`] — every read re-checks the payload
-//!   hash; corrupt or truncated entries are evicted and recomputed),
-//!   shards misses across a worker pool, and survives per-job failure:
+//! * [`service`] — [`service::serve_batch`]: content-hashes each spec and
+//!   runs every unique job once through [`apres_bench::Executor`], the
+//!   job protocol the sweep harness shares. Known hashes are served from a
+//!   persistent **verified** result cache ([`apres_bench::ResultCache`] —
+//!   every read re-checks the payload hash; corrupt or truncated entries
+//!   are evicted and recomputed), misses shard across a worker pool, and
+//!   the batch survives per-job failure:
 //!
 //!   * worker panics are isolated with `catch_unwind` and become typed
 //!     [`gpu_common::SimError::InvariantViolation`]s;
 //!   * slow jobs are bounded by a per-job deadline
-//!     ([`gpu_common::SimError::JobTimeout`]) — in-simulation hangs are
-//!     already diagnosed by the forward-progress watchdog inside the run;
-//!   * failed attempts retry on a bounded, deterministic exponential
-//!     backoff schedule ([`gpu_common::RetryPolicy`] over a
-//!     [`gpu_common::Clock`], so tests assert exact schedules against a
-//!     [`gpu_common::VirtualClock`]);
+//!     ([`gpu_common::SimError::JobTimeout`]) measured on an injected
+//!     [`gpu_common::Clock`] — in-simulation hangs are already diagnosed
+//!     by the forward-progress watchdog inside the run;
+//!   * a failed job is not retried (a pure function fails the same way
+//!     every time) and never cached;
 //!   * a batch **degrades gracefully**: K failed jobs yield N−K good
 //!     results plus a typed per-job failure report, never an abort.
 //!
 //! Determinism is preserved end to end: the response document contains
-//! only spec hashes and result payloads (never timings, attempt counts,
-//! or cache provenance), so a batch served warm from cache, cold, or
-//! through the fault matrix of [`gpu_common::ServiceFaultPlan`] is
+//! only spec hashes, result payloads and typed errors (never timings or
+//! cache provenance), so a batch served warm from cache, cold, or after
+//! a corrupt or truncated entry of [`gpu_common::ServiceFaultPlan`] is
 //! byte-identical — `scripts/serve_smoke.sh` enforces this in `just
 //! check`.
 

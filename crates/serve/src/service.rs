@@ -1,5 +1,5 @@
-//! The batch-serving engine: verified cache, retries, deadlines, and
-//! graceful degradation.
+//! The batch-serving engine: verified cache, deadlines, and graceful
+//! degradation.
 //!
 //! [`serve_batch`] is the whole service in one function:
 //!
@@ -7,42 +7,41 @@
 //!    ([`JobSpec::hash`]); identical specs within a batch are computed
 //!    once and the outcome is shared (safe because every job is a pure
 //!    function of its spec).
-//! 2. **Verified cache.** Known hashes are served from the persistent
-//!    [`ResultCache`] — after the payload hash re-verifies on read. A
-//!    corrupt or truncated entry is evicted and the job recomputed; a
-//!    cache hit can therefore never return unverified bytes.
-//! 3. **Sharding.** Misses run on the [`apres_bench::map_parallel`]
-//!    worker pool, each attempt under `catch_unwind` so a panicking
-//!    worker is converted into a typed
-//!    [`SimError::InvariantViolation`] instead of tearing the batch down.
-//! 4. **Deadline + retry.** Each attempt is timed against the injected
+//! 2. **Shared executor.** Each unique job goes through
+//!    [`apres_bench::Executor`], the protocol the sweep harness uses too:
+//!    known hashes are served from the persistent [`ResultCache`] after
+//!    the payload hash re-verifies on read (a corrupt or truncated entry
+//!    is evicted and the job recomputed, so a cache hit can never return
+//!    unverified bytes); misses are computed under `catch_unwind`, so a
+//!    panicking worker becomes a typed [`SimError::InvariantViolation`]
+//!    instead of tearing the batch down; successes are stored.
+//! 3. **Sharding.** Unique jobs run on the [`apres_bench::map_parallel`]
+//!    worker pool.
+//! 4. **Deadline.** Each computation is timed against the injected
 //!    [`Clock`]; exceeding the per-job deadline is a typed
-//!    [`SimError::JobTimeout`]. Failed attempts retry on the
-//!    deterministic exponential backoff schedule of [`RetryPolicy`]
-//!    until the budget is spent, which yields
-//!    [`SimError::RetriesExhausted`] wrapping the last error.
-//! 5. **Graceful degradation.** The [`BatchReport`] carries N−K good
-//!    results and K typed failures; the service never aborts a batch
+//!    [`SimError::JobTimeout`].
+//! 5. **Graceful degradation.** Each job runs once: a simulation is a
+//!    pure function of its spec, so a failure would recur on any rerun.
+//!    The [`BatchReport`] carries N−K good results and K typed failures,
+//!    and a failed job is never cached; the service never aborts a batch
 //!    because some jobs failed.
 //!
 //! The response document ([`BatchReport::to_json`]) deliberately contains
-//! no timings, attempt counts, or cache provenance — only spec hashes and
-//! result payloads — so cold, warm, and fault-injected servings of the
-//! same batch are byte-identical. Operational detail lives in
-//! [`ServeStats`], reported on stderr by the binary.
+//! no timings or cache provenance — only spec hashes, result payloads and
+//! typed errors — so cold and warm servings of the same batch, and
+//! servings that recover from a corrupt cache entry, are byte-identical.
+//! Operational detail lives in [`ServeStats`], reported on stderr by the
+//! binary.
 
-use apres_bench::cache::{JobSpec, Lookup, ResultCache};
-use gpu_common::{Clock, RetryPolicy, ServiceFaultPlan, SimError};
+use apres_bench::cache::{Executor, JobSpec, ResultCache};
+use gpu_common::{Clock, ServiceFaultPlan, SimError, SimResult};
 use gpu_sm::RunResult;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Service knobs for one batch.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Worker threads for cache misses.
     pub workers: usize,
-    /// Attempt budget and backoff schedule per job.
-    pub retry: RetryPolicy,
     /// Per-job wall deadline in milliseconds (`None` = unbounded; hangs
     /// *inside* a run are still caught by the simulator's own watchdog).
     pub deadline_ms: Option<u64>,
@@ -54,7 +53,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             workers: 1,
-            retry: RetryPolicy::default(),
             deadline_ms: None,
             fault: ServiceFaultPlan::none(),
         }
@@ -63,7 +61,7 @@ impl Default for ServeOptions {
 
 /// Operational counters for one served batch (stderr-only — never part of
 /// the response document, which must stay byte-identical across cache
-/// states and fault plans).
+/// states).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Distinct spec hashes in the batch.
@@ -76,11 +74,7 @@ pub struct ServeStats {
     pub cache_misses: usize,
     /// Cache entries that failed verification and were evicted.
     pub cache_evicted: usize,
-    /// Retry attempts performed (beyond each job's first attempt).
-    pub retries: usize,
-    /// Jobs that failed at least one attempt but ultimately succeeded.
-    pub recovered_jobs: usize,
-    /// Jobs whose every attempt failed.
+    /// Unique jobs that failed.
     pub failed_jobs: usize,
 }
 
@@ -91,7 +85,7 @@ pub struct JobReport {
     pub label: String,
     /// The spec's content hash (32 hex digits).
     pub spec_hash: String,
-    /// The result, or the typed error that exhausted the job's attempts.
+    /// The result, or the typed error the job failed with.
     pub outcome: Result<Box<RunResult>, SimError>,
 }
 
@@ -121,7 +115,7 @@ impl BatchReport {
     /// The response document. Contains only deterministic data — spec
     /// hashes, result payloads, typed error classes/messages — never
     /// timings or cache provenance, so servings of the same batch are
-    /// byte-identical regardless of cache state or recovered faults.
+    /// byte-identical regardless of cache state.
     pub fn to_json(&self) -> gpu_common::json::Json {
         use gpu_common::json::Json;
         let jobs: Vec<Json> = self
@@ -160,26 +154,9 @@ impl BatchReport {
     }
 }
 
-/// Worker-shared counters (relaxed ordering: totals only).
-#[derive(Default)]
-struct Counters {
-    cache_hits: AtomicUsize,
-    cache_misses: AtomicUsize,
-    cache_evicted: AtomicUsize,
-    retries: AtomicUsize,
-    recovered: AtomicUsize,
-    failed: AtomicUsize,
-}
-
-impl Counters {
-    fn bump(counter: &AtomicUsize) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Serves one batch: dedup, verified cache, sharded compute with panic
-/// isolation, deadline + retry, graceful degradation. See the module docs
-/// for the exact semantics of each stage.
+/// isolation, deadline, graceful degradation. See the module docs for the
+/// exact semantics of each stage.
 pub fn serve_batch(
     batch: &crate::Batch,
     cache: Option<&ResultCache>,
@@ -220,12 +197,15 @@ pub fn serve_batch(
         share.push(unique_idx);
     }
 
-    let counters = Counters::default();
-    let outcomes: Vec<Result<Box<RunResult>, SimError>> = apres_bench::map_parallel(
-        opts.workers.max(1),
-        unique,
-        |_, (submit_idx, spec)| run_job(spec, submit_idx, cache, opts, clock, &counters),
-    );
+    let executor = Executor::new(cache);
+    let outcomes: Vec<Result<Box<RunResult>, SimError>> =
+        apres_bench::map_parallel(opts.workers.max(1), unique, |_, (submit_idx, spec)| {
+            executor
+                .run(submit_idx, Some(spec), || {
+                    compute(spec, submit_idx, opts, clock)
+                })
+                .map(Box::new)
+        });
 
     let jobs: Vec<JobReport> = batch
         .jobs
@@ -238,15 +218,14 @@ pub fn serve_batch(
         })
         .collect();
 
+    let traffic = executor.summary();
     let stats = ServeStats {
         unique_jobs: outcomes.len(),
         duplicate_jobs: batch.jobs.len() - outcomes.len(),
-        cache_hits: counters.cache_hits.load(Ordering::Relaxed),
-        cache_misses: counters.cache_misses.load(Ordering::Relaxed),
-        cache_evicted: counters.cache_evicted.load(Ordering::Relaxed),
-        retries: counters.retries.load(Ordering::Relaxed),
-        recovered_jobs: counters.recovered.load(Ordering::Relaxed),
-        failed_jobs: counters.failed.load(Ordering::Relaxed),
+        cache_hits: traffic.hits,
+        cache_misses: traffic.misses,
+        cache_evicted: traffic.evicted,
+        failed_jobs: outcomes.iter().filter(|o| o.is_err()).count(),
     };
     BatchReport {
         name: batch.name.clone(),
@@ -271,104 +250,26 @@ pub fn job_label(spec: &JobSpec) -> String {
     }
 }
 
-/// One unique job through the whole pipeline: verified lookup, then
-/// attempt/retry until success or budget exhaustion, then store.
-fn run_job(
+/// One computation of a unique job: the injected stall and kill faults,
+/// then the run, timed against the per-job deadline. A timed-out job fails
+/// even if its run succeeded.
+fn compute(
     spec: &JobSpec,
     submit_idx: usize,
-    cache: Option<&ResultCache>,
     opts: &ServeOptions,
     clock: &dyn Clock,
-    counters: &Counters,
-) -> Result<Box<RunResult>, SimError> {
-    if let Some(cache) = cache {
-        match cache.lookup(spec) {
-            Lookup::Hit(result) => {
-                Counters::bump(&counters.cache_hits);
-                return Ok(result);
-            }
-            Lookup::Miss => Counters::bump(&counters.cache_misses),
-            Lookup::Corrupt { detail } => {
-                Counters::bump(&counters.cache_evicted);
-                eprintln!(
-                    "warning: evicted corrupt cache entry for job {}: {}",
-                    spec.hash_hex(),
-                    SimError::CacheCorruption {
-                        spec_hash: spec.hash(),
-                        detail,
-                    }
-                );
-            }
-        }
-    }
-
-    let mut attempt: u32 = 1;
-    let mut last: SimError;
-    loop {
-        match run_attempt(spec, submit_idx, attempt, opts, clock) {
-            Ok(result) => {
-                if attempt > 1 {
-                    Counters::bump(&counters.recovered);
-                }
-                if let Some(cache) = cache {
-                    if let Err(e) = cache.store(spec, &result) {
-                        eprintln!(
-                            "warning: could not store cache entry for job {}: {e}",
-                            spec.hash_hex()
-                        );
-                    }
-                }
-                return Ok(Box::new(result));
-            }
-            Err(e) => last = e,
-        }
-        match opts.retry.delay_after_ms(attempt) {
-            Some(delay_ms) => {
-                Counters::bump(&counters.retries);
-                clock.sleep_ms(delay_ms);
-                attempt += 1;
-            }
-            None => break,
-        }
-    }
-    Counters::bump(&counters.failed);
-    // A single-attempt policy reports the bare error; with retries in
-    // play, wrap so the report names the exhausted budget.
-    if opts.retry.max_attempts > 1 {
-        Err(SimError::RetriesExhausted {
-            spec_hash: spec.hash(),
-            attempts: opts.retry.max_attempts,
-            last: Box::new(last),
-        })
-    } else {
-        Err(last)
-    }
-}
-
-/// One attempt: inject scheduled faults, run panic-isolated, enforce the
-/// deadline on the measured duration.
-fn run_attempt(
-    spec: &JobSpec,
-    submit_idx: usize,
-    attempt: u32,
-    opts: &ServeOptions,
-    clock: &dyn Clock,
-) -> Result<RunResult, SimError> {
+) -> SimResult<RunResult> {
     let started_ms = clock.now_ms();
-    if opts.fault.should_stall(submit_idx, attempt) {
-        // Burn through the deadline (plus a margin when none is set, so
-        // the fault is visible in stats even on unbounded batches).
+    if opts.fault.should_stall(submit_idx) {
+        // Sleep one millisecond past the deadline, so the job exceeds it.
         clock.sleep_ms(opts.deadline_ms.unwrap_or(0) + 1);
     }
-    let outcome = catch_job_panic(submit_idx, || {
-        if opts.fault.should_kill(submit_idx, attempt) {
-            ServiceFaultPlan::kill_worker_now();
-        }
-        spec.run()
-    });
-    let elapsed_ms = clock.now_ms().saturating_sub(started_ms);
+    if opts.fault.should_kill(submit_idx) {
+        ServiceFaultPlan::kill_worker_now();
+    }
+    let outcome = spec.run();
     if let Some(deadline_ms) = opts.deadline_ms {
-        if elapsed_ms > deadline_ms {
+        if clock.now_ms().saturating_sub(started_ms) > deadline_ms {
             return Err(SimError::JobTimeout {
                 spec_hash: spec.hash(),
                 deadline_ms,
@@ -378,35 +279,12 @@ fn run_attempt(
     outcome
 }
 
-/// Runs one attempt under `catch_unwind`: a panicking worker (including
-/// the injected kill fault) becomes a typed invariant violation naming
-/// the job and the panic payload, and the thread survives.
-fn catch_job_panic(
-    submit_idx: usize,
-    f: impl FnOnce() -> Result<RunResult, SimError>,
-) -> Result<RunResult, SimError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&'static str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("<non-string panic payload>");
-            Err(SimError::invariant(
-                "worker-panic",
-                format!("job {submit_idx} panicked: {message}"),
-                0,
-            ))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Batch;
-    use apres_bench::{Scale, APRES, BASELINE};
+    use apres_bench::{Lookup, Scale, APRES, BASELINE};
+    use gpu_common::json::Json;
     use gpu_common::VirtualClock;
     use gpu_workloads::Benchmark;
 
@@ -416,7 +294,7 @@ mod tests {
 
     fn broken_spec() -> JobSpec {
         let mut cfg = Scale::Tiny.config();
-        cfg.l1.ways = 0; // fails config validation on every attempt
+        cfg.l1.ways = 0; // fails config validation
         JobSpec::new(Benchmark::Hs, BASELINE, Scale::Tiny, &cfg)
     }
 
@@ -441,102 +319,64 @@ mod tests {
         out
     }
 
-    #[test]
-    fn backoff_schedule_is_exact() {
-        // A job that fails every attempt must sleep the exact exponential
-        // schedule — and nothing else touches the clock.
-        let batch = Batch::new("t", vec![broken_spec()]);
+    /// Serves `[HS, KM]` into a fresh cache with `opts` faulting job 0 and
+    /// returns job 0's error, after checking that job 1 serialises exactly
+    /// as in a clean serving, and that job 0 was never stored: a clean
+    /// re-serve misses it, computes it and matches a direct run.
+    fn faulted_job_fails_alone_uncached(tag: &str, opts: &ServeOptions) -> SimError {
+        let batch = Batch::new(
+            "f",
+            vec![tiny_spec(Benchmark::Hs), tiny_spec(Benchmark::Km)],
+        );
         let clock = VirtualClock::new();
-        let opts = ServeOptions {
-            retry: RetryPolicy::default().attempts(4).base_delay(100),
-            ..ServeOptions::default()
+        let clean = serve_batch(&batch, None, &ServeOptions::default(), &clock);
+        let cache = tmp_cache(tag);
+        let faulted = quiet_panics(|| serve_batch(&batch, Some(&cache), opts, &clock));
+        assert_eq!(faulted.failed(), 1);
+        assert_eq!(faulted.stats.failed_jobs, 1);
+        let job = |report: &BatchReport, i: usize| {
+            report
+                .to_json()
+                .get("jobs")
+                .and_then(Json::as_arr)
+                .map(|jobs| jobs[i].to_compact())
         };
-        let report = serve_batch(&batch, None, &opts, &clock);
-        assert_eq!(clock.sleeps(), vec![100, 200, 400]);
-        assert_eq!(report.failed(), 1);
-        assert_eq!(report.stats.retries, 3);
+        assert_eq!(job(&faulted, 1), job(&clean, 1));
+        assert!(matches!(cache.lookup(&batch.jobs[0]), Lookup::Miss));
+        let reserved = serve_batch(&batch, Some(&cache), &ServeOptions::default(), &clock);
+        assert_eq!(
+            (reserved.stats.cache_hits, reserved.stats.cache_misses),
+            (1, 1)
+        );
+        let direct = batch.jobs[0].run().expect("direct run");
+        assert_eq!(reserved.jobs[0].outcome, Ok(Box::new(direct)));
+        assert_eq!(
+            reserved.to_json().to_compact(),
+            clean.to_json().to_compact()
+        );
+        drop_cache(&cache);
+        faulted.jobs[0].outcome.clone().expect_err("the faulted job fails")
     }
 
     #[test]
-    fn retry_budget_exhaustion_is_typed_and_named() {
-        let batch = Batch::new("t", vec![broken_spec()]);
-        let clock = VirtualClock::new();
-        let opts = ServeOptions {
-            retry: RetryPolicy::default().attempts(3),
-            ..ServeOptions::default()
-        };
-        let report = serve_batch(&batch, None, &opts, &clock);
-        let err = report.jobs[0].outcome.as_ref().expect_err("must fail");
-        assert_eq!(err.class(), "retries-exhausted");
-        let text = err.to_string();
-        assert!(text.contains("3 attempt(s)"), "{text}");
-        assert!(text.contains("config-validation"), "{text}");
-        // Single-attempt policies report the bare error instead.
-        let bare = serve_batch(
-            &batch,
-            None,
-            &ServeOptions {
-                retry: RetryPolicy::no_retries(),
-                ..ServeOptions::default()
-            },
-            &clock,
-        );
-        let err = bare.jobs[0].outcome.as_ref().expect_err("must fail");
-        assert_eq!(err.class(), "config-validation");
-    }
-
-    #[test]
-    fn killed_worker_recovers_byte_identically() {
-        let spec = tiny_spec(Benchmark::Hs);
-        let clean = serve_batch(
-            &Batch::new("t", vec![spec.clone()]),
-            None,
-            &ServeOptions::default(),
-            &VirtualClock::new(),
-        );
-        let clock = VirtualClock::new();
+    fn killed_job_fails_typed_and_is_never_cached() {
         let opts = ServeOptions {
             fault: ServiceFaultPlan::none().killing_job(0),
             ..ServeOptions::default()
         };
-        let faulted = quiet_panics(|| {
-            serve_batch(&Batch::new("t", vec![spec]), None, &opts, &clock)
-        });
-        // Attempt 1 died to the injected panic; attempt 2 succeeded, and
-        // the response document is byte-identical to the fault-free run.
-        assert_eq!(faulted.stats.retries, 1);
-        assert_eq!(faulted.stats.recovered_jobs, 1);
-        assert_eq!(
-            faulted.to_json().to_compact(),
-            clean.to_json().to_compact(),
-            "recovered run must serialise identically to a clean run"
-        );
+        let err = faulted_job_fails_alone_uncached("kill", &opts);
+        assert_eq!(err.class(), "invariant-violation");
+        assert!(err.to_string().contains("job 0 panicked"), "{err}");
     }
 
     #[test]
-    fn stalled_job_times_out_then_recovers() {
-        let spec = tiny_spec(Benchmark::Hs);
-        let clock = VirtualClock::new();
+    fn stalled_job_times_out_and_is_never_cached() {
         let opts = ServeOptions {
             deadline_ms: Some(500),
             fault: ServiceFaultPlan::none().stalling_job(0),
             ..ServeOptions::default()
         };
-        let report = serve_batch(&Batch::new("t", vec![spec.clone()]), None, &opts, &clock);
-        // Stall fires on attempt 1 only: timeout, one backoff, clean rerun.
-        assert_eq!(report.completed(), 1);
-        assert_eq!(report.stats.retries, 1);
-        // With no retry budget the timeout is final and typed.
-        let fatal = serve_batch(
-            &Batch::new("t", vec![spec]),
-            None,
-            &ServeOptions {
-                retry: RetryPolicy::no_retries(),
-                ..opts
-            },
-            &clock,
-        );
-        let err = fatal.jobs[0].outcome.as_ref().expect_err("timeout");
+        let err = faulted_job_fails_alone_uncached("stall", &opts);
         assert_eq!(err.class(), "job-timeout");
         assert!(err.to_string().contains("500 ms"), "{err}");
     }
@@ -602,7 +442,6 @@ mod tests {
             None,
             &ServeOptions {
                 workers: 2,
-                retry: RetryPolicy::no_retries(),
                 ..ServeOptions::default()
             },
             &VirtualClock::new(),
@@ -655,34 +494,5 @@ mod tests {
         assert_eq!(warm.stats.cache_misses, 0);
         assert_eq!(warm.to_json().to_compact(), cold.to_json().to_compact());
         drop_cache(&cache);
-    }
-
-    #[test]
-    fn retry_success_matches_first_try_success_exactly() {
-        // Satellite: a job that succeeds on retry N must produce output
-        // byte-identical to a first-try success — retries are invisible.
-        let spec = tiny_spec(Benchmark::Km);
-        let first_try = serve_batch(
-            &Batch::new("r", vec![spec.clone()]),
-            None,
-            &ServeOptions::default(),
-            &VirtualClock::new(),
-        );
-        let retried = quiet_panics(|| {
-            serve_batch(
-                &Batch::new("r", vec![spec]),
-                None,
-                &ServeOptions {
-                    retry: RetryPolicy::default().attempts(5),
-                    fault: ServiceFaultPlan::none().killing_job(0),
-                    ..ServeOptions::default()
-                },
-                &VirtualClock::new(),
-            )
-        });
-        assert_eq!(
-            retried.to_json().to_compact(),
-            first_try.to_json().to_compact()
-        );
     }
 }

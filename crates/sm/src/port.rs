@@ -35,8 +35,8 @@ impl SmPort {
 
     // --- SM side -----------------------------------------------------
 
-    /// Pops every fill whose NoC traversal has completed by `now`
-    /// (mirrors [`gpu_mem::memsys::MemorySystem::drain_fills`]).
+    /// Pops every fill whose NoC traversal has completed by `now` (the
+    /// ready cycles [`gpu_mem::memsys::MemorySystem::take_fills`] stamped).
     pub fn drain_fills(&mut self, now: Cycle) -> Vec<MemRequest> {
         let mut out = Vec::new();
         while let Some(&(ready, _)) = self.inbox.front() {

@@ -40,9 +40,10 @@ bench-smoke:
     bash scripts/bench_smoke.sh
 
 # Fault-tolerance gate of the batch service: a batch served cold, warm
-# from the verified result cache, or through the injected fault matrix
-# (corrupt/truncated cache entry, killed worker, stalled job) must be
-# byte-identical to a direct harness run (needs `just build` first).
+# from the verified result cache, or through a truncated cache entry must
+# be byte-identical to a direct harness run; a killed worker or a stalled
+# job must fail exactly that job, typed and uncached, so a clean re-serve
+# is byte-identical again (needs `just build` first).
 serve-smoke:
     bash scripts/serve_smoke.sh
 
