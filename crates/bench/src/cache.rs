@@ -189,9 +189,7 @@ impl JobSpec {
                 .ok_or_else(|| parse_err(format!("missing or non-string member {key:?}")))
         };
         let bench_label = label("bench")?;
-        let bench = Benchmark::ALL
-            .into_iter()
-            .find(|b| b.label().eq_ignore_ascii_case(bench_label))
+        let bench = Benchmark::from_label(bench_label)
             .ok_or_else(|| parse_err(format!("unknown benchmark {bench_label:?}")))?;
         let sched_label = label("sched")?;
         let sched = SCHEDULERS

@@ -57,14 +57,11 @@ pub use harness::{map_parallel, JobCtx, JobId, SimSweep, StageStart, StageTimer,
 /// Resolves a benchmark label (case-insensitive) or exits with the known
 /// list on stderr — shared by the binaries that take an `APP` positional.
 pub fn benchmark_by_label_or_exit(name: &str) -> Benchmark {
-    Benchmark::ALL
-        .into_iter()
-        .find(|b| b.label().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            let known: Vec<&str> = Benchmark::ALL.iter().map(|b| b.label()).collect();
-            eprintln!("unknown benchmark {name:?}; known: {}", known.join(" "));
-            std::process::exit(2);
-        })
+    Benchmark::from_label(name).unwrap_or_else(|| {
+        let known: Vec<&str> = Benchmark::ALL.iter().map(|b| b.label()).collect();
+        eprintln!("unknown benchmark {name:?}; known: {}", known.join(" "));
+        std::process::exit(2);
+    })
 }
 
 /// One (scheduler, prefetcher) combination with a figure-style label.

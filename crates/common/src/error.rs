@@ -164,7 +164,7 @@ pub enum SimError {
     },
     /// A serialised artifact could not be parsed.
     Parse {
-        /// What was being parsed (e.g. `"KernelSpec JSON"`).
+        /// What was being parsed (e.g. `"batch JSON"`).
         context: &'static str,
         /// Parser message, with position where available.
         message: String,
@@ -351,9 +351,9 @@ mod tests {
     #[test]
     fn error_trait_object_safe() {
         let e: Box<dyn std::error::Error> = Box::new(SimError::Parse {
-            context: "KernelSpec JSON",
+            context: "batch JSON",
             message: "unexpected end of input".into(),
         });
-        assert!(e.to_string().contains("KernelSpec JSON"));
+        assert!(e.to_string().contains("batch JSON"));
     }
 }

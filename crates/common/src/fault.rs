@@ -73,15 +73,6 @@ impl FaultPlan {
         }
     }
 
-    /// `true` when the plan cannot inject any fault.
-    pub fn is_benign(&self) -> bool {
-        self.drop_dram_response == 0.0
-            && self.delay_dram_response == 0.0
-            && self.drop_noc_request == 0.0
-            && self.mshr_exhaust.is_none()
-            && self.corrupt_sap_prediction == 0.0
-    }
-
     /// Starts an empty plan with a seed (builder entry point).
     pub fn seeded(seed: u64) -> Self {
         FaultPlan {
@@ -376,13 +367,6 @@ pub fn fuzz_config(cfg: &mut GpuConfig, rng: &mut Xoshiro256) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_plan_is_benign() {
-        assert!(FaultPlan::none().is_benign());
-        assert!(FaultPlan::default().is_benign());
-        assert!(!FaultPlan::seeded(1).dropping_dram_responses(0.5).is_benign());
-    }
 
     #[test]
     fn same_seed_same_decisions() {

@@ -37,6 +37,18 @@ pub struct SimStats {
 }
 
 impl SimStats {
+    /// Accumulates another SM's counters into this one.
+    pub fn add(&mut self, other: &SimStats) {
+        self.cycles += other.cycles;
+        self.instructions += other.instructions;
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.stall_cycles += other.stall_cycles;
+        self.stall_lsu_full += other.stall_lsu_full;
+        self.stall_dependency += other.stall_dependency;
+        self.active_lane_sum += other.active_lane_sum;
+    }
+
     /// Instructions per cycle. Zero if no cycles elapsed.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -91,6 +103,20 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Accumulates another cache's counters into this one.
+    pub fn add(&mut self, other: &CacheStats) {
+        self.accesses += other.accesses;
+        self.hits += other.hits;
+        self.hit_after_hit += other.hit_after_hit;
+        self.hit_after_miss += other.hit_after_miss;
+        self.cold_misses += other.cold_misses;
+        self.capacity_conflict_misses += other.capacity_conflict_misses;
+        self.mshr_merges += other.mshr_merges;
+        self.merges_into_prefetch += other.merges_into_prefetch;
+        self.reservation_fails += other.reservation_fails;
+        self.evictions += other.evictions;
+    }
+
     /// Total demand misses (cold + capacity/conflict).
     pub fn misses(&self) -> u64 {
         self.cold_misses + self.capacity_conflict_misses
@@ -146,6 +172,17 @@ pub struct PrefetchStats {
 }
 
 impl PrefetchStats {
+    /// Accumulates another prefetcher's counters into this one.
+    pub fn add(&mut self, other: &PrefetchStats) {
+        self.issued += other.issued;
+        self.dropped_duplicate += other.dropped_duplicate;
+        self.dropped_no_resource += other.dropped_no_resource;
+        self.useful += other.useful;
+        self.late_merged += other.late_merged;
+        self.early_evictions += other.early_evictions;
+        self.useless_evictions += other.useless_evictions;
+    }
+
     /// Correct prefetches: lines that were (eventually) demanded — used,
     /// merged late, or evicted early. The paper's early-eviction ratio is
     /// computed over this population ("we counted only correctly predicted

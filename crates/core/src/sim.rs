@@ -17,7 +17,7 @@ use crate::laws::Laws;
 use crate::sap::Sap;
 use gpu_common::config::GpuConfig;
 use gpu_common::fault::FaultPlan;
-use gpu_common::{Cycle, SimResult, SmId};
+use gpu_common::{Cycle, SimResult};
 use gpu_kernel::Kernel;
 use gpu_prefetch::PrefetchEngine;
 use gpu_sched::SchedPolicy;
@@ -242,18 +242,20 @@ impl Simulation {
         self
     }
 
-    /// Runs the simulation to completion (or the cycle budget).
+    /// Builds the GPU this run would drive, without running a cycle: the
+    /// kernel is verified, the configuration validated, and each SM gets
+    /// its own policy instances, the watchdog and the fault plan.
+    /// [`Simulation::run`] is `build()` followed by [`Gpu::run`]; call them
+    /// apart to watch the run through a [`gpu_sm::Observer`]. The cycle
+    /// budget is `Gpu::run`'s argument.
     ///
     /// # Errors
     ///
     /// [`gpu_common::SimError::ConfigValidation`] for a bad configuration,
     /// [`gpu_common::SimError::KernelValidation`] when the static verifier
     /// ([`gpu_kernel::verify`]) finds an error-level defect in the kernel IR
-    /// (cyclic deps, dangling pattern slots, divergent barriers, …),
-    /// `WatchdogTimeout` when forward progress stops for a whole watchdog
-    /// window, and `InvariantViolation` when the drain-time conservation
-    /// audit fails.
-    pub fn run(&self) -> SimResult<RunResult> {
+    /// (cyclic deps, dangling pattern slots, divergent barriers, …).
+    pub fn build(&self) -> SimResult<Gpu> {
         let kernel = match self.seed_override {
             Some(seed) => self.kernel.clone().with_seed(seed),
             None => self.kernel.clone(),
@@ -262,18 +264,28 @@ impl Simulation {
         if let Some(err) = report.to_sim_error(kernel.name()) {
             return Err(err);
         }
-        let cfg = self.cfg.clone();
-        let sched = self.scheduler;
-        let pf = self.prefetcher;
-        let make_sched = move |_: SmId| sched.make(&cfg);
-        let cfg2 = self.cfg.clone();
-        let make_pf = move |_: SmId| pf.make(&cfg2);
-        let mut gpu = Gpu::new(&self.cfg, kernel, &make_sched, &make_pf)?;
+        let mut gpu = Gpu::new(
+            &self.cfg,
+            kernel,
+            &|_| self.scheduler.make(&self.cfg),
+            &|_| self.prefetcher.make(&self.cfg),
+        )?;
         gpu.set_watchdog(self.watchdog);
         if let Some(plan) = &self.fault_plan {
             gpu.arm_faults(plan);
         }
-        gpu.run(self.max_cycles)
+        Ok(gpu)
+    }
+
+    /// Runs the simulation to completion (or the cycle budget).
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Simulation::build`] returns, plus `WatchdogTimeout`
+    /// when forward progress stops for a whole watchdog window and
+    /// `InvariantViolation` when the drain-time conservation audit fails.
+    pub fn run(&self) -> SimResult<RunResult> {
+        self.build()?.run(self.max_cycles, &mut ())
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::instr::{LoadSlot, Op, StaticInstr};
 use crate::pattern::AddressPattern;
-use gpu_common::{Pc, SimResult};
+use gpu_common::Pc;
 
 /// A synthetic GPU kernel: a linear instruction body executed by every warp
 /// for a fixed number of iterations (one iteration models one trip of the
@@ -27,7 +27,6 @@ impl Kernel {
             patterns: Vec::new(),
             iterations: 64,
             seed: 0xA9E5,
-            pc_base: 0x100,
             next_pc: None,
         }
     }
@@ -98,7 +97,7 @@ impl Kernel {
 
 /// Incremental builder for [`Kernel`] (non-consuming terminal: [`KernelBuilder::build`]).
 ///
-/// PCs are auto-assigned from `pc_base` in 8-byte steps; [`KernelBuilder::at_pc`]
+/// PCs are auto-assigned from `0x100` in 8-byte steps; [`KernelBuilder::at_pc`]
 /// pins the next instruction to an explicit PC so workloads can reuse the
 /// paper's Table I addresses.
 ///
@@ -123,7 +122,6 @@ pub struct KernelBuilder {
     patterns: Vec<AddressPattern>,
     iterations: u64,
     seed: u64,
-    pc_base: u64,
     next_pc: Option<u64>,
 }
 
@@ -132,7 +130,7 @@ impl KernelBuilder {
         let pc = self
             .next_pc
             .take()
-            .unwrap_or(self.pc_base + self.body.len() as u64 * 8);
+            .unwrap_or(0x100 + self.body.len() as u64 * 8);
         Pc(pc)
     }
 
@@ -249,57 +247,16 @@ impl KernelBuilder {
         self
     }
 
-    /// Sets the base PC for auto-assigned instruction addresses.
-    pub fn pc_base(mut self, base: u64) -> Self {
-        self.pc_base = base;
-        self
-    }
-
     /// Appends a pre-built instruction **without** eager validation.
     ///
     /// Unlike [`KernelBuilder::alu`]/[`KernelBuilder::load`], nothing is
-    /// checked here — defects are caught by [`KernelBuilder::try_build`] or
-    /// the standalone verifier ([`crate::verify`]). This is how deliberately
-    /// defective fixture kernels (cyclic deps, dangling slots, divergent
-    /// barriers) are constructed for analyzer tests.
+    /// checked here — defects are caught by the verifier ([`crate::verify`]),
+    /// which gates every simulation. This is how deliberately defective
+    /// fixture kernels (cyclic deps, dangling slots, divergent barriers) are
+    /// constructed for analyzer tests.
     pub fn raw_instr(mut self, ins: StaticInstr) -> Self {
         self.body.push(ins);
         self
-    }
-
-    /// Declares an address pattern without an accompanying instruction and
-    /// without validation; pairs with [`KernelBuilder::raw_instr`], whose
-    /// loads/stores index patterns by declaration order.
-    pub fn add_pattern(mut self, pattern: AddressPattern) -> Self {
-        self.patterns.push(pattern);
-        self
-    }
-
-    /// Finishes the kernel, returning a typed error instead of panicking.
-    ///
-    /// Runs the structural and def-use verifier ([`crate::verify`]) over the
-    /// assembled body: out-of-range / forward / self-referential deps,
-    /// dangling pattern slots, duplicate PCs, divergent barriers, an empty
-    /// body, or zero iterations surface as
-    /// [`gpu_common::SimError::KernelValidation`]. Warning- and note-level
-    /// findings (dead code, misaligned PCs) do not block construction.
-    pub fn try_build(self) -> SimResult<Kernel> {
-        let report = crate::verify::verify_parts(
-            &self.body,
-            self.patterns.len(),
-            self.iterations,
-            crate::verify::DEFAULT_WARP_SIZE,
-        );
-        if let Some(err) = report.to_sim_error(self.name.as_str()) {
-            return Err(err);
-        }
-        Ok(Kernel {
-            name: self.name,
-            body: self.body,
-            patterns: self.patterns,
-            iterations: self.iterations,
-            seed: self.seed,
-        })
     }
 
     /// Finishes the kernel.
@@ -402,57 +359,6 @@ mod tests {
             .at_pc(0x10)
             .alu(8, &[])
             .build();
-    }
-
-    #[test]
-    fn try_build_accepts_clean_kernel() {
-        let k = Kernel::builder("ok")
-            .load(AddressPattern::warp_strided(0, 512, 128, 4), &[])
-            .alu(8, &[0])
-            .try_build()
-            .unwrap();
-        assert_eq!(k.body().len(), 2);
-    }
-
-    #[test]
-    fn try_build_rejects_raw_forward_dep() {
-        let err = Kernel::builder("bad")
-            .raw_instr(StaticInstr::new(Pc(0x100), Op::Alu { latency: 8 }, vec![1]))
-            .raw_instr(StaticInstr::new(Pc(0x108), Op::Alu { latency: 8 }, vec![0]))
-            .try_build()
-            .unwrap_err();
-        assert_eq!(err.class(), "kernel-validation");
-        assert!(err.to_string().contains("forward dependency"), "{err}");
-    }
-
-    #[test]
-    fn try_build_rejects_self_dep_cycle() {
-        let err = Kernel::builder("bad")
-            .raw_instr(StaticInstr::new(Pc(0x100), Op::Alu { latency: 8 }, vec![0]))
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("depends on itself"), "{err}");
-    }
-
-    #[test]
-    fn try_build_rejects_dangling_slot() {
-        let err = Kernel::builder("bad")
-            .add_pattern(AddressPattern::shared_stream(0, 0))
-            .raw_instr(StaticInstr::new(
-                Pc(0x100),
-                Op::LoadGlobal { slot: LoadSlot(5) },
-                vec![],
-            ))
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("dangling pattern slot 5"), "{err}");
-    }
-
-    #[test]
-    fn try_build_rejects_empty_body() {
-        let err = Kernel::builder("bad").try_build().unwrap_err();
-        assert_eq!(err.class(), "kernel-validation");
-        assert!(err.to_string().contains("empty"), "{err}");
     }
 
     #[test]

@@ -27,11 +27,6 @@ use crate::instr::{Op, StaticInstr};
 use crate::kernel::Kernel;
 use gpu_common::diag::{Diagnostic, Report};
 
-/// Architectural warp width assumed when no [`gpu_common::config::GpuConfig`]
-/// is in scope (matches the paper baseline's `core.warp_size`). The facade
-/// gate re-verifies against the configured width before running.
-pub const DEFAULT_WARP_SIZE: u32 = 32;
-
 /// Pass label of the structural checks.
 pub const PASS_STRUCTURE: &str = "structure";
 /// Pass label of the def-use / liveness checks.
@@ -47,9 +42,9 @@ pub fn verify_kernel(kernel: &Kernel, warp_size: u32) -> Report {
     )
 }
 
-/// Verifies kernel parts before construction (used by
-/// [`crate::KernelBuilder::try_build`], which must reject a malformed body
-/// without ever materialising a [`Kernel`]).
+/// Verifies kernel parts: a body, how many patterns its slots may index,
+/// the iteration count and the warp width. [`verify_kernel`] calls it on a
+/// built kernel; the verifier's own tests call it on bare bodies.
 pub fn verify_parts(
     body: &[StaticInstr],
     n_patterns: usize,

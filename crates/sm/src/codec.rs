@@ -391,7 +391,7 @@ mod tests {
             &|_| Box::new(crate::gpu::SimpleRoundRobin::default()),
             &|_| Box::new(crate::traits::NullPrefetcher),
         )
-        .and_then(|g| g.run(2_000_000))
+        .and_then(|g| g.run(2_000_000, &mut ()))
         .expect("tiny run completes");
         let back = decode(&encode(&r)).expect("decode");
         assert_eq!(back, r);

@@ -4,6 +4,10 @@
 //! L2 banks, DRAM, fault plan) are owned separately; every cross-boundary
 //! message flows through an [`SmPort`], which the cycle loop routes once
 //! per cycle in fixed SM-id order (see `DESIGN.md` §14).
+//!
+//! [`Gpu::run`] is the one cycle loop. Whoever wants to watch a run passes
+//! an [`Observer`], which reads the GPU after every cycle but cannot change
+//! it.
 
 use crate::port::SmPort;
 use crate::sm::Sm;
@@ -59,25 +63,26 @@ pub type SchedulerFactory<'a> = dyn Fn(SmId) -> Box<dyn WarpScheduler> + 'a;
 /// Factory producing one prefetcher instance per SM.
 pub type PrefetcherFactory<'a> = dyn Fn(SmId) -> Box<dyn Prefetcher> + 'a;
 
-/// One interval of a sampled run (see [`Gpu::run_sampled`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sample {
-    /// Cycle at the end of the interval.
-    pub cycle: Cycle,
-    /// Instructions per cycle within the interval (all SMs).
-    pub ipc: f64,
-    /// L1 miss rate within the interval.
-    pub l1_miss_rate: f64,
-    /// Prefetches issued within the interval.
-    pub outstanding_prefetches: u64,
+/// Watches a run as [`Gpu::run`] drives it.
+///
+/// The loop calls [`Observer::on_cycle`] once per simulated cycle, after
+/// every SM ticked and the ports were routed. The observer sees the GPU
+/// read-only, so observing a run never changes its result. `()` observes
+/// nothing and compiles away.
+pub trait Observer {
+    /// `true` makes every SM record its pipeline events, which
+    /// [`Sm::events`] then returns for the cycle just run. Asked once, when
+    /// the run starts.
+    fn wants_events(&self) -> bool {
+        false
+    }
+
+    /// Called after each cycle; `gpu.now()` is the number of cycles run.
+    fn on_cycle(&mut self, gpu: &Gpu);
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Snapshot {
-    instructions: u64,
-    l1_accesses: u64,
-    l1_misses: u64,
-    prefetches_issued: u64,
+impl Observer for () {
+    fn on_cycle(&mut self, _: &Gpu) {}
 }
 
 /// Aggregated results of one simulation run.
@@ -202,9 +207,14 @@ impl Gpu {
         self.now
     }
 
+    /// The SMs, in SM-id order (what an [`Observer`] reads counters from).
+    pub fn sms(&self) -> &[Sm] {
+        &self.sms
+    }
+
     /// Advances the whole GPU by one cycle: every SM ticks against its
     /// port, then the ports are routed through the shared memory system.
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         for (sm, port) in self.sms.iter_mut().zip(&mut self.ports) {
             sm.tick(self.now, port);
         }
@@ -242,15 +252,22 @@ impl Gpu {
     }
 
     /// Runs to completion or `max_cycles`, returning aggregated results.
+    /// `observer` is shown the GPU after every cycle; pass `&mut ()` to run
+    /// unobserved.
     ///
     /// # Errors
     ///
     /// [`SimError::WatchdogTimeout`] when forward progress stops for a full
     /// watchdog window; [`SimError::InvariantViolation`] when the drain-time
     /// conservation audit fails.
-    pub fn run(mut self, max_cycles: Cycle) -> SimResult<RunResult> {
+    pub fn run(mut self, max_cycles: Cycle, observer: &mut impl Observer) -> SimResult<RunResult> {
+        let record = observer.wants_events();
+        for sm in &mut self.sms {
+            sm.record_events(record);
+        }
         while self.now < max_cycles && !self.is_finished() {
             self.step();
+            observer.on_cycle(&self);
             self.watchdog_check()?;
         }
         self.finish(max_cycles)
@@ -284,7 +301,7 @@ impl Gpu {
     }
 
     /// Snapshot of who is stuck on what (attached to watchdog timeouts).
-    pub fn diagnose(&self) -> DeadlockDiagnosis {
+    fn diagnose(&self) -> DeadlockDiagnosis {
         let mut stalled_warps = Vec::new();
         let mut inflight_mshrs = Vec::new();
         for sm in &self.sms {
@@ -312,97 +329,9 @@ impl Gpu {
         Ok(self.into_result(termination))
     }
 
-    /// Like [`Gpu::run`], additionally sampling aggregate counters every
-    /// `interval` cycles — the warm-up and phase behaviour behind the
-    /// end-of-run averages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn run_sampled(
-        mut self,
-        max_cycles: Cycle,
-        interval: Cycle,
-    ) -> SimResult<(RunResult, Vec<Sample>)> {
-        assert!(interval > 0, "interval must be > 0");
-        let mut samples = Vec::new();
-        let mut last = Snapshot::default();
-        while self.now < max_cycles && !self.is_finished() {
-            self.step();
-            self.watchdog_check()?;
-            if self.now.is_multiple_of(interval) {
-                let cur = self.snapshot();
-                samples.push(Sample {
-                    cycle: self.now,
-                    ipc: (cur.instructions - last.instructions) as f64 / interval as f64,
-                    l1_miss_rate: {
-                        let acc = cur.l1_accesses - last.l1_accesses;
-                        if acc == 0 {
-                            0.0
-                        } else {
-                            (cur.l1_misses - last.l1_misses) as f64 / acc as f64
-                        }
-                    },
-                    outstanding_prefetches: cur.prefetches_issued - last.prefetches_issued,
-                });
-                last = cur;
-            }
-        }
-        Ok((self.finish(max_cycles)?, samples))
-    }
-
-    /// Like [`Gpu::run`], recording up to `capacity` pipeline events from
-    /// `sm` (see [`crate::trace`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ConfigValidation`] if `sm` is out of range, plus
-    /// everything [`Gpu::run`] can return.
-    pub fn run_traced(
-        mut self,
-        max_cycles: Cycle,
-        sm: usize,
-        capacity: usize,
-    ) -> SimResult<(RunResult, Vec<crate::trace::TraceEvent>)> {
-        let num_sms = self.sms.len();
-        let Some(traced) = self.sms.get_mut(sm) else {
-            return Err(SimError::config(
-                "trace.sm_index",
-                format!("SM {sm} out of range ({num_sms} SMs)"),
-            ));
-        };
-        traced.enable_trace(capacity);
-        while self.now < max_cycles && !self.is_finished() {
-            self.step();
-            self.watchdog_check()?;
-        }
-        let trace = self
-            .sms
-            .get_mut(sm)
-            .and_then(Sm::take_trace)
-            .map(crate::trace::TraceBuffer::into_events)
-            .unwrap_or_default();
-        Ok((self.finish(max_cycles)?, trace))
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        let mut s = Snapshot::default();
-        for sm in &self.sms {
-            s.instructions += sm.stats().instructions;
-            let c = sm.cache_stats();
-            s.l1_accesses += c.accesses;
-            s.l1_misses += c.misses();
-            s.prefetches_issued += sm.prefetch_stats().issued;
-        }
-        s
-    }
-
     fn into_result(mut self, termination: Termination) -> RunResult {
         let cycles = self.now;
         let mut faults = self.mem.fault_counters();
-        for sm in &self.sms {
-            faults.add(&sm.fault_counters());
-        }
         let mut sim = SimStats::default();
         let mut l1 = CacheStats::default();
         let mut prefetch = PrefetchStats::default();
@@ -418,25 +347,17 @@ impl Gpu {
             .first()
             .map_or_else(String::new, |s| s.prefetcher_name().to_owned());
         for sm in &mut self.sms {
-            let s = sm.stats();
-            sim.instructions += s.instructions;
-            sim.loads += s.loads;
-            sim.stores += s.stores;
-            sim.stall_cycles += s.stall_cycles;
-            sim.stall_lsu_full += s.stall_lsu_full;
-            sim.stall_dependency += s.stall_dependency;
-            sim.active_lane_sum += s.active_lane_sum;
-            add_cache(&mut l1, sm.cache_stats());
+            faults.add(&sm.fault_counters());
+            sim.add(sm.stats());
+            l1.add(sm.cache_stats());
             for &(pc, st) in sm.per_pc_stats() {
                 let agg = per_pc.entry(pc).or_default();
                 agg.accesses += st.accesses;
                 agg.hits += st.hits;
             }
-            add_prefetch(&mut prefetch, &sm.finalize_prefetch_stats());
+            prefetch.add(&sm.finalize_prefetch_stats());
             energy.add(&sm.energy_events());
         }
-        let mut per_pc: Vec<_> = per_pc.into_iter().collect();
-        per_pc.sort_by_key(|(pc, _)| *pc);
         sim.cycles = cycles;
         energy.l2_accesses = self.mem.l2_accesses();
         energy.dram_accesses = self.mem.dram_accesses();
@@ -453,7 +374,7 @@ impl Gpu {
             prefetch,
             mem: self.mem.stats().clone(),
             energy,
-            per_pc,
+            per_pc: per_pc.into_iter().collect(),
         }
     }
 }
@@ -469,36 +390,15 @@ impl std::fmt::Debug for Gpu {
     }
 }
 
-fn add_cache(dst: &mut CacheStats, src: &CacheStats) {
-    dst.accesses += src.accesses;
-    dst.hits += src.hits;
-    dst.hit_after_hit += src.hit_after_hit;
-    dst.hit_after_miss += src.hit_after_miss;
-    dst.cold_misses += src.cold_misses;
-    dst.capacity_conflict_misses += src.capacity_conflict_misses;
-    dst.mshr_merges += src.mshr_merges;
-    dst.merges_into_prefetch += src.merges_into_prefetch;
-    dst.reservation_fails += src.reservation_fails;
-    dst.evictions += src.evictions;
-}
-
-fn add_prefetch(dst: &mut PrefetchStats, src: &PrefetchStats) {
-    dst.issued += src.issued;
-    dst.dropped_duplicate += src.dropped_duplicate;
-    dst.dropped_no_resource += src.dropped_no_resource;
-    dst.useful += src.useful;
-    dst.late_merged += src.late_merged;
-    dst.early_evictions += src.early_evictions;
-    dst.useless_evictions += src.useless_evictions;
-}
-
-/// A minimal loose-round-robin scheduler used as the in-crate default and by
-/// unit tests; the full baseline-policy suite lives in `gpu-sched`.
+/// A minimal loose-round-robin scheduler for this crate's unit tests; the
+/// baseline-policy suite lives in `gpu-sched`.
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct SimpleRoundRobin {
+pub(crate) struct SimpleRoundRobin {
     last: Option<u32>,
 }
 
+#[cfg(test)]
 impl WarpScheduler for SimpleRoundRobin {
     fn name(&self) -> &'static str {
         "rr"
@@ -552,7 +452,7 @@ mod tests {
 
     #[test]
     fn runs_to_completion() {
-        let res = small_gpu(strided_kernel(4)).run(2_000_000).unwrap();
+        let res = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
         assert!(!res.timed_out);
         // 16 warps × 2 instr × 4 iters.
         assert_eq!(res.sim.instructions, 16 * 2 * 4);
@@ -563,8 +463,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = small_gpu(strided_kernel(6)).run(2_000_000).unwrap();
-        let b = small_gpu(strided_kernel(6)).run(2_000_000).unwrap();
+        let a = small_gpu(strided_kernel(6)).run(2_000_000, &mut ()).unwrap();
+        let b = small_gpu(strided_kernel(6)).run(2_000_000, &mut ()).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.sim, b.sim);
         assert_eq!(a.l1, b.l1);
@@ -577,7 +477,7 @@ mod tests {
             .alu(8, &[0])
             .iterations(8)
             .build();
-        let res = small_gpu(k).run(2_000_000).unwrap();
+        let res = small_gpu(k).run(2_000_000, &mut ()).unwrap();
         assert!(!res.timed_out);
         // All warps read the same address: one cold miss, rest hits/merges.
         assert!(
@@ -591,7 +491,7 @@ mod tests {
     #[test]
     fn thrashing_kernel_misses() {
         // Strides far exceeding cache capacity with no reuse.
-        let res = small_gpu(strided_kernel(8)).run(2_000_000).unwrap();
+        let res = small_gpu(strided_kernel(8)).run(2_000_000, &mut ()).unwrap();
         assert!(
             res.l1.miss_rate() > 0.9,
             "miss rate {} too low",
@@ -603,7 +503,7 @@ mod tests {
 
     #[test]
     fn timeout_reported() {
-        let res = small_gpu(strided_kernel(50)).run(100).unwrap();
+        let res = small_gpu(strided_kernel(50)).run(100, &mut ()).unwrap();
         assert!(res.timed_out);
         assert_eq!(res.termination, Termination::BudgetExhausted { budget: 100 });
         assert_eq!(res.cycles, 100);
@@ -611,7 +511,7 @@ mod tests {
 
     #[test]
     fn drained_run_reports_drained() {
-        let res = small_gpu(strided_kernel(2)).run(2_000_000).unwrap();
+        let res = small_gpu(strided_kernel(2)).run(2_000_000, &mut ()).unwrap();
         assert_eq!(res.termination, Termination::Drained);
         assert_eq!(res.faults.total(), 0);
     }
@@ -636,7 +536,7 @@ mod tests {
         let mut gpu = small_gpu(strided_kernel(4));
         gpu.arm_faults(&gpu_common::FaultPlan::seeded(7).dropping_dram_responses(1.0));
         gpu.set_watchdog(Some(2_000));
-        let err = gpu.run(2_000_000).expect_err("must deadlock");
+        let err = gpu.run(2_000_000, &mut ()).expect_err("must deadlock");
         let gpu_common::SimError::WatchdogTimeout {
             idle_cycles,
             diagnosis,
@@ -666,7 +566,7 @@ mod tests {
         let mut gpu = small_gpu(strided_kernel(4));
         gpu.arm_faults(&gpu_common::FaultPlan::seeded(7).dropping_dram_responses(1.0));
         gpu.set_watchdog(None);
-        let res = gpu.run(50_000).unwrap();
+        let res = gpu.run(50_000, &mut ()).unwrap();
         assert_eq!(res.termination, Termination::BudgetExhausted { budget: 50_000 });
         assert!(res.faults.dropped_responses > 0);
     }
@@ -675,7 +575,7 @@ mod tests {
     fn mshr_burst_faults_are_counted_and_survivable() {
         let mut gpu = small_gpu(strided_kernel(6));
         gpu.arm_faults(&gpu_common::FaultPlan::seeded(11).exhausting_mshrs(64, 16));
-        let res = gpu.run(2_000_000).unwrap();
+        let res = gpu.run(2_000_000, &mut ()).unwrap();
         assert_eq!(res.termination, Termination::Drained);
         assert!(res.faults.mshr_refusals > 0, "burst never fired");
         assert_eq!(res.sim.instructions, 16 * 2 * 6);
@@ -690,7 +590,7 @@ mod tests {
                     .delaying_dram_responses(0.5, 400)
                     .exhausting_mshrs(128, 8),
             );
-            gpu.run(2_000_000).unwrap()
+            gpu.run(2_000_000, &mut ()).unwrap()
         };
         let a = run();
         let b = run();
@@ -702,14 +602,14 @@ mod tests {
 
     #[test]
     fn speedup_over() {
-        let a = small_gpu(strided_kernel(4)).run(2_000_000).unwrap();
-        let b = small_gpu(strided_kernel(4)).run(2_000_000).unwrap();
+        let a = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
+        let b = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
         assert!((a.speedup_over(&b) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn energy_events_populated() {
-        let res = small_gpu(strided_kernel(4)).run(2_000_000).unwrap();
+        let res = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
         assert!(res.energy.alu_ops > 0);
         assert!(res.energy.l1_accesses > 0);
         assert!(res.energy.l2_accesses > 0);
@@ -728,7 +628,7 @@ mod tests {
                 .iterations(64)
                 .build()
         };
-        let single = small_gpu(compute()).run(2_000_000).unwrap();
+        let single = small_gpu(compute()).run(2_000_000, &mut ()).unwrap();
         let mut cfg = GpuConfig::small_test();
         cfg.core.issue_width = 2;
         let dual = Gpu::new(
@@ -738,7 +638,7 @@ mod tests {
             &|_| Box::new(NullPrefetcher),
         )
         .unwrap()
-        .run(2_000_000)
+        .run(2_000_000, &mut ())
         .unwrap();
         assert!(!dual.timed_out);
         assert_eq!(single.sim.instructions, dual.sim.instructions);
@@ -763,7 +663,7 @@ mod tests {
             &|_| Box::new(NullPrefetcher),
         )
         .unwrap();
-        let res = gpu.run(2_000_000).unwrap();
+        let res = gpu.run(2_000_000, &mut ()).unwrap();
         assert!(!res.timed_out);
         // 16 warps × 3 waves × 2 instructions × 4 iterations.
         assert_eq!(res.sim.instructions, 16 * 3 * 2 * 4);
@@ -782,9 +682,9 @@ mod tests {
             &|_| Box::new(NullPrefetcher),
         )
         .unwrap()
-        .run(2_000_000)
+        .run(2_000_000, &mut ())
         .unwrap();
-        let flat = small_gpu(strided_kernel(4)).run(2_000_000).unwrap();
+        let flat = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
         assert!(!skewed.timed_out);
         assert!(
             skewed.cycles > flat.cycles,
@@ -796,19 +696,32 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_records_pipeline_events() {
+    fn observed_run_records_pipeline_events() {
         use crate::trace::{IssueKind, TraceEvent};
-        let (res, trace) = small_gpu(strided_kernel(4)).run_traced(2_000_000, 0, 1 << 16).unwrap();
+        struct Trace(Vec<TraceEvent>);
+        impl Observer for Trace {
+            fn wants_events(&self) -> bool {
+                true
+            }
+            fn on_cycle(&mut self, gpu: &Gpu) {
+                for sm in gpu.sms() {
+                    self.0.extend_from_slice(sm.events());
+                }
+            }
+        }
+        let mut obs = Trace(Vec::new());
+        let res = small_gpu(strided_kernel(4)).run(2_000_000, &mut obs).unwrap();
+        let trace = obs.0;
         assert!(!res.timed_out);
         assert!(!trace.is_empty());
         // Cycles are non-decreasing.
         assert!(trace.windows(2).all(|w| w[0].cycle() <= w[1].cycle()));
-        // Every instruction of SM 0 was recorded (buffer was large enough).
+        // Every instruction was recorded.
         let issues = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::Issue { .. }))
             .count() as u64;
-        assert_eq!(issues, res.sim.instructions); // 1 SM in small_test
+        assert_eq!(issues, res.sim.instructions);
         let loads = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::Issue { kind: IssueKind::Load, .. }))
@@ -823,24 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_run_matches_plain_run() {
-        let plain = small_gpu(strided_kernel(6)).run(2_000_000).unwrap();
-        let (sampled, samples) = small_gpu(strided_kernel(6)).run_sampled(2_000_000, 100).unwrap();
-        assert_eq!(plain.cycles, sampled.cycles);
-        assert_eq!(plain.sim, sampled.sim);
-        assert!(!samples.is_empty());
-        // Interval IPCs average out to the aggregate (within quantisation).
-        let covered = samples.len() as f64 * 100.0;
-        let sum_instr: f64 = samples.iter().map(|s| s.ipc * 100.0).sum();
-        assert!(
-            (sum_instr - plain.sim.instructions as f64).abs() <= covered,
-            "sampled {} vs total {}",
-            sum_instr,
-            plain.sim.instructions
-        );
-    }
-
-    #[test]
     fn barrier_synchronizes_warps() {
         // A load with warp-dependent latency followed by a barrier: no warp
         // may run ahead into iteration i+1 before all finish iteration i.
@@ -851,7 +746,7 @@ mod tests {
             .alu(4, &[1])
             .iterations(4)
             .build();
-        let res = small_gpu(k).run(2_000_000).unwrap();
+        let res = small_gpu(k).run(2_000_000, &mut ()).unwrap();
         assert!(!res.timed_out, "barrier must not deadlock");
         assert_eq!(res.sim.instructions, 16 * 4 * 4);
     }
@@ -873,7 +768,7 @@ mod tests {
             &|_| Box::new(NullPrefetcher),
         )
         .unwrap();
-        let res = gpu.run(2_000_000).unwrap();
+        let res = gpu.run(2_000_000, &mut ()).unwrap();
         assert!(!res.timed_out);
         assert_eq!(res.sim.instructions, 16 * 2 * 3 * 3);
     }
@@ -884,7 +779,7 @@ mod tests {
             .store(AddressPattern::warp_strided(0, 4096, 4096 * 16, 4), &[])
             .iterations(3)
             .build();
-        let res = small_gpu(k).run(2_000_000).unwrap();
+        let res = small_gpu(k).run(2_000_000, &mut ()).unwrap();
         assert!(!res.timed_out);
         assert_eq!(res.sim.stores, 16 * 3);
         assert!(res.energy.dram_accesses > 0);

@@ -13,7 +13,8 @@
 //! * [`port`] — the [`SmPort`] message boundary between one SM and the
 //!   shared memory system;
 //! * [`gpu`] — the whole GPU: N SMs sharing a [`gpu_mem::MemorySystem`], the
-//!   cycle loop, and aggregated [`RunResult`]s.
+//!   cycle loop with its [`Observer`] hook, and aggregated [`RunResult`]s;
+//! * [`trace`] — the pipeline events an observer can ask every SM to record.
 //!
 //! The pipeline wiring follows Figure 5 of the paper: the LSU reports each
 //! load's warp ID and cache-hit status to the scheduler; the scheduler may
@@ -33,7 +34,7 @@ pub mod sm;
 pub mod trace;
 pub mod traits;
 
-pub use gpu::{Gpu, RunResult, Termination, DEFAULT_WATCHDOG_WINDOW};
+pub use gpu::{Gpu, Observer, RunResult, Termination, DEFAULT_WATCHDOG_WINDOW};
 pub use port::SmPort;
 pub use sm::Sm;
 pub use traits::{

@@ -3,7 +3,7 @@
 //! An [`SmPort`] is the only conduit for cross-boundary traffic: the SM
 //! pushes outgoing L1 misses/stores/prefetches into the outbox and pops
 //! matured line fills from the inbox; once per cycle the cycle loop
-//! ([`crate::gpu::Gpu::step`]) drains every outbox into the shared
+//! ([`crate::gpu::Gpu::run`]) drains every outbox into the shared
 //! [`gpu_mem::memsys::MemorySystem`] in fixed SM-id order and re-homes
 //! responses into the inboxes with their NoC-ready cycles intact.
 

@@ -14,7 +14,7 @@
 
 use crate::lsu::{Lsu, MemOp};
 use crate::port::SmPort;
-use crate::trace::{IssueKind, TraceBuffer, TraceEvent};
+use crate::trace::{IssueKind, TraceEvent};
 use crate::traits::{
     DemandAccess, PrefetchRequest, Prefetcher, ReadyWarp, SchedCtx, WarpScheduler,
 };
@@ -51,7 +51,10 @@ pub struct Sm {
     ready_buf: Vec<ReadyWarp>,
     /// Barrier rendezvous: (wave, iteration, body index) → warps arrived.
     barriers: BTreeMap<(u32, u64, usize), Vec<WarpId>>,
-    trace: Option<TraceBuffer>,
+    /// Record pipeline events into `events` (set per run by the cycle loop).
+    record_events: bool,
+    /// This cycle's pipeline events; cleared at the start of every tick.
+    events: Vec<TraceEvent>,
 }
 
 impl Sm {
@@ -82,25 +85,29 @@ impl Sm {
             energy: EnergyEvents::default(),
             ready_buf: Vec::new(),
             barriers: BTreeMap::new(),
-            trace: None,
+            record_events: false,
+            events: Vec::new(),
             cfg: cfg.clone(),
         }
     }
 
-    /// Enables event tracing on this SM with a bounded buffer.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
+    /// Switches event recording on or off (the cycle loop sets it from the
+    /// run's observer).
+    pub(crate) fn record_events(&mut self, on: bool) {
+        self.record_events = on;
     }
 
-    /// Takes the trace buffer (if tracing was enabled), disabling tracing.
-    pub fn take_trace(&mut self) -> Option<TraceBuffer> {
-        self.trace.take()
+    /// The pipeline events of the last tick, in the order they happened.
+    /// Empty unless the run's [`Observer`](crate::gpu::Observer) asked for
+    /// events.
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.events
     }
 
     #[inline]
     fn record(&mut self, ev: TraceEvent) {
-        if let Some(t) = &mut self.trace {
-            t.push(ev);
+        if self.record_events {
+            self.events.push(ev);
         }
     }
 
@@ -116,6 +123,7 @@ impl Sm {
     /// memory system: fills are popped from its inbox, outgoing requests
     /// are queued into its outbox (the cycle loop routes both).
     pub fn tick(&mut self, now: Cycle, port: &mut SmPort) {
+        self.events.clear();
         self.apply_fills(now, port);
         self.lsu_stage(now, port);
         // Dual-issue SMs (Fermi+) run one scheduler pass per issue slot.
@@ -252,7 +260,7 @@ impl Sm {
             (h >> 61) % 3
         };
         let issued = self.warps[wid.index()].issue_with_jitter(&self.kernel, now, jitter);
-        if self.trace.is_some() {
+        if self.record_events {
             let kind = match issued.instr.op {
                 Op::Alu { .. } => IssueKind::Alu,
                 Op::LoadGlobal { .. } => IssueKind::Load,

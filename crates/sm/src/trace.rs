@@ -1,15 +1,17 @@
-//! Event tracing for one SM.
+//! Pipeline events.
 //!
-//! A bounded, allocation-stable event log of what the pipeline did —
-//! scheduling decisions, L1 outcomes, prefetches, fills, barrier releases —
-//! for debugging policies and for teaching: the interleavings behind
-//! Figure 6's LRR/LAWS/APRES comparison can be read directly off a trace.
+//! What the pipeline did — scheduling decisions, L1 outcomes, prefetches,
+//! fills, barrier releases — for debugging policies and for teaching: the
+//! interleavings behind Figure 6's LRR/LAWS/APRES comparison can be read
+//! directly off a trace.
 //!
-//! Tracing is opt-in per run ([`crate::gpu::Gpu::run_traced`]); an untraced
-//! run pays only an `Option` check per event site.
+//! Recording is opt-in per run: an [`Observer`](crate::gpu::Observer) whose
+//! [`wants_events`](crate::gpu::Observer::wants_events) is `true` makes every
+//! SM record each cycle's events into a reused buffer, read through
+//! [`Sm::events`](crate::sm::Sm::events). A run that does not ask pays one
+//! flag check per event site.
 
 use gpu_common::{Cycle, LineAddr, Pc, WarpId};
-use std::collections::VecDeque;
 
 /// One pipeline event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,100 +93,4 @@ pub enum IssueKind {
     Store,
     /// Block barrier.
     Barrier,
-}
-
-/// Bounded ring buffer of [`TraceEvent`]s (oldest events drop first).
-#[derive(Debug, Clone)]
-pub struct TraceBuffer {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    /// Events dropped after the buffer filled.
-    pub dropped: u64,
-}
-
-impl TraceBuffer {
-    /// Creates a buffer holding up to `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
-        TraceBuffer {
-            events: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Records an event, evicting the oldest when full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
-    }
-
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of events held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no event was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Consumes the buffer, returning the events oldest-first.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events.into_iter().collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn issue(cycle: Cycle, warp: u32) -> TraceEvent {
-        TraceEvent::Issue {
-            cycle,
-            warp: WarpId(warp),
-            pc: Pc(0x100),
-            kind: IssueKind::Alu,
-        }
-    }
-
-    #[test]
-    fn ring_drops_oldest() {
-        let mut t = TraceBuffer::new(3);
-        for i in 0..5 {
-            t.push(issue(i, i as u32));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped, 2);
-        let cycles: Vec<Cycle> = t.events().map(TraceEvent::cycle).collect();
-        assert_eq!(cycles, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn into_events_preserves_order() {
-        let mut t = TraceBuffer::new(8);
-        t.push(issue(1, 0));
-        t.push(issue(2, 1));
-        let evs = t.into_events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].cycle(), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_capacity_panics() {
-        TraceBuffer::new(0);
-    }
 }

@@ -124,6 +124,14 @@ impl Benchmark {
         }
     }
 
+    /// Parses a benchmark label (case-insensitive); inverse of
+    /// [`Benchmark::label`].
+    pub fn from_label(name: &str) -> Option<Benchmark> {
+        Benchmark::ALL
+            .into_iter()
+            .find(|b| b.label().eq_ignore_ascii_case(name))
+    }
+
     /// Table IV category.
     pub fn category(self) -> Category {
         match self {
@@ -725,6 +733,15 @@ mod tests {
             assert!(!k.body().is_empty());
             assert!(k.iterations() > 0);
         }
+    }
+
+    #[test]
+    fn from_label_inverts_label_case_insensitively() {
+        for b in Benchmark::ALL {
+            assert_eq!(Benchmark::from_label(b.label()), Some(b));
+            assert_eq!(Benchmark::from_label(&b.label().to_lowercase()), Some(b));
+        }
+        assert_eq!(Benchmark::from_label("bogus"), None);
     }
 
     #[test]

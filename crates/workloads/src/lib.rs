@@ -17,9 +17,7 @@
 pub mod benchmarks;
 pub mod characterize;
 pub mod fidelity;
-pub mod spec;
 
 pub use benchmarks::{Benchmark, Category};
 pub use characterize::{characterize, LoadProfile};
 pub use fidelity::{fidelity_apps, fidelity_report, fidelity_report_from, FidelityRow, PAPER_TABLE_I};
-pub use spec::{InstrSpec, KernelSpec, PatternSpec};

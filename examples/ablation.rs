@@ -15,10 +15,7 @@ fn main() -> apres::SimResult<()> {
     let bench = std::env::args()
         .nth(1)
         .map(|name| {
-            Benchmark::ALL
-                .into_iter()
-                .find(|b| b.label().eq_ignore_ascii_case(&name))
-                .unwrap_or_else(|| panic!("unknown benchmark {name}"))
+            Benchmark::from_label(&name).unwrap_or_else(|| panic!("unknown benchmark {name}"))
         })
         .unwrap_or(Benchmark::Lud);
 

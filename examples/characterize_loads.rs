@@ -15,10 +15,9 @@ fn main() {
     let cfg = GpuConfig::paper_baseline();
     let arg = std::env::args().nth(1);
     let benches: Vec<Benchmark> = match arg.as_deref() {
-        Some(name) => vec![Benchmark::ALL
-            .into_iter()
-            .find(|b| b.label().eq_ignore_ascii_case(name))
-            .unwrap_or_else(|| panic!("unknown benchmark {name}"))],
+        Some(name) => {
+            vec![Benchmark::from_label(name).unwrap_or_else(|| panic!("unknown benchmark {name}"))]
+        }
         None => Benchmark::MEMORY_INTENSIVE.to_vec(),
     };
 

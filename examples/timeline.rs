@@ -6,11 +6,8 @@
 //! cargo run --release --example timeline [APP]
 //! ```
 
-use apres::sm::gpu::Sample;
-use apres::{Benchmark, GpuConfig, SchedulerChoice};
-use gpu_prefetch::PrefetchEngine;
-use gpu_sched::SchedPolicy;
-use gpu_sm::Gpu;
+use apres::core::sim::DEFAULT_MAX_CYCLES;
+use apres::{Benchmark, Cycle, Gpu, GpuConfig, Observer, Simulation};
 
 const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
@@ -22,44 +19,76 @@ fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
+const INTERVAL: Cycle = 512;
+
+/// One interval of the run.
+struct Sample {
+    /// Instructions per cycle within the interval (all SMs).
+    ipc: f64,
+    /// L1 miss rate within the interval.
+    l1_miss_rate: f64,
+}
+
+/// Running totals over all SMs, as read at the end of an interval.
+#[derive(Default, Clone, Copy)]
+struct Totals {
+    instructions: u64,
+    l1_accesses: u64,
+    l1_misses: u64,
+}
+
+/// Reads every SM's counters each `INTERVAL` cycles and keeps the deltas.
+#[derive(Default)]
+struct Sampler {
+    last: Totals,
+    samples: Vec<Sample>,
+}
+
+impl Observer for Sampler {
+    fn on_cycle(&mut self, gpu: &Gpu) {
+        if !gpu.now().is_multiple_of(INTERVAL) {
+            return;
+        }
+        let mut cur = Totals::default();
+        for sm in gpu.sms() {
+            cur.instructions += sm.stats().instructions;
+            cur.l1_accesses += sm.cache_stats().accesses;
+            cur.l1_misses += sm.cache_stats().misses();
+        }
+        let accesses = cur.l1_accesses - self.last.l1_accesses;
+        self.samples.push(Sample {
+            ipc: (cur.instructions - self.last.instructions) as f64 / INTERVAL as f64,
+            l1_miss_rate: if accesses == 0 {
+                0.0
+            } else {
+                (cur.l1_misses - self.last.l1_misses) as f64 / accesses as f64
+            },
+        });
+        self.last = cur;
+    }
+}
+
 fn run_sampled(bench: Benchmark, apres: bool) -> apres::SimResult<Vec<Sample>> {
     let mut cfg = GpuConfig::paper_baseline();
     cfg.core.num_sms = 4;
-    let kernel = bench.kernel();
-    let gpu = if apres {
-        Gpu::new(
-            &cfg,
-            kernel,
-            &|_| Box::new(apres::Laws::new(&cfg.apres)),
-            &|_| Box::new(apres::Sap::new(&cfg.apres)),
-        )
-    } else {
-        Gpu::new(
-            &cfg,
-            kernel,
-            &|_| SchedPolicy::Lrr.make(),
-            &|_| PrefetchEngine::None.make(),
-        )
-    };
-    let (_, samples) = gpu?.run_sampled(30_000_000, 512)?;
-    Ok(samples)
+    let mut sim = Simulation::new(bench.kernel()).config(cfg);
+    if apres {
+        sim = sim.apres();
+    }
+    let mut sampler = Sampler::default();
+    sim.build()?.run(DEFAULT_MAX_CYCLES, &mut sampler)?;
+    Ok(sampler.samples)
 }
 
 fn main() -> apres::SimResult<()> {
     let bench = std::env::args()
         .nth(1)
         .map(|name| {
-            Benchmark::ALL
-                .into_iter()
-                .find(|b| b.label().eq_ignore_ascii_case(&name))
-                .unwrap_or_else(|| panic!("unknown benchmark {name}"))
+            Benchmark::from_label(&name).unwrap_or_else(|| panic!("unknown benchmark {name}"))
         })
         .unwrap_or(Benchmark::Km);
-    // SchedulerChoice is re-exported for users who prefer the facade; this
-    // example drives Gpu directly to reach run_sampled.
-    let _ = SchedulerChoice::Laws;
 
-    println!("per-512-cycle samples on {} (4 SMs)\n", bench.label());
+    println!("per-{INTERVAL}-cycle samples on {} (4 SMs)\n", bench.label());
     for (name, apres) in [("baseline", false), ("APRES", true)] {
         let samples = run_sampled(bench, apres)?;
         let ipc: Vec<f64> = samples.iter().map(|s| s.ipc).collect();

@@ -5,11 +5,23 @@
 //! cargo run --release --example trace_window [APP] [N]
 //! ```
 
-use apres::sm::trace::{IssueKind, TraceEvent};
-use apres::{Benchmark, GpuConfig};
-use gpu_prefetch::PrefetchEngine;
-use gpu_sched::SchedPolicy;
-use gpu_sm::Gpu;
+use apres::core::sim::DEFAULT_MAX_CYCLES;
+use apres::{Benchmark, Gpu, GpuConfig, IssueKind, Observer, Simulation, TraceEvent};
+
+/// Keeps every pipeline event of the run, SM by SM within a cycle.
+struct Recorder(Vec<TraceEvent>);
+
+impl Observer for Recorder {
+    fn wants_events(&self) -> bool {
+        true
+    }
+
+    fn on_cycle(&mut self, gpu: &Gpu) {
+        for sm in gpu.sms() {
+            self.0.extend_from_slice(sm.events());
+        }
+    }
+}
 
 fn show(ev: &TraceEvent) -> String {
     match *ev {
@@ -43,10 +55,7 @@ fn main() -> apres::SimResult<()> {
     let bench = args
         .next()
         .map(|name| {
-            Benchmark::ALL
-                .into_iter()
-                .find(|b| b.label().eq_ignore_ascii_case(&name))
-                .unwrap_or_else(|| panic!("unknown benchmark {name}"))
+            Benchmark::from_label(&name).unwrap_or_else(|| panic!("unknown benchmark {name}"))
         })
         .unwrap_or(Benchmark::Lud);
     let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(40);
@@ -55,23 +64,13 @@ fn main() -> apres::SimResult<()> {
     cfg.core.num_sms = 1;
 
     for apres in [false, true] {
-        let kernel = bench.kernel_scaled(4);
-        let gpu = if apres {
-            Gpu::new(
-                &cfg,
-                kernel,
-                &|_| Box::new(apres::Laws::new(&cfg.apres)),
-                &|_| Box::new(apres::Sap::new(&cfg.apres)),
-            )
-        } else {
-            Gpu::new(
-                &cfg,
-                kernel,
-                &|_| SchedPolicy::Lrr.make(),
-                &|_| PrefetchEngine::None.make(),
-            )
-        };
-        let (res, trace) = gpu?.run_traced(30_000_000, 0, 1 << 18)?;
+        let mut sim = Simulation::new(bench.kernel_scaled(4)).config(cfg.clone());
+        if apres {
+            sim = sim.apres();
+        }
+        let mut recorder = Recorder(Vec::new());
+        let res = sim.build()?.run(DEFAULT_MAX_CYCLES, &mut recorder)?;
+        let trace = recorder.0;
         println!(
             "=== {} under {} ({} events, showing a mid-run window of {n}) ===",
             bench.label(),

@@ -35,7 +35,8 @@ doc:
 
 # Determinism gate of the parallel sweep harness: every bench binary at
 # the minimal scale must print byte-identical output under --jobs 1 and
-# --jobs 2 (needs `just build` first; `check` orders them correctly).
+# --jobs 2, and every example must exit 0 with the same stdout on two runs
+# (needs `just build` first; `check` orders them correctly).
 bench-smoke:
     bash scripts/bench_smoke.sh
 

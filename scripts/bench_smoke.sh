@@ -8,7 +8,8 @@
 # output, which is a bug (see DESIGN.md §10).
 #
 # probe runs with --no-time because its wall-clock columns are the one
-# deliberately non-deterministic output.
+# deliberately non-deterministic output. Every example under examples/ also
+# runs twice and must exit 0 with identical stdout both times.
 set -u
 cd "$(dirname "$0")/.."
 BIN=target/release
@@ -132,8 +133,38 @@ else
   echo "ok   perf_trajectory (--dry-run timing-free and reproducible)"
 fi
 
+# Every example runs twice with its default arguments: both runs must exit
+# 0 and print the same stdout (the examples take no --jobs flag).
+example_twice() {
+  local name="$1"
+  local out1 out2 rc
+  out1="$("$BIN/examples/$name" 2>/dev/null)"
+  rc=$?
+  if [ $rc -ne 0 ]; then
+    echo "FAIL example $name: first run exited $rc"
+    fail=1
+    return
+  fi
+  out2="$("$BIN/examples/$name" 2>/dev/null)"
+  rc=$?
+  if [ $rc -ne 0 ]; then
+    echo "FAIL example $name: second run exited $rc"
+    fail=1
+  elif [ "$out1" = "$out2" ]; then
+    echo "ok   example $name (exit 0, same stdout twice)"
+  else
+    echo "FAIL example $name: stdout differs between two runs"
+    diff <(printf '%s\n' "$out1") <(printf '%s\n' "$out2") | head -10
+    fail=1
+  fi
+}
+
+for ex in examples/*.rs; do
+  example_twice "$(basename "$ex" .rs)"
+done
+
 if [ $fail -ne 0 ]; then
   echo "bench-smoke: FAILED"
   exit 1
 fi
-echo "bench-smoke: all binaries byte-identical across --jobs"
+echo "bench-smoke: all binaries byte-identical across --jobs, examples reproducible"

@@ -31,9 +31,9 @@
 //! | Module | Source crate | Contents |
 //! |--------|--------------|----------|
 //! | [`common`] | `gpu-common` | ids, [`GpuConfig`], statistics, RNG |
-//! | [`kernel`] | `gpu-kernel` | synthetic ISA, address patterns, SIMT stack |
+//! | [`kernel`] | `gpu-kernel` | synthetic ISA, address patterns, static verifier |
 //! | [`mem`] | `gpu-mem` | coalescer, L1/MSHRs, L2 banks, DRAM, NoC |
-//! | [`sm`] | `gpu-sm` | SM pipeline, scheduler/prefetcher traits, GPU |
+//! | [`sm`] | `gpu-sm` | SM pipeline, scheduler/prefetcher traits, GPU cycle loop and its observer hook |
 //! | [`sched`] | `gpu-sched` | LRR, GTO, two-level, CCWS, MASCAR, PA |
 //! | [`prefetch`] | `gpu-prefetch` | STR and SLD prefetchers |
 //! | [`core`] | `apres-core` | **LAWS + SAP**, energy model, Table II cost |
@@ -60,9 +60,6 @@ pub use gpu_common::fault::{FaultCounters, FaultPlan};
 pub use gpu_common::{Addr, Cycle, GpuConfig, LineAddr, Pc, SmId, WarpId};
 pub use gpu_common::{Diagnostic, Report, Severity};
 pub use gpu_kernel::{AddressPattern, Kernel};
-pub use gpu_sm::gpu::Sample;
 pub use gpu_sm::trace::{IssueKind, TraceEvent};
-pub use gpu_sm::{Gpu, RunResult, Termination, DEFAULT_WATCHDOG_WINDOW};
-pub use gpu_workloads::{
-    characterize, fidelity_report, Benchmark, Category, KernelSpec, LoadProfile,
-};
+pub use gpu_sm::{Gpu, Observer, RunResult, Termination, DEFAULT_WATCHDOG_WINDOW};
+pub use gpu_workloads::{characterize, fidelity_report, Benchmark, Category, LoadProfile};

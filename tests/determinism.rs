@@ -2,7 +2,10 @@
 
 // Integration tests may use the ergonomic panicking forms freely.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use apres::{Benchmark, GpuConfig, PrefetcherChoice, SchedulerChoice, Simulation};
+use apres::{
+    Benchmark, FaultPlan, Gpu, GpuConfig, Observer, PrefetcherChoice, SchedulerChoice, Simulation,
+    TraceEvent,
+};
 
 fn cfg() -> GpuConfig {
     let mut c = GpuConfig::paper_baseline();
@@ -85,4 +88,67 @@ fn different_seeds_change_behaviour_of_noisy_kernels() {
         (r2.cycles, r2.l1.hits),
         "noise must depend on the kernel seed"
     );
+}
+
+/// Records every pipeline event and reads every counter each SM exposes,
+/// every cycle.
+#[derive(Default)]
+struct ReadEverything {
+    cycles: u64,
+    events: Vec<TraceEvent>,
+    counter_sum: u64,
+}
+
+impl Observer for ReadEverything {
+    fn wants_events(&self) -> bool {
+        true
+    }
+
+    fn on_cycle(&mut self, gpu: &Gpu) {
+        self.cycles += 1;
+        for sm in gpu.sms() {
+            self.events.extend_from_slice(sm.events());
+            let per_pc: u64 = sm.per_pc_stats().iter().map(|(_, s)| s.accesses).sum();
+            self.counter_sum += sm.stats().instructions
+                + sm.cache_stats().accesses
+                + per_pc
+                + sm.prefetch_stats().issued
+                + sm.energy_events().l1_accesses
+                + sm.fault_counters().total();
+        }
+    }
+}
+
+#[test]
+fn observing_a_run_never_changes_its_result() {
+    const BUDGET: u64 = 3_000_000;
+    let plans = [
+        None,
+        Some(FaultPlan::seeded(3).delaying_dram_responses(0.5, 400)),
+    ];
+    for bench in [Benchmark::Km, Benchmark::Bfs] {
+        for plan in &plans {
+            let mut sim = Simulation::new(bench.kernel_scaled(4))
+                .config(GpuConfig::small_test())
+                .apres()
+                .max_cycles(BUDGET);
+            if let Some(plan) = plan {
+                sim = sim.fault_plan(plan.clone());
+            }
+            let plain = sim.run().expect("plain run");
+            let mut observer = ReadEverything::default();
+            let observed = sim
+                .build()
+                .expect("build")
+                .run(BUDGET, &mut observer)
+                .expect("observed run");
+            let case = format!("{} with fault plan {plan:?}", bench.label());
+            assert_eq!(observed, plain, "{case}");
+            assert!(plain.termination.is_drained(), "{case}");
+            assert_eq!(observer.cycles, plain.cycles, "{case}");
+            assert!(!observer.events.is_empty(), "{case}");
+            assert!(observer.counter_sum > 0, "{case}");
+            assert_eq!(plain.faults.delayed_responses > 0, plan.is_some(), "{case}");
+        }
+    }
 }
