@@ -3,7 +3,7 @@
 
 use crate::instr::{Op, StaticInstr};
 use crate::kernel::Kernel;
-use gpu_common::Cycle;
+use gpu_common::{Cycle, Pc};
 use std::sync::Arc;
 
 /// Sentinel for "result outstanding" (e.g. a load waiting on memory).
@@ -55,14 +55,18 @@ pub struct WarpProgress {
 }
 
 /// Description of an instruction the pipeline just issued.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssuedInstr {
     /// Index within the kernel body.
     pub body_idx: usize,
     /// Loop iteration the warp is in.
     pub iter: u64,
-    /// The static instruction.
-    pub instr: StaticInstr,
+    /// Program counter of the static instruction.
+    pub pc: Pc,
+    /// Its operation.
+    pub op: Op,
+    /// Its active lanes (`None`: all lanes).
+    pub active_lanes: Option<u32>,
 }
 
 impl WarpProgress {
@@ -99,6 +103,26 @@ impl WarpProgress {
         match self.current(kernel) {
             None => false,
             Some(ins) => ins.deps.iter().all(|&d| self.ready_at[d] <= now),
+        }
+    }
+
+    /// First cycle at which the current instruction can issue: the latest
+    /// completion time of its dependencies, or `Cycle::MAX` while the warp
+    /// is finished, at a barrier or waiting on a load. It changes only when
+    /// the warp issues, a load completes or the barrier state changes, so
+    /// the pipeline can cache it instead of re-walking the dependencies.
+    pub fn issue_gate(&self, kernel: &Kernel) -> Cycle {
+        if self.barrier_blocked {
+            return Cycle::MAX;
+        }
+        match self.current(kernel) {
+            None => Cycle::MAX,
+            Some(ins) => ins
+                .deps
+                .iter()
+                .map(|&d| self.ready_at[d])
+                .max()
+                .unwrap_or(0),
         }
     }
 
@@ -156,7 +180,7 @@ impl WarpProgress {
             self.body_idx,
             self.iter
         );
-        let instr = kernel.body()[self.body_idx].clone();
+        let instr = &kernel.body()[self.body_idx];
         self.ready_at[self.body_idx] = match instr.op {
             Op::Alu { latency } => now + latency + jitter,
             Op::LoadGlobal { .. } => PENDING,
@@ -166,7 +190,9 @@ impl WarpProgress {
         let issued = IssuedInstr {
             body_idx: self.body_idx,
             iter: self.iter,
-            instr,
+            pc: instr.pc,
+            op: instr.op,
+            active_lanes: instr.active_lanes,
         };
         self.body_idx += 1;
         if self.body_idx == kernel.body().len() {
@@ -229,7 +255,7 @@ mod tests {
         let k = p.kernel().clone();
         let mut w = p.start();
         let ld = w.issue(&k, 0);
-        assert!(ld.instr.op.is_load());
+        assert!(ld.op.is_load());
         // Next instruction depends on the load: blocked.
         assert!(!w.can_issue(&k, 100));
         assert!(w.blocked_on_load(&k, 100));
@@ -248,9 +274,27 @@ mod tests {
         w.issue(&k, 0);
         w.complete_load(0, 0, 10);
         let alu = w.issue(&k, 10);
-        assert!(matches!(alu.instr.op, Op::Alu { latency: 8 }));
+        assert!(matches!(alu.op, Op::Alu { latency: 8 }));
         assert!(!w.can_issue(&k, 17));
         assert!(w.can_issue(&k, 18)); // 10 + 8
+    }
+
+    #[test]
+    fn issue_gate_is_the_first_cycle_can_issue_holds() {
+        let p = program();
+        let k = p.kernel().clone();
+        let mut w = p.start();
+        assert_eq!(w.issue_gate(&k), 0);
+        w.issue(&k, 0);
+        assert_eq!(w.issue_gate(&k), Cycle::MAX, "waiting on the load");
+        w.complete_load(0, 0, 57);
+        assert_eq!(w.issue_gate(&k), 57);
+        w.issue_with_jitter(&k, 57, 2);
+        let gate = w.issue_gate(&k);
+        assert_eq!(gate, 57 + 8 + 2);
+        assert!(!w.can_issue(&k, gate - 1) && w.can_issue(&k, gate));
+        w.block_at_barrier();
+        assert_eq!(w.issue_gate(&k), Cycle::MAX);
     }
 
     #[test]
@@ -268,6 +312,7 @@ mod tests {
         assert!(w.is_finished());
         assert!(w.current(&k).is_none());
         assert!(!w.can_issue(&k, u64::MAX - 1));
+        assert_eq!(w.issue_gate(&k), Cycle::MAX);
     }
 
     #[test]
@@ -311,7 +356,7 @@ mod tests {
         let k = p.kernel().clone();
         let mut w = p.start();
         let b = w.issue(&k, 0);
-        assert!(b.instr.op.is_barrier());
+        assert!(b.op.is_barrier());
         w.block_at_barrier();
         assert!(!w.can_issue(&k, 1000));
         assert!(w.at_barrier());

@@ -134,6 +134,13 @@ impl TagStore {
         (false, false)
     }
 
+    /// Advances the replacement clock as a demand lookup that misses does:
+    /// such a lookup changes nothing else, so a caller that knows the line
+    /// is not resident can skip the set scan.
+    pub fn note_miss(&mut self) {
+        self.tick += 1;
+    }
+
     /// Fills `line` into the cache, evicting a victim chosen by the
     /// replacement policy if the set is full. `prefetched` marks the fill
     /// as prefetch-originated.

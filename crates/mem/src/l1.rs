@@ -42,14 +42,28 @@ pub enum L1AccessOutcome {
         /// The in-flight entry was prefetch-only before this merge.
         into_prefetch: bool,
     },
-    /// No MSHR/merge slot available; the LSU must retry.
-    Rejected,
+    /// Refused; the LSU must retry.
+    Rejected {
+        /// What refused the load.
+        cause: RejectCause,
+    },
     /// Store accepted (write-through; no completion event).
     StoreForwarded,
     /// Prefetch dropped (duplicate or no resources).
     PrefetchDropped,
     /// Prefetch accepted and forwarded downstream.
     PrefetchIssued,
+}
+
+/// Why the L1 refused a demand load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectCause {
+    /// No free MSHR, or no merge slot left on the line's entry. The same
+    /// load is refused again until an MSHR is released
+    /// ([`L1Cache::mshr_releases`] changes).
+    Mshrs,
+    /// An injected MSHR-exhaustion burst.
+    InjectedBurst,
 }
 
 /// A completed fill, with the demand loads waiting on it.
@@ -243,7 +257,9 @@ impl L1Cache {
             .is_some_and(|b| b.should_bypass(pc));
         if self.mshr_fault_active(now) {
             self.stats.reservation_fails += 1;
-            return L1AccessOutcome::Rejected;
+            return L1AccessOutcome::Rejected {
+                cause: RejectCause::InjectedBurst,
+            };
         }
         // Keep a copy for the downstream queue: on Allocated the request
         // itself moves into the MSHR entry.
@@ -270,7 +286,9 @@ impl L1Cache {
             }
             MshrOutcome::Rejected => {
                 self.stats.reservation_fails += 1;
-                L1AccessOutcome::Rejected
+                L1AccessOutcome::Rejected {
+                    cause: RejectCause::Mshrs,
+                }
             }
             MshrOutcome::Allocated => {
                 if bypassed {
@@ -290,6 +308,37 @@ impl L1Cache {
                 L1AccessOutcome::Miss
             }
         }
+    }
+
+    /// Repeats a demand load from `pc` that was refused with
+    /// [`RejectCause::Mshrs`], while [`L1Cache::mshr_releases`] is unchanged
+    /// since. The load is refused again and this applies exactly the state
+    /// changes that refusal makes — the tag store's replacement clock, the
+    /// bypass predictor's `record` and `should_bypass`, the injected-burst
+    /// check with its refusal count, `reservation_fails` — without building
+    /// or probing a request. Sound because the line cannot have become
+    /// resident (every install is an MSHR completion) and the MSHR file
+    /// cannot have gained room (see [`MshrFile::releases`]).
+    pub fn retry_rejected_load(&mut self, pc: Pc, now: Cycle) {
+        self.tags.note_miss();
+        if let Some(b) = &mut self.bypass {
+            b.record(pc, false);
+            b.should_bypass(pc);
+        }
+        // Counts a refusal when a burst is on; refused either way.
+        self.mshr_fault_active(now);
+        self.stats.reservation_fails += 1;
+    }
+
+    /// MSHR entries completed so far (see [`RejectCause::Mshrs`]).
+    pub fn mshr_releases(&self) -> u64 {
+        self.mshrs.releases()
+    }
+
+    /// `true` when the MSHR file would refuse a load of `line` (a
+    /// non-mutating check).
+    pub fn mshr_would_reject(&self, line: LineAddr) -> bool {
+        self.mshrs.would_reject(line)
     }
 
     /// Delivers a fill for `line` (response from L2/DRAM): installs the
@@ -451,9 +500,41 @@ mod tests {
             assert_eq!(l1.access(load(i, 0, 0), 0), L1AccessOutcome::Miss);
         }
         let before = l1.stats().accesses;
-        assert_eq!(l1.access(load(9, 0, 0), 0), L1AccessOutcome::Rejected);
+        assert_eq!(
+            l1.access(load(9, 0, 0), 0),
+            L1AccessOutcome::Rejected { cause: RejectCause::Mshrs }
+        );
         assert_eq!(l1.stats().accesses, before);
         assert_eq!(l1.stats().reservation_fails, 1);
+    }
+
+    #[test]
+    fn retrying_a_refused_load_matches_a_full_refused_access() {
+        use gpu_common::FaultPlan;
+        let mut c = cfg();
+        c.bypass = true;
+        let mut full = L1Cache::new(&c);
+        // Bursts on cycles 0–2 of every 10 refuse some retries by fault.
+        full.set_fault_state(FaultPlan::seeded(1).exhausting_mshrs(10, 3).state(0));
+        for i in 0..4 {
+            assert_eq!(full.access(load(i, 0, 5), 5), L1AccessOutcome::Miss);
+        }
+        let mut fast = full.clone();
+        for now in 6..40 {
+            assert!(matches!(
+                full.access(load(9, 0, now), now),
+                L1AccessOutcome::Rejected { .. }
+            ));
+            assert!(!fast.probe(LineAddr(9)) && fast.mshr_would_reject(LineAddr(9)));
+            fast.retry_rejected_load(Pc(0x10), now);
+        }
+        // Same tag-store clock, bypass table, fault counters and statistics.
+        assert_eq!(format!("{full:?}"), format!("{fast:?}"));
+        assert_eq!(full.fault_counters().mshr_refusals, 9);
+        assert_eq!(full.stats().reservation_fails, 34);
+        assert_eq!(full.mshr_releases(), 0);
+        full.fill(LineAddr(0), 50);
+        assert_eq!(full.mshr_releases(), 1);
     }
 
     #[test]
@@ -589,7 +670,10 @@ mod tests {
         l1.set_fault_state(FaultPlan::seeded(1).exhausting_mshrs(100, 10).state(0));
         // Inside the burst window: demand loads are rejected (LSU retries),
         // prefetches dropped — never a panic.
-        assert_eq!(l1.access(load(1, 0, 5), 5), L1AccessOutcome::Rejected);
+        assert_eq!(
+            l1.access(load(1, 0, 5), 5),
+            L1AccessOutcome::Rejected { cause: RejectCause::InjectedBurst }
+        );
         assert_eq!(l1.access(prefetch(2, 0), 5), L1AccessOutcome::PrefetchDropped);
         assert_eq!(l1.stats().reservation_fails, 1);
         assert_eq!(l1.fault_counters().mshr_refusals, 2);

@@ -37,6 +37,6 @@ pub mod noc;
 pub mod prefetch_meta;
 pub mod request;
 
-pub use l1::{L1AccessOutcome, L1Cache, LineFill};
+pub use l1::{L1AccessOutcome, L1Cache, LineFill, RejectCause};
 pub use memsys::MemorySystem;
 pub use request::{AccessKind, MemRequest, RequestSource};

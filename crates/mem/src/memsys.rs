@@ -169,12 +169,6 @@ impl MemorySystem {
                 self.deliver(resp.req, now);
             }
         }
-        self.stats.bytes_from_dram = self
-            .banks
-            .iter()
-            .map(|b| b.dram_line_fills + b.dram_line_writes)
-            .sum::<u64>()
-            * self.cfg.l1.line_bytes;
     }
 
     /// Removes every in-flight response bound for `sm`, returning each fill
@@ -197,9 +191,13 @@ impl MemorySystem {
         self.stats.completed_loads += count;
     }
 
-    /// Aggregate traffic/latency statistics.
-    pub fn stats(&self) -> &MemStats {
-        &self.stats
+    /// Aggregate traffic/latency statistics, with `bytes_from_dram` summed
+    /// over the banks' DRAM line transfers as of now.
+    pub fn stats(&self) -> MemStats {
+        MemStats {
+            bytes_from_dram: self.dram_accesses() * self.cfg.l1.line_bytes,
+            ..self.stats.clone()
+        }
     }
 
     /// Non-store requests accepted off-core over the whole run.
@@ -407,6 +405,7 @@ mod tests {
             assert!(ms.take_fills(0).is_empty(), "stores never respond");
         }
         assert_eq!(ms.dram_accesses(), 1);
+        assert_eq!(ms.stats().bytes_from_dram, cfg.l1.line_bytes);
         assert_eq!(ms.stats().bytes_to_sm, 0);
         // Stores are posted: they never enter the conservation ledger.
         assert_eq!((ms.submitted(), ms.delivered()), (0, 0));

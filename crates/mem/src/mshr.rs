@@ -78,6 +78,8 @@ pub struct MshrFile {
     entries: Vec<MshrEntry>,
     capacity: usize,
     merge_slots: usize,
+    /// Entries completed so far (see [`MshrFile::releases`]).
+    releases: u64,
 }
 
 impl MshrFile {
@@ -92,6 +94,7 @@ impl MshrFile {
             entries: Vec::with_capacity(capacity),
             capacity,
             merge_slots,
+            releases: 0,
         }
     }
 
@@ -129,6 +132,23 @@ impl MshrFile {
     /// In-flight entry for `line`, if any.
     pub fn entry(&self, line: LineAddr) -> Option<&MshrEntry> {
         self.find(line).ok().map(|i| &self.entries[i])
+    }
+
+    /// `true` when [`MshrFile::register`] would refuse a request for `line`:
+    /// no register is free, or `line`'s entry has no merge slot left. Does
+    /// not change the file.
+    pub fn would_reject(&self, line: LineAddr) -> bool {
+        match self.find(line) {
+            Ok(i) => self.entries[i].merged.len() >= self.merge_slots,
+            Err(_) => self.is_full(),
+        }
+    }
+
+    /// Number of entries completed since the file was built. A request
+    /// [`MshrFile::register`] refused is refused again while this count is
+    /// unchanged: only a completion frees a register or a merge slot.
+    pub fn releases(&self) -> u64 {
+        self.releases
     }
 
     /// Registers a missing request: merges into an in-flight entry when one
@@ -169,7 +189,9 @@ impl MshrFile {
     /// Completes the miss on `line`, releasing the register and returning
     /// the entry with all merged requests.
     pub fn complete(&mut self, line: LineAddr) -> Option<MshrEntry> {
-        self.find(line).ok().map(|i| self.entries.remove(i))
+        let i = self.find(line).ok()?;
+        self.releases += 1;
+        Some(self.entries.remove(i))
     }
 
     /// Iterates over in-flight entries in line order (diagnostics).
@@ -232,6 +254,25 @@ mod tests {
         m.register(load(1, 0));
         assert!(matches!(m.register(load(1, 1)), MshrOutcome::Merged { .. }));
         assert_eq!(m.register(load(1, 2)), MshrOutcome::Rejected);
+    }
+
+    #[test]
+    fn would_reject_matches_register_until_a_release() {
+        let mut m = MshrFile::new(2, 1);
+        m.register(load(1, 0));
+        assert!(!m.would_reject(LineAddr(1)), "merge slot free");
+        m.register(load(1, 1));
+        assert!(m.would_reject(LineAddr(1)), "merge slots used up");
+        assert_eq!(m.register(load(1, 2)), MshrOutcome::Rejected);
+        m.register(load(2, 0));
+        assert!(m.would_reject(LineAddr(3)), "file full");
+        assert_eq!(m.register(load(3, 0)), MshrOutcome::Rejected);
+        assert_eq!(m.releases(), 0);
+        m.complete(LineAddr(1));
+        m.complete(LineAddr(1)); // no entry left: not a release
+        assert_eq!(m.releases(), 1);
+        assert!(!m.would_reject(LineAddr(3)));
+        assert_eq!(m.register(load(3, 0)), MshrOutcome::Allocated);
     }
 
     #[test]

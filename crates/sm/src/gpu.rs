@@ -372,7 +372,7 @@ impl Gpu {
             sim,
             l1,
             prefetch,
-            mem: self.mem.stats().clone(),
+            mem: self.mem.stats(),
             energy,
             per_pc: per_pc.into_iter().collect(),
         }

@@ -5,11 +5,13 @@
 //! instruction, how many lines are still unresolved so the warp can be woken
 //! exactly when its last line arrives. MSHR exhaustion stalls the unit (the
 //! head line retries), modelling the structural hazard that makes warp
-//! throttling matter.
+//! throttling matter. Until an MSHR is released such a retry is refused
+//! again, so the unit repeats it through [`L1Cache::retry_rejected_load`]
+//! instead of a full access.
 
 use crate::traits::{L1Event, L1Outcome};
 use gpu_common::{Addr, Cycle, LineAddr, Pc, SmId, WarpId};
-use gpu_mem::l1::{L1AccessOutcome, L1Cache, LineFill};
+use gpu_mem::l1::{L1AccessOutcome, L1Cache, LineFill, RejectCause};
 use gpu_mem::request::MemRequest;
 use std::collections::VecDeque;
 
@@ -95,6 +97,9 @@ pub struct Lsu {
     /// linear scan over a contiguous few-entry vector beats tree traversal
     /// (see DESIGN.md §13 on the flat-vs-ordered container policy).
     outstanding: Vec<(OpKey, OpState)>,
+    /// The L1's MSHR release count when the MSHR file refused the head
+    /// load; the head is refused again until the count moves.
+    refused_at: Option<u64>,
 }
 
 impl Lsu {
@@ -111,6 +116,7 @@ impl Lsu {
             store_queue: VecDeque::with_capacity(capacity),
             capacity,
             outstanding: Vec::with_capacity(capacity),
+            refused_at: None,
         }
     }
 
@@ -195,6 +201,15 @@ impl Lsu {
             self.queue.pop_front();
             return activity;
         };
+        if self.refused_at == Some(l1.mshr_releases()) {
+            debug_assert!(
+                !l1.probe(line) && l1.mshr_would_reject(line),
+                "memoised MSHR refusal of line {line:?} no longer holds"
+            );
+            l1.retry_rejected_load(op.pc, now);
+            activity.stalled = true;
+            return activity;
+        }
         let is_head = !op.head_sent;
         let key = op_key(op);
         let req = if op.is_load {
@@ -203,8 +218,12 @@ impl Lsu {
             MemRequest::store(line, self.sm, op.warp, op.pc, op.issue_cycle)
         };
         let outcome = l1.access(req, now);
+        self.refused_at = None;
         let l1_outcome = match outcome {
-            L1AccessOutcome::Rejected => {
+            L1AccessOutcome::Rejected { cause } => {
+                if cause == RejectCause::Mshrs {
+                    self.refused_at = Some(l1.mshr_releases());
+                }
                 activity.stalled = true;
                 return activity; // retry same line next cycle
             }

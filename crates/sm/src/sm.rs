@@ -9,7 +9,9 @@
 //!    prefetcher) and to the prefetcher's training interface;
 //! 3. **Issue** — the scheduler picks one ready warp; its next instruction
 //!    issues (ALU results mature after their latency; memory instructions
-//!    enter the LSU);
+//!    enter the LSU). The ready set is read from cached per-warp issue
+//!    gates, and an empty one is memoised until it can change (DESIGN.md
+//!    §14);
 //! 4. **Drain** — L1 misses/stores/prefetches stream to the interconnect.
 
 use crate::lsu::{Lsu, MemOp};
@@ -21,7 +23,7 @@ use crate::traits::{
 use gpu_common::config::GpuConfig;
 use gpu_common::fault::{FaultCounters, FaultPlan};
 use gpu_common::stats::{CacheStats, EnergyEvents, PrefetchStats, SimStats};
-use gpu_common::{Cycle, LineAddr, SmId, StallReason, StalledWarp, WarpId};
+use gpu_common::{Cycle, LineAddr, Pc, SmId, StallReason, StalledWarp, WarpId};
 use gpu_kernel::{Kernel, Op, PatternSampler, WarpProgram, WarpProgress};
 use gpu_mem::coalesce::coalesce;
 use gpu_mem::l1::L1Cache;
@@ -32,6 +34,63 @@ use std::sync::Arc;
 /// Depth of the LSU instruction queue (structural hazard threshold).
 const LSU_QUEUE_DEPTH: usize = 16;
 
+/// A warp's cached issue gate: the first cycle its next instruction can
+/// issue ([`WarpProgress::issue_gate`]) and the ready-set entry that
+/// instruction gives it. Refreshed whenever the warp issues, a load of it
+/// completes, it blocks at or is released from a barrier, or its slot gets
+/// a new block wave.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IssueGate {
+    at: Cycle,
+    ready: ReadyWarp,
+}
+
+impl IssueGate {
+    fn of(id: usize, warp: &WarpProgress, kernel: &Kernel) -> Self {
+        let (next_is_mem, next_is_load, next_pc) = match warp.current(kernel) {
+            Some(ins) => (ins.op.is_mem(), ins.op.is_load(), ins.pc),
+            None => (false, false, Pc(0)),
+        };
+        IssueGate {
+            at: warp.issue_gate(kernel),
+            ready: ReadyWarp {
+                id: WarpId(id as u32),
+                next_is_mem,
+                next_is_load,
+                next_pc,
+            },
+        }
+    }
+
+    /// A full LSU keeps the instruction out of the ready set.
+    fn lsu_blocked(&self, lsu_room: bool, store_room: bool) -> bool {
+        lsu_blocks(
+            self.ready.next_is_mem,
+            self.ready.next_is_load,
+            lsu_room,
+            store_room,
+        )
+    }
+}
+
+/// An empty ready set, memoised: it stays empty with the same stall cause
+/// until `until` (the earliest future issue gate or launch-skew start),
+/// unless the LSU's load or store room changes or a gate is refreshed
+/// first.
+#[derive(Debug, Clone, Copy)]
+struct IdleIssue {
+    until: Cycle,
+    lsu_room: bool,
+    store_room: bool,
+    /// The stall counts as `stall_lsu_full` (else `stall_dependency`).
+    structural: bool,
+}
+
+/// `true` when a full LSU keeps a memory instruction out of the ready set.
+fn lsu_blocks(is_mem: bool, is_load: bool, lsu_room: bool, store_room: bool) -> bool {
+    is_mem && if is_load { !lsu_room } else { !store_room }
+}
+
 /// One streaming multiprocessor executing `warps_per_sm` warps of a kernel.
 pub struct Sm {
     id: SmId,
@@ -39,6 +98,10 @@ pub struct Sm {
     kernel: Arc<Kernel>,
     sampler: PatternSampler,
     warps: Vec<WarpProgress>,
+    /// Each warp's cached issue gate.
+    gates: Vec<IssueGate>,
+    /// The last empty ready set, while it provably stays empty.
+    idle: Option<IdleIssue>,
     /// Block wave currently occupying each warp slot (0-based).
     wave: Vec<u32>,
     finished_reported: Vec<bool>,
@@ -73,6 +136,12 @@ impl Sm {
         Sm {
             id,
             sampler: PatternSampler::new(kernel.seed(), cfg.core.warp_size as u32),
+            gates: warps
+                .iter()
+                .enumerate()
+                .map(|(i, w)| IssueGate::of(i, w, &kernel))
+                .collect(),
+            idle: None,
             kernel,
             wave: vec![0; warps.len()],
             finished_reported: vec![false; warps.len()],
@@ -227,10 +296,23 @@ impl Sm {
     }
 
     fn issue_stage(&mut self, now: Cycle) {
-        self.collect_ready(now);
+        let lsu_room = self.lsu.has_room();
+        let store_room = self.lsu.has_store_room();
+        if let Some(idle) = self.idle {
+            if now < idle.until && idle.lsu_room == lsu_room && idle.store_room == store_room {
+                debug_assert!(
+                    self.idle_is_exact(now, idle.structural),
+                    "memoised empty ready set diverged from a fresh walk at cycle {now}"
+                );
+                self.count_stall(idle.structural);
+                return;
+            }
+        }
+        self.collect_ready(now, lsu_room, store_room);
         if self.ready_buf.is_empty() {
-            self.stats.stall_cycles += 1;
-            self.classify_stall(now);
+            let idle = self.idle_issue(now, lsu_room, store_room);
+            self.count_stall(idle.structural);
+            self.idle = Some(idle);
             return;
         }
         let ctx = SchedCtx {
@@ -261,7 +343,7 @@ impl Sm {
         };
         let issued = self.warps[wid.index()].issue_with_jitter(&self.kernel, now, jitter);
         if self.record_events {
-            let kind = match issued.instr.op {
+            let kind = match issued.op {
                 Op::Alu { .. } => IssueKind::Alu,
                 Op::LoadGlobal { .. } => IssueKind::Load,
                 Op::StoreGlobal { .. } => IssueKind::Store,
@@ -270,20 +352,19 @@ impl Sm {
             self.record(TraceEvent::Issue {
                 cycle: now,
                 warp: wid,
-                pc: issued.instr.pc,
+                pc: issued.pc,
                 kind,
             });
         }
         self.stats.instructions += 1;
         self.stats.active_lane_sum += u64::from(
             issued
-                .instr
                 .active_lanes
                 .unwrap_or(self.cfg.core.warp_size as u32),
         );
         self.energy.regfile_accesses += 3; // two reads + one write, warp-wide
         self.scheduler.on_issue(wid, now);
-        match issued.instr.op {
+        match issued.op {
             Op::Alu { .. } => {
                 self.energy.alu_ops += 1;
             }
@@ -291,15 +372,14 @@ impl Sm {
                 self.arrive_at_barrier(wid, issued.iter, issued.body_idx, now);
             }
             Op::LoadGlobal { slot } | Op::StoreGlobal { slot } => {
-                let is_load = issued.instr.op.is_load();
+                let is_load = issued.op.is_load();
                 if is_load {
                     self.stats.loads += 1;
-                    self.scheduler.on_load_issue(wid, issued.instr.pc, now);
+                    self.scheduler.on_load_issue(wid, issued.pc, now);
                 } else {
                     self.stats.stores += 1;
                 }
                 let lanes = issued
-                    .instr
                     .active_lanes
                     .unwrap_or(self.cfg.core.warp_size as u32);
                 let virtual_warp =
@@ -314,7 +394,7 @@ impl Sm {
                 let lines = coalesce(&addrs, self.cfg.l1.line_bytes);
                 self.lsu.push(MemOp {
                     warp: wid,
-                    pc: issued.instr.pc,
+                    pc: issued.pc,
                     body_idx: issued.body_idx,
                     iter: issued.iter,
                     is_load,
@@ -336,33 +416,79 @@ impl Sm {
                 self.scheduler.on_warp_finished(wid);
             }
         }
+        self.refresh_gate(wid.index());
     }
 
-    /// Attributes an empty-ready-set cycle to a structural (LSU-full) or
-    /// dependency cause.
-    fn classify_stall(&mut self, now: Cycle) {
-        let lsu_room = self.lsu.has_room();
-        let store_room = self.lsu.has_store_room();
-        let mut structural = false;
-        for w in self.warps.iter() {
-            if !w.can_issue(&self.kernel, now) {
-                continue;
-            }
-            // Only the LSU kept it out of the ready set.
-            let Some(instr) = w.current(&self.kernel) else {
-                continue;
-            };
-            let excluded = if instr.op.is_load() { !lsu_room } else { !store_room };
-            if instr.op.is_mem() && excluded {
-                structural = true;
-                break;
-            }
-        }
+    fn count_stall(&mut self, structural: bool) {
+        self.stats.stall_cycles += 1;
         if structural {
             self.stats.stall_lsu_full += 1;
         } else {
             self.stats.stall_dependency += 1;
         }
+    }
+
+    /// Memoises the empty ready set found at `now`. The stall is structural
+    /// (LSU-full) when some warp could issue but for the LSU, launch skew
+    /// aside; otherwise it is a dependency stall. Both answers hold until a
+    /// gate or a launch-skew start passes, the LSU's room changes or a gate
+    /// is refreshed.
+    fn idle_issue(&self, now: Cycle, lsu_room: bool, store_room: bool) -> IdleIssue {
+        let skew = self.cfg.core.launch_skew;
+        let mut until = Cycle::MAX;
+        let mut structural = false;
+        for (i, g) in self.gates.iter().enumerate() {
+            if g.at > now {
+                until = until.min(g.at);
+                continue;
+            }
+            structural |= g.lsu_blocked(lsu_room, store_room);
+            let launch = i as Cycle * skew;
+            if launch > now {
+                until = until.min(launch);
+            }
+        }
+        IdleIssue {
+            until,
+            lsu_room,
+            store_room,
+            structural,
+        }
+    }
+
+    /// Debug check of a memoised idle cycle: every cached gate equals a
+    /// fresh [`WarpProgress::issue_gate`], and a walk of every warp through
+    /// [`WarpProgress::can_issue`] finds the ready set empty with the same
+    /// stall cause.
+    fn idle_is_exact(&self, now: Cycle, structural: bool) -> bool {
+        let lsu_room = self.lsu.has_room();
+        let store_room = self.lsu.has_store_room();
+        let skew = self.cfg.core.launch_skew;
+        let mut fresh_structural = false;
+        for (i, w) in self.warps.iter().enumerate() {
+            if self.gates[i] != IssueGate::of(i, w, &self.kernel) {
+                return false;
+            }
+            if !w.can_issue(&self.kernel, now) {
+                continue;
+            }
+            let Some(instr) = w.current(&self.kernel) else {
+                continue;
+            };
+            let blocked = lsu_blocks(instr.op.is_mem(), instr.op.is_load(), lsu_room, store_room);
+            if now >= i as Cycle * skew && !blocked {
+                return false; // ready
+            }
+            fresh_structural |= blocked;
+        }
+        fresh_structural == structural
+    }
+
+    /// Re-reads warp `i`'s issue gate after its state changed; a memoised
+    /// empty ready set no longer holds.
+    fn refresh_gate(&mut self, i: usize) {
+        self.gates[i] = IssueGate::of(i, &self.warps[i], &self.kernel);
+        self.idle = None;
     }
 
     /// Records `wid`'s arrival at a barrier; releases the whole wave when
@@ -385,6 +511,7 @@ impl Sm {
             let released = arrived.len() as u32;
             for w in arrived {
                 self.warps[w.index()].release_barrier();
+                self.refresh_gate(w.index());
             }
             self.record(TraceEvent::BarrierRelease {
                 cycle: now,
@@ -396,33 +523,18 @@ impl Sm {
         }
     }
 
-    fn collect_ready(&mut self, now: Cycle) {
+    fn collect_ready(&mut self, now: Cycle, lsu_room: bool, store_room: bool) {
         self.ready_buf.clear();
-        let lsu_room = self.lsu.has_room();
-        let store_room = self.lsu.has_store_room();
         let skew = self.cfg.core.launch_skew;
-        for (i, w) in self.warps.iter().enumerate() {
+        for (i, g) in self.gates.iter().enumerate() {
             // Warp i's thread block is handed to the SM at i × skew.
-            if now < i as Cycle * skew {
+            if g.at > now || now < i as Cycle * skew {
                 continue;
             }
-            if !w.can_issue(&self.kernel, now) {
-                continue;
-            }
-            let Some(instr) = w.current(&self.kernel) else {
-                continue;
-            };
-            let is_mem = instr.op.is_mem();
-            let is_load = instr.op.is_load();
-            if is_mem && ((is_load && !lsu_room) || (!is_load && !store_room)) {
+            if g.lsu_blocked(lsu_room, store_room) {
                 continue; // structural hazard
             }
-            self.ready_buf.push(ReadyWarp {
-                id: WarpId(i as u32),
-                next_is_mem: is_mem,
-                next_is_load: is_load,
-                next_pc: instr.pc,
-            });
+            self.ready_buf.push(g.ready);
         }
     }
 
@@ -434,6 +546,7 @@ impl Sm {
 
     fn complete_load(&mut self, warp: WarpId, body_idx: usize, iter: u64, ready: Cycle) {
         self.warps[warp.index()].complete_load(body_idx, iter, ready);
+        self.refresh_gate(warp.index());
         self.energy.regfile_accesses += 1; // writeback
     }
 

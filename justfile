@@ -1,8 +1,8 @@
 # Developer entry points. `just check` is the pre-merge gate.
 
-# Build + test + lint + docs + determinism + fault-tolerance smoke +
-# performance regression gate, exactly what CI runs.
-check: build test clippy lint-kernels lint-workspace doc bench-smoke serve-smoke perf-gate
+# Build + exhibit bytes + test + lint + docs + determinism +
+# fault-tolerance smoke + performance regression gate, exactly what CI runs.
+check: build golden test clippy lint-kernels lint-workspace doc bench-smoke serve-smoke perf-gate
 
 build:
     cargo build --release --workspace --bins --examples --benches
@@ -32,6 +32,12 @@ lint-workspace:
 # deny missing docs at compile time).
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# The exhibit bytes are the spec: every fast-scale exhibit, regenerated
+# through one fresh shared result cache, must equal results/fast_scale.txt
+# and results/csv_fast/ byte for byte (needs `just build` first).
+golden:
+    bash scripts/golden.sh
 
 # Determinism gate of the parallel sweep harness: every bench binary at
 # the minimal scale must print byte-identical output under --jobs 1 and

@@ -2,9 +2,11 @@
 
 // Integration tests may use the ergonomic panicking forms freely.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+use apres::common::hash::{hash_hex, ContentHasher};
+use apres::sm::codec::encode;
 use apres::{
-    Benchmark, FaultPlan, Gpu, GpuConfig, Observer, PrefetcherChoice, SchedulerChoice, Simulation,
-    TraceEvent,
+    AddressPattern, Benchmark, FaultPlan, Gpu, GpuConfig, Observer, PrefetcherChoice,
+    SchedulerChoice, Simulation, TraceEvent,
 };
 
 fn cfg() -> GpuConfig {
@@ -150,5 +152,84 @@ fn observing_a_run_never_changes_its_result() {
             assert!(observer.counter_sum > 0, "{case}");
             assert_eq!(plain.faults.delayed_responses > 0, plan.is_some(), "{case}");
         }
+    }
+}
+
+/// A configuration that stresses one of the ways a memoised stall cycle
+/// could go stale: MSHR refusals (one MSHR with one merge slot), bypass
+/// predictor updates, injected MSHR-exhaustion bursts, launch skew, dual
+/// issue, block-wave replacement and barriers.
+fn stall_case(case: &str) -> (GpuConfig, apres::Kernel, Option<FaultPlan>) {
+    let mut cfg = GpuConfig::small_test();
+    let mut kernel = Benchmark::Km.kernel_scaled(3);
+    let bursts = FaultPlan::seeded(5).exhausting_mshrs(64, 16);
+    let mut plan = None;
+    match case {
+        "one-mshr" => {
+            // One MSHR serialises every miss: one iteration already runs
+            // ~230 k cycles.
+            kernel = Benchmark::Km.kernel_scaled(1);
+            cfg.l1.mshrs = 1;
+            cfg.l1.mshr_merge_slots = 1;
+        }
+        "bypass" => cfg.l1.bypass = true,
+        "mshr-bursts" => plan = Some(bursts),
+        "mshr-bursts+bypass" => {
+            cfg.l1.bypass = true;
+            plan = Some(bursts);
+        }
+        "launch-skew" => cfg.core.launch_skew = 16,
+        "dual-issue" => cfg.core.issue_width = 2,
+        "waves" => cfg.core.waves_per_slot = 2,
+        "barrier" => {
+            kernel = apres::Kernel::builder("sync")
+                .load(AddressPattern::warp_strided(0, 4096, 1 << 20, 4), &[])
+                .alu(8, &[0])
+                .barrier(&[1])
+                .alu(4, &[1])
+                .iterations(4)
+                .build();
+        }
+        other => panic!("unknown case {other}"),
+    }
+    (cfg, kernel, plan)
+}
+
+#[test]
+fn stall_memos_reproduce_pinned_results() {
+    // Hash of the codec encodings of the case's runs under LRR, LAWS+SAP
+    // and CCWS+STR, pinned from the simulator before it memoised stalled
+    // issue slots and MSHR refusals.
+    const PINNED: [(&str, &str); 8] = [
+        ("one-mshr", "44b07e7d6529d46952d2efdb8c72bd87"),
+        ("bypass", "83fd4d577aca972494d4fb3ee42c800a"),
+        ("mshr-bursts", "00735156a14c445b43bbd4e56762d1b1"),
+        ("mshr-bursts+bypass", "90e62479ffda56571f17ac8d92e1ad5d"),
+        ("launch-skew", "0f09aed7da0567d6e9b3cac353107a1c"),
+        ("dual-issue", "18f9d168c37d7b0e9b0dfb13aa6aac4c"),
+        ("waves", "89d813c3e813150801457311a489a666"),
+        ("barrier", "85a11feba8a04ee8df9065d8cbf6fc16"),
+    ];
+    let policies = [
+        (SchedulerChoice::Lrr, PrefetcherChoice::None),
+        (SchedulerChoice::Laws, PrefetcherChoice::Sap),
+        (SchedulerChoice::Ccws, PrefetcherChoice::Str),
+    ];
+    for (case, pinned) in PINNED {
+        let (cfg, kernel, plan) = stall_case(case);
+        let mut hasher = ContentHasher::new();
+        for (s, p) in policies {
+            let mut sim = Simulation::new(kernel.clone())
+                .config(cfg.clone())
+                .scheduler(s)
+                .prefetcher(p);
+            if let Some(plan) = &plan {
+                sim = sim.fault_plan(plan.clone());
+            }
+            let r = sim.run().expect("stall case runs");
+            assert!(r.termination.is_drained(), "{case} {s:?}+{p:?}");
+            hasher.update(encode(&r).to_compact().as_bytes());
+        }
+        assert_eq!(hash_hex(hasher.finish()), pinned, "{case}");
     }
 }
