@@ -11,24 +11,33 @@
 //! * default — measure and print the trajectory without writing anything;
 //! * `--write` — measure and write the next `BENCH_<n>.json` in the
 //!   current directory;
-//! * `--check` — measure and compare `tick_over_calibration` against the
-//!   newest checked-in `BENCH_*.json`; exits 1 when it exceeds the
-//!   recorded value by more than 25% (`just perf-gate`);
+//! * `--check` — measure and compare against the newest checked-in
+//!   `BENCH_*.json` (`just perf-gate`): exits 1 when
+//!   `tick_over_calibration` exceeds the recorded value by more than 25%,
+//!   or (format 4) when any suite entry makes more heap allocations than
+//!   recorded;
 //! * `--dry-run` — print the pinned suite and exit without reading the
 //!   clock at all (the `bench_smoke.sh` smoke path: no timing figures,
 //!   so output is byte-comparable across runs);
 //! * `--reps N` — suite passes (default 7).
 //!
-//! The gate compares a ratio, not absolute rates: absolute cycles/s
+//! The time gate compares a ratio, not absolute rates: absolute cycles/s
 //! depends on the host, while suite seconds ÷ calibration seconds — both
 //! timed in this process, pass by pass — cancels the host's speed and
 //! tracks the cycle loop (METHODOLOGY.md). The calibration loop is the
-//! substrate microbenchmarks of [`apres_bench::calibrate`].
+//! substrate microbenchmarks of [`apres_bench::calibrate`]. The allocation
+//! gate needs no such care: a counting global allocator makes each entry's
+//! allocation count exact, the same on every host, so it is gated with
+//! zero tolerance.
 
+use apres_bench::alloc::{allocations, Counting};
 use apres_bench::calibrate::{calibration_pass, Microbench};
 use apres_bench::{simulation_for, BenchArgs, Combo, Scale, StageTimer, APRES, BASELINE};
 use gpu_common::json::{parse, Json};
 use gpu_workloads::Benchmark;
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 /// One pinned suite entry; `hi_lat` applies the latency-stress config
 /// (ample MSHRs, 600-cycle DRAM), where memory latency rather than MSHR
@@ -61,8 +70,8 @@ const SUITE: [Entry; 6] = [
 const GATE_TOLERANCE: f64 = 0.25;
 
 /// Trajectory file format version (v3: tick only, gated against the
-/// calibration loop).
-const FORMAT_VERSION: u64 = 3;
+/// calibration loop; v4 adds each entry's exact heap-allocation count).
+const FORMAT_VERSION: u64 = 4;
 
 /// Default number of interleaved suite passes.
 const DEFAULT_PASSES: u64 = 7;
@@ -134,6 +143,9 @@ struct Trajectory {
     seconds: Vec<f64>,
     /// Simulated cycles per entry (identical in every pass).
     cycles: Vec<u64>,
+    /// Heap allocations per entry, build to result (identical in every
+    /// pass).
+    allocs: Vec<u64>,
     /// Fastest calibration pass, in seconds.
     calibration_seconds: f64,
     /// Per pass: suite seconds ÷ the faster of the calibration passes
@@ -213,6 +225,7 @@ fn measure(scale: Scale, passes: u64) -> Trajectory {
     calibration_pass();
     let mut seconds = vec![f64::INFINITY; SUITE.len()];
     let mut cycles = vec![0; SUITE.len()];
+    let mut allocs = vec![0; SUITE.len()];
     let mut before = time(&mut calibration_pass);
     let mut calibration_seconds = before;
     let mut ratios = Vec::new();
@@ -220,13 +233,16 @@ fn measure(scale: Scale, passes: u64) -> Trajectory {
         let mut suite = 0.0;
         for (i, entry) in SUITE.iter().enumerate() {
             let mut simulated = 0;
+            let before = allocations();
             let secs = time(&mut || simulated = run_entry(entry, scale));
+            let allocated = allocations() - before;
             assert!(
-                pass == 1 || simulated == cycles[i],
-                "{} simulated a different cycle count in pass {pass}",
+                pass == 1 || (simulated, allocated) == (cycles[i], allocs[i]),
+                "{} simulated a different cycle or allocation count in pass {pass}",
                 suite_label(entry)
             );
             cycles[i] = simulated;
+            allocs[i] = allocated;
             seconds[i] = seconds[i].min(secs);
             suite += secs;
         }
@@ -240,7 +256,7 @@ fn measure(scale: Scale, passes: u64) -> Trajectory {
         ratios.push(ratio);
         before = after;
     }
-    Trajectory { scale, seconds, cycles, calibration_seconds, ratios }
+    Trajectory { scale, seconds, cycles, allocs, calibration_seconds, ratios }
 }
 
 /// Runs one suite entry to completion, returning simulated cycles.
@@ -269,6 +285,11 @@ fn render(t: &Trajectory) -> String {
                 ("name".into(), Json::str(suite_label(entry))),
                 ("seconds".into(), Json::from_f64(t.seconds[i])),
                 ("cycles".into(), Json::from_u64(t.cycles[i])),
+                ("allocs".into(), Json::from_u64(t.allocs[i])),
+                (
+                    "allocs_per_cycle".into(),
+                    Json::from_f64(t.allocs[i] as f64 / t.cycles[i].max(1) as f64),
+                ),
             ])
         })
         .collect();
@@ -357,16 +378,75 @@ fn check_gate(t: &Trajectory) {
     };
     let current = t.tick_over_calibration();
     let ceiling = recorded * (1.0 + GATE_TOLERANCE);
+    let mut failed = false;
     if current > ceiling {
         eprintln!(
             "perf-gate: FAIL — tick/calibration {current:.2} rose more than {:.0}% above \
              the recorded {recorded:.2} (BENCH_{n:04}.json ceiling {ceiling:.2})",
             GATE_TOLERANCE * 100.0
         );
+        failed = true;
+    } else {
+        eprintln!(
+            "perf-gate: OK — tick/calibration {current:.2} vs recorded {recorded:.2} \
+             (BENCH_{n:04}.json, ceiling {ceiling:.2})"
+        );
+    }
+    failed |= !allocations_hold(t, &doc, n);
+    if failed {
         std::process::exit(1);
     }
-    eprintln!(
-        "perf-gate: OK — tick/calibration {current:.2} vs recorded {recorded:.2} \
-         (BENCH_{n:04}.json, ceiling {ceiling:.2})"
-    );
+}
+
+/// The allocation gate: no suite entry may make more heap allocations than
+/// `doc` records for it. Counts are exact, so the tolerance is zero. A
+/// format-3 record holds no counts and gates the ratio alone; counts
+/// recorded at another scale are not comparable.
+fn allocations_hold(t: &Trajectory, doc: &Json, n: u64) -> bool {
+    if doc.get("scale").and_then(Json::as_str) != Some(t.scale.label()) {
+        eprintln!(
+            "perf-gate: BENCH_{n:04}.json was recorded at another scale; \
+             allocation counts not compared"
+        );
+        return true;
+    }
+    let recorded = |label: &str| {
+        doc.get("tick")?
+            .get("exhibits")?
+            .as_arr()?
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some(label))?
+            .get("allocs")?
+            .as_u64()
+    };
+    let mut ok = true;
+    let mut checked = 0;
+    for (i, entry) in SUITE.iter().enumerate() {
+        let label = suite_label(entry);
+        let Some(limit) = recorded(&label) else {
+            continue;
+        };
+        checked += 1;
+        let current = t.allocs[i];
+        if current > limit {
+            eprintln!(
+                "perf-gate: FAIL — {label} made {current} heap allocations, \
+                 {} more than the {limit} BENCH_{n:04}.json records",
+                current - limit
+            );
+            ok = false;
+        } else if current < limit {
+            eprintln!(
+                "perf-gate: note — {label} made {current} heap allocations, \
+                 {} fewer than recorded; record a new BENCH file to lock that in",
+                limit - current
+            );
+        }
+    }
+    if checked == 0 {
+        eprintln!("perf-gate: BENCH_{n:04}.json records no allocation counts (format < 4)");
+    } else if ok {
+        eprintln!("perf-gate: OK — no entry allocates more than BENCH_{n:04}.json records");
+    }
+    ok
 }

@@ -19,15 +19,15 @@
 //!
 //! Pass `--fast` to any binary for a reduced scale (fewer SMs/iterations;
 //! same qualitative shape, minutes → seconds), `--tiny` for the minimal
-//! smoke-test scale. The timing harnesses in `benches/` measure simulator
+//! smoke-test scale. The timing harness in `benches/` measures simulator
 //! throughput itself.
 //!
 //! Every exhibit binary shards its (benchmark × policy × config) matrix
 //! across a worker pool — the [`harness`] module — because each data point
 //! is an independent simulation. `--jobs N` (or `APRES_JOBS`) picks the
 //! worker count; results are aggregated in submission order, so stdout is
-//! **byte-identical at any worker count** (`just bench-smoke` enforces
-//! this). Command lines parse through [`cli::BenchArgs`]; tables print
+//! **byte-identical at any worker count** (`just golden` and `just
+//! bench-smoke` enforce this). Command lines parse through [`cli::BenchArgs`]; tables print
 //! through [`emit_table`], which also writes `--csv`/`--json` copies.
 //!
 //! All data points go through the crash-safe [`run`] /
@@ -45,6 +45,7 @@ use gpu_common::json::Json;
 use gpu_sm::RunResult;
 use gpu_workloads::Benchmark;
 
+pub mod alloc;
 pub mod cache;
 pub mod calibrate;
 pub mod cli;

@@ -10,6 +10,7 @@
 //! [`CacheConfig::checked_num_sets`] never panic.
 
 use crate::error::{SimError, SimResult};
+use crate::lanes::MAX_REQUESTS_PER_WARP;
 
 /// Replacement policy of a set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -162,7 +163,8 @@ pub struct CoreConfig {
     pub num_sms: usize,
     /// Maximum concurrently active warps per SM.
     pub warps_per_sm: usize,
-    /// Threads per warp (SIMD width).
+    /// Threads per warp (SIMD width), at most
+    /// [`MAX_REQUESTS_PER_WARP`].
     pub warp_size: usize,
     /// Register read-after-write latency for ALU producers, in cycles.
     /// The paper assumes 8 cycles (Section IV).
@@ -360,8 +362,14 @@ impl GpuConfig {
                 format!("must be in 1..=64, got {}", self.core.warps_per_sm),
             ));
         }
-        if self.core.warp_size == 0 {
-            return Err(SimError::config("core.warp_size", "must be > 0"));
+        if self.core.warp_size == 0 || self.core.warp_size > MAX_REQUESTS_PER_WARP {
+            return Err(SimError::config(
+                "core.warp_size",
+                format!(
+                    "must be in 1..={MAX_REQUESTS_PER_WARP}, got {}",
+                    self.core.warp_size
+                ),
+            ));
         }
         if self.core.issue_width == 0 {
             return Err(SimError::config("core.issue_width", "must be > 0"));
@@ -524,6 +532,17 @@ mod tests {
         let mut cfg = GpuConfig::paper_baseline();
         cfg.l1.mshr_merge_slots = 0;
         assert_eq!(rejected_field(&cfg), "l1");
+    }
+
+    #[test]
+    fn rejects_warps_wider_than_a_lane_list() {
+        let mut cfg = GpuConfig::paper_baseline();
+        cfg.core.warp_size = MAX_REQUESTS_PER_WARP;
+        assert!(cfg.validate().is_ok());
+        cfg.core.warp_size = 64;
+        assert_eq!(rejected_field(&cfg), "core.warp_size");
+        cfg.core.warp_size = 0;
+        assert_eq!(rejected_field(&cfg), "core.warp_size");
     }
 
     #[test]

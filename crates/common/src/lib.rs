@@ -29,6 +29,7 @@ pub mod fault;
 pub mod hash;
 pub mod ids;
 pub mod json;
+pub mod lanes;
 pub mod rng;
 pub mod stats;
 
@@ -39,5 +40,6 @@ pub use error::{DeadlockDiagnosis, SimError, SimResult, StallReason, StalledWarp
 pub use fault::{FaultCounters, FaultPlan, FaultState, ServiceFaultPlan};
 pub use hash::{content_hash, content_hash_str, hash_hex, short_hex, ContentHasher};
 pub use ids::{Addr, Cycle, LineAddr, Pc, SmId, WarpId};
+pub use lanes::{LaneList, MAX_REQUESTS_PER_WARP};
 pub use rng::{derive_seed, SeedStream, Xoshiro256};
 pub use stats::Throughput;

@@ -88,35 +88,35 @@ impl Laws {
     /// Moves `warps` (bitmask) to the queue head, preserving their relative
     /// order.
     fn move_to_head(&mut self, mask: u64) {
-        let (mut picked, rest): (Vec<WarpId>, Vec<WarpId>) = self
-            .queue
-            .iter()
-            .partition(|w| mask & (1u64 << (w.0 % 64)) != 0);
-        picked.extend(rest);
-        self.queue = picked.into_iter().collect();
+        self.move_to_front(|w| in_mask(mask, w));
     }
 
     /// Moves `warps` (bitmask) to the queue tail, preserving order.
     fn move_to_tail(&mut self, mask: u64) {
-        let (picked, mut rest): (Vec<WarpId>, Vec<WarpId>) = self
-            .queue
-            .iter()
-            .partition(|w| mask & (1u64 << (w.0 % 64)) != 0);
-        rest.extend(picked);
-        self.queue = rest.into_iter().collect();
+        self.move_to_front(|w| !in_mask(mask, w));
+    }
+
+    /// Stable in-place partition: every warp `front` accepts moves ahead of
+    /// every other warp, each side keeping its order.
+    fn move_to_front(&mut self, front: impl Fn(WarpId) -> bool) {
+        let q = self.queue.make_contiguous();
+        let mut k = 0;
+        for i in 0..q.len() {
+            if front(q[i]) {
+                q[k..=i].rotate_right(1);
+                k += 1;
+            }
+        }
     }
 
     fn mask_of(warps: impl Iterator<Item = WarpId>) -> u64 {
         warps.fold(0u64, |m, w| m | 1u64 << (w.0 % 64))
     }
+}
 
-    fn members_of(&self, mask: u64) -> Vec<WarpId> {
-        self.queue
-            .iter()
-            .copied()
-            .filter(|w| mask & (1u64 << (w.0 % 64)) != 0)
-            .collect()
-    }
+/// `true` when `w`'s bit is set in `mask`.
+fn in_mask(mask: u64, w: WarpId) -> bool {
+    mask & (1u64 << (w.0 % 64)) != 0
 }
 
 impl WarpScheduler for Laws {
@@ -138,16 +138,19 @@ impl WarpScheduler for Laws {
         // IV): rotate within the head window, then fall back to the first
         // ready warp further down the queue.
         let window = self.head_window.min(self.queue.len());
-        let head: Vec<WarpId> = self
+        let start = self.head_rr.map_or(0, |l| l.wrapping_add(1));
+        let mut head = self
             .queue
             .iter()
             .take(window)
             .copied()
-            .filter(|w| ready_mask & (1u64 << (w.0 % 64)) != 0)
-            .collect();
-        if !head.is_empty() {
-            let start = self.head_rr.map_or(0, |l| l.wrapping_add(1));
-            let pick = *head.iter().find(|w| w.0 >= start).unwrap_or(&head[0]);
+            .filter(|&w| in_mask(ready_mask, w));
+        if let Some(first) = head.next() {
+            let pick = if first.0 >= start {
+                first
+            } else {
+                head.find(|w| w.0 >= start).unwrap_or(first)
+            };
             self.head_rr = Some(pick.0);
             return Some(pick);
         }
@@ -155,7 +158,7 @@ impl WarpScheduler for Laws {
             .iter()
             .skip(window)
             .copied()
-            .find(|w| ready_mask & (1u64 << (w.0 % 64)) != 0)
+            .find(|&w| in_mask(ready_mask, w))
     }
 
     fn on_load_issue(&mut self, warp: WarpId, pc: Pc, _now: Cycle) {
@@ -214,9 +217,10 @@ impl WarpScheduler for Laws {
             // Strided load: deprioritise the group, but offer the other
             // members to the prefetcher (SAP) first.
             let others: Vec<WarpId> = self
-                .members_of(entry.members)
-                .into_iter()
-                .filter(|w| *w != ev.warp)
+                .queue
+                .iter()
+                .copied()
+                .filter(|&w| in_mask(entry.members, w) && w != ev.warp)
                 .collect();
             if self.demote_on_miss {
                 self.move_to_tail(entry.members);

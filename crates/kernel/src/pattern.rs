@@ -20,7 +20,7 @@
 //! exactly the access warp w+1 will later make.
 
 use gpu_common::rng::Xoshiro256;
-use gpu_common::Addr;
+use gpu_common::{Addr, LaneList, MAX_REQUESTS_PER_WARP};
 
 /// Per-SM address-space slab: each SM works on its own gigabyte so L1
 /// behaviour is independent across SMs (each thread block gets its own data),
@@ -193,13 +193,15 @@ impl PatternSampler {
         self.warp_size
     }
 
-    /// Generates the per-lane byte addresses of one dynamic access.
+    /// Generates the per-lane byte addresses of one dynamic access, inline
+    /// (no heap allocation).
     ///
     /// `active_lanes` limits how many leading lanes participate (divergence).
     ///
     /// # Panics
     ///
-    /// Panics if `active_lanes` is 0 or exceeds the warp size.
+    /// Panics if `active_lanes` is 0 or exceeds the warp size or
+    /// [`MAX_REQUESTS_PER_WARP`].
     pub fn addresses(
         &self,
         pattern: &AddressPattern,
@@ -207,11 +209,11 @@ impl PatternSampler {
         warp: u32,
         iter: u64,
         active_lanes: u32,
-    ) -> Vec<Addr> {
+    ) -> LaneList<Addr> {
+        let max = self.warp_size.min(MAX_REQUESTS_PER_WARP as u32);
         assert!(
-            active_lanes >= 1 && active_lanes <= self.warp_size,
-            "active_lanes {active_lanes} out of range 1..={}",
-            self.warp_size
+            active_lanes >= 1 && active_lanes <= max,
+            "active_lanes {active_lanes} out of range 1..={max}"
         );
         let slab = if pattern.shares_address_space() {
             0
@@ -231,7 +233,7 @@ impl PatternSampler {
                 } else {
                     wrap_offset(base, iter_stride.wrapping_mul(iter as i64), None)
                 };
-                vec![Addr::new(addr); active_lanes as usize]
+                LaneList::from_fn(active_lanes as usize, |_| Addr::new(addr))
             }
             AddressPattern::WarpStrided {
                 base,
@@ -256,16 +258,14 @@ impl PatternSampler {
                 };
                 let warp_off = warp_stride.wrapping_mul(i64::from(warp));
                 let iter_off = iter_stride.wrapping_mul(iter as i64);
-                (0..active_lanes)
-                    .map(|lane| {
-                        let lane_off = (lane_stride * u64::from(lane)) as i64;
-                        let off = warp_off
-                            .wrapping_add(iter_off)
-                            .wrapping_add(lane_off)
-                            .wrapping_add(jitter);
-                        Addr::new(slab + wrap_offset(base, off, wrap_bytes))
-                    })
-                    .collect()
+                LaneList::from_fn(active_lanes as usize, |lane| {
+                    let lane_off = (lane_stride * lane as u64) as i64;
+                    let off = warp_off
+                        .wrapping_add(iter_off)
+                        .wrapping_add(lane_off)
+                        .wrapping_add(jitter);
+                    Addr::new(slab + wrap_offset(base, off, wrap_bytes))
+                })
             }
             AddressPattern::Irregular {
                 base,
@@ -280,9 +280,9 @@ impl PatternSampler {
                     working_set_bytes.max(4)
                 };
                 let start = base + align4(rng.next_below(region));
-                (0..active_lanes)
-                    .map(|lane| Addr::new(slab + start + lane_spread * u64::from(lane)))
-                    .collect()
+                LaneList::from_fn(active_lanes as usize, |lane| {
+                    Addr::new(slab + start + lane_spread * lane as u64)
+                })
             }
         }
     }

@@ -7,14 +7,16 @@
 //! first) — the paper's SAP stores "the address requested by the lowest
 //! thread ID" (Section IV-B), which is exactly element 0 of our output.
 
-use gpu_common::{Addr, LineAddr};
+use gpu_common::{Addr, LaneList, LineAddr};
 
 /// Coalesces per-lane byte addresses into unique line addresses, ordered by
-/// first appearance.
+/// first appearance, inline (no heap allocation).
 ///
 /// # Panics
 ///
-/// Panics if `line_bytes` is not a power of two.
+/// Panics if `line_bytes` is not a power of two, or if the addresses touch
+/// more than [`gpu_common::MAX_REQUESTS_PER_WARP`] distinct lines (a warp
+/// has at most that many lanes).
 ///
 /// # Example
 ///
@@ -26,8 +28,8 @@ use gpu_common::{Addr, LineAddr};
 /// let addrs: Vec<Addr> = (0..32).map(|l| Addr::new(0x1000 + l * 4)).collect();
 /// assert_eq!(coalesce(&addrs, 128).len(), 1);
 /// ```
-pub fn coalesce(addrs: &[Addr], line_bytes: u64) -> Vec<LineAddr> {
-    let mut out: Vec<LineAddr> = Vec::with_capacity(4);
+pub fn coalesce(addrs: &[Addr], line_bytes: u64) -> LaneList<LineAddr> {
+    let mut out = LaneList::new();
     for &a in addrs {
         let line = a.line(line_bytes);
         if !out.contains(&line) {
@@ -36,10 +38,6 @@ pub fn coalesce(addrs: &[Addr], line_bytes: u64) -> Vec<LineAddr> {
     }
     out
 }
-
-/// The maximum number of coalesced requests one warp instruction can
-/// generate (one per lane when fully divergent).
-pub const MAX_REQUESTS_PER_WARP: usize = 32;
 
 #[cfg(test)]
 mod tests {
@@ -50,7 +48,7 @@ mod tests {
     fn fully_coalesced_single_line() {
         let addrs: Vec<Addr> = (0..32).map(|l| Addr::new(0x80 * 7 + l * 4)).collect();
         let lines = coalesce(&addrs, 128);
-        assert_eq!(lines, vec![LineAddr(7)]);
+        assert_eq!(*lines, [LineAddr(7)]);
     }
 
     #[test]
@@ -71,7 +69,7 @@ mod tests {
             Addr::new(0x080),
         ];
         let lines = coalesce(&addrs, 128);
-        assert_eq!(lines, vec![LineAddr(2), LineAddr(0), LineAddr(3), LineAddr(1)]);
+        assert_eq!(*lines, [LineAddr(2), LineAddr(0), LineAddr(3), LineAddr(1)]);
     }
 
     #[test]
@@ -94,7 +92,7 @@ mod tests {
             let addrs: Vec<Addr> = (0..n).map(|_| Addr::new(g.range(0, (1 << 20) - 1))).collect();
             let lines = coalesce(&addrs, 128);
             // Unique.
-            let mut sorted = lines.clone();
+            let mut sorted = lines.to_vec();
             sorted.sort_unstable();
             sorted.dedup();
             if sorted.len() != lines.len() {

@@ -66,17 +66,6 @@ pub enum RejectCause {
     InjectedBurst,
 }
 
-/// A completed fill, with the demand loads waiting on it.
-#[derive(Debug, Clone)]
-pub struct LineFill {
-    /// The filled line.
-    pub line: LineAddr,
-    /// Demand loads to wake (primary + merged).
-    pub waiting_loads: Vec<MemRequest>,
-    /// The fill is prefetch-only (no demand ever merged).
-    pub prefetch_only: bool,
-}
-
 /// Per-static-load demand counters (runtime Table I columns).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcStats {
@@ -342,43 +331,31 @@ impl L1Cache {
     }
 
     /// Delivers a fill for `line` (response from L2/DRAM): installs the
-    /// line, releases the MSHR and returns the demand loads to wake.
+    /// line, releases the MSHR and hands back its entry, whose
+    /// [`MshrEntry::demand_loads`] are the loads to wake.
     ///
     /// Fills for lines with no MSHR entry are ignored (can happen only if
-    /// the caller double-delivers; returns an empty fill).
-    pub fn fill(&mut self, line: LineAddr, now: Cycle) -> LineFill {
-        let Some(entry) = self.mshrs.complete(line) else {
-            return LineFill {
-                line,
-                waiting_loads: Vec::new(),
-                prefetch_only: false,
-            };
-        };
-        let prefetch_only = entry.prefetch_only;
+    /// the caller double-delivers; returns `None`).
+    pub fn fill(&mut self, line: LineAddr, now: Cycle) -> Option<MshrEntry> {
+        let entry = self.mshrs.complete(line)?;
         if self.no_fill.remove(&line) {
             // Bypassed load: deliver the data to the warp without
             // installing the line.
         } else {
             self.classifier.note_filled(line);
-            if let Some(ev) = self.tags.fill(line, prefetch_only, now) {
+            if let Some(ev) = self.tags.fill(line, entry.prefetch_only, now) {
                 self.stats.evictions += 1;
                 if ev.state.prefetched && !ev.state.demand_used {
                     self.early.note_unused_eviction(ev.state.line);
                 }
             }
         }
-        LineFill {
-            line,
-            waiting_loads: entry.demand_loads().cloned().collect(),
-            prefetch_only,
-        }
+        Some(entry)
     }
 
-    /// Drains misses/stores/prefetches waiting to go downstream (up to
-    /// `max` of them).
-    pub fn drain_outgoing(&mut self, max: usize) -> Vec<MemRequest> {
-        let n = max.min(self.outgoing.len());
-        self.outgoing.drain(..n).collect()
+    /// Pops the oldest miss/store/prefetch waiting to go downstream.
+    pub fn pop_outgoing(&mut self) -> Option<MemRequest> {
+        self.outgoing.pop_front()
     }
 
     /// Number of requests waiting to go downstream.
@@ -467,9 +444,10 @@ mod tests {
         let mut l1 = L1Cache::new(&cfg());
         assert_eq!(l1.access(load(1, 0, 0), 0), L1AccessOutcome::Miss);
         assert_eq!(l1.stats().cold_misses, 1);
-        assert_eq!(l1.drain_outgoing(8).len(), 1);
-        let fill = l1.fill(LineAddr(1), 100);
-        assert_eq!(fill.waiting_loads.len(), 1);
+        assert!(l1.pop_outgoing().is_some());
+        assert!(l1.pop_outgoing().is_none());
+        let fill = l1.fill(LineAddr(1), 100).unwrap();
+        assert_eq!(fill.demand_loads().count(), 1);
         assert!(!fill.prefetch_only);
         assert_eq!(
             l1.access(load(1, 1, 101), 101),
@@ -488,9 +466,10 @@ mod tests {
         assert_eq!(l1.stats().mshr_merges, 1);
         assert_eq!(l1.stats().hits, 1);
         // Only the allocating miss went downstream.
-        assert_eq!(l1.drain_outgoing(8).len(), 1);
-        let fill = l1.fill(LineAddr(1), 50);
-        assert_eq!(fill.waiting_loads.len(), 2);
+        assert!(l1.pop_outgoing().is_some());
+        assert!(l1.pop_outgoing().is_none());
+        let fill = l1.fill(LineAddr(1), 50).unwrap();
+        assert_eq!(fill.demand_loads().count(), 2);
     }
 
     #[test]
@@ -559,7 +538,8 @@ mod tests {
         assert_eq!(l1.access(st, 0), L1AccessOutcome::StoreForwarded);
         assert_eq!(l1.stats().accesses, 0);
         assert!(!l1.probe(LineAddr(1)));
-        assert_eq!(l1.drain_outgoing(8).len(), 1);
+        assert!(l1.pop_outgoing().is_some());
+        assert!(l1.pop_outgoing().is_none());
     }
 
     #[test]
@@ -569,9 +549,9 @@ mod tests {
         assert_eq!(l1.prefetch_stats().issued, 1);
         // Duplicate while in flight: dropped.
         assert_eq!(l1.access(prefetch(1, 3), 1), L1AccessOutcome::PrefetchDropped);
-        let fill = l1.fill(LineAddr(1), 50);
+        let fill = l1.fill(LineAddr(1), 50).unwrap();
         assert!(fill.prefetch_only);
-        assert!(fill.waiting_loads.is_empty());
+        assert_eq!(fill.demand_loads().count(), 0);
         // Demand hit on the prefetched line: useful.
         assert!(matches!(l1.access(load(1, 5, 60), 60), L1AccessOutcome::Hit { .. }));
         assert_eq!(l1.prefetch_stats().useful, 1);
@@ -589,9 +569,9 @@ mod tests {
         let p = l1.prefetch_stats();
         assert_eq!(p.late_merged, 1);
         assert_eq!(l1.stats().merges_into_prefetch, 1);
-        let fill = l1.fill(LineAddr(1), 50);
+        let fill = l1.fill(LineAddr(1), 50).unwrap();
         assert!(!fill.prefetch_only);
-        assert_eq!(fill.waiting_loads.len(), 1);
+        assert_eq!(fill.demand_loads().count(), 1);
     }
 
     #[test]
@@ -643,8 +623,8 @@ mod tests {
         let before = l1.bypassed_loads();
         assert_eq!(l1.access(load(100, 0, 10), 10), L1AccessOutcome::Miss);
         assert!(l1.bypassed_loads() > before);
-        let fill = l1.fill(LineAddr(100), 20);
-        assert_eq!(fill.waiting_loads.len(), 1, "warp still woken");
+        let fill = l1.fill(LineAddr(100), 20).unwrap();
+        assert_eq!(fill.demand_loads().count(), 1, "warp still woken");
         assert!(!l1.probe(LineAddr(100)), "line must not be installed");
     }
 
@@ -658,9 +638,8 @@ mod tests {
     fn double_fill_is_harmless() {
         let mut l1 = L1Cache::new(&cfg());
         l1.access(load(1, 0, 0), 0);
-        l1.fill(LineAddr(1), 10);
-        let f = l1.fill(LineAddr(1), 11);
-        assert!(f.waiting_loads.is_empty());
+        assert!(l1.fill(LineAddr(1), 10).is_some());
+        assert!(l1.fill(LineAddr(1), 11).is_none());
     }
 
     #[test]

@@ -19,14 +19,9 @@ use crate::request::{AccessKind, MemRequest};
 use gpu_common::config::{CacheConfig, DramConfig};
 use gpu_common::stats::CacheStats;
 use gpu_common::{Cycle, LineAddr};
-use std::collections::{BTreeMap, VecDeque};
-
-/// A response travelling back toward an SM.
-#[derive(Debug, Clone)]
-pub struct L2Response {
-    /// The request being answered (identifies the SM and line).
-    pub req: MemRequest,
-}
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One L2 bank paired with its DRAM partition.
 #[derive(Debug)]
@@ -38,9 +33,9 @@ pub struct L2Bank {
     port_free: Cycle,
     /// Requests that could not get an MSHR; retried every cycle.
     retry: VecDeque<MemRequest>,
-    /// Responses/fills in flight, ordered by ready cycle (seq breaks ties
-    /// FIFO).
-    pending: BTreeMap<(Cycle, u64), PendingKind>,
+    /// Responses/fills in flight: a min-heap on (ready cycle, seq), where
+    /// the unique seq breaks ties FIFO.
+    pending: BinaryHeap<Pending>,
     seq: u64,
     stats: CacheStats,
     /// Lines transferred from DRAM into this bank.
@@ -55,6 +50,33 @@ enum PendingKind {
     Hit(MemRequest),
     /// DRAM returned `line`; complete the MSHR entry.
     DramFill(LineAddr),
+}
+
+/// One scheduled event, ordered by `key` alone (unique, since `seq` is).
+#[derive(Debug)]
+struct Pending {
+    key: Reverse<(Cycle, u64)>,
+    kind: PendingKind,
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Pending {}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
 }
 
 impl L2Bank {
@@ -74,7 +96,7 @@ impl L2Bank {
             dram: DramPartition::with_policy(dram.latency, dram.service_interval, dram.row_policy),
             port_free: 0,
             retry: VecDeque::new(),
-            pending: BTreeMap::new(),
+            pending: BinaryHeap::new(),
             seq: 0,
             stats: CacheStats::default(),
             dram_line_fills: 0,
@@ -84,7 +106,10 @@ impl L2Bank {
 
     fn schedule(&mut self, at: Cycle, kind: PendingKind) {
         self.seq += 1;
-        self.pending.insert((at, self.seq), kind);
+        self.pending.push(Pending {
+            key: Reverse((at, self.seq)),
+            kind,
+        });
     }
 
     /// Accepts one request from the interconnect at cycle `now`.
@@ -120,8 +145,9 @@ impl L2Bank {
         }
     }
 
-    /// Advances one cycle; returns responses ready to travel back to SMs.
-    pub fn tick(&mut self, now: Cycle, _hit_latency: Cycle) -> Vec<L2Response> {
+    /// Advances one cycle, appending the responses ready to travel back to
+    /// SMs to `out`.
+    pub fn tick(&mut self, now: Cycle, out: &mut Vec<MemRequest>) {
         // Retry MSHR-starved requests first (one per cycle keeps it fair).
         if let Some(req) = self.retry.pop_front() {
             self.access_retry(req, now);
@@ -135,33 +161,24 @@ impl L2Bank {
             }
         }
         // Deliver everything that matured this cycle.
-        let mut out = Vec::new();
-        while let Some((&(at, _), _)) = self.pending.first_key_value() {
-            if at > now {
+        while let Some(top) = self.pending.peek_mut() {
+            if top.key.0 .0 > now {
                 break;
             }
-            let Some((_, kind)) = self.pending.pop_first() else {
-                break;
-            };
-            match kind {
-                PendingKind::Hit(req) => out.push(L2Response { req }),
+            match PeekMut::pop(top).kind {
+                PendingKind::Hit(req) => out.push(req),
                 PendingKind::DramFill(line) => {
                     self.dram_line_fills += 1;
                     if self.tags.fill(line, false, now).is_some() {
                         self.stats.evictions += 1;
                     }
                     if let Some(entry) = self.mshrs.complete(line) {
-                        out.push(L2Response {
-                            req: entry.primary,
-                        });
-                        for m in entry.merged {
-                            out.push(L2Response { req: m });
-                        }
+                        out.push(entry.primary);
+                        out.extend(entry.merged);
                     }
                 }
             }
         }
-        out
     }
 
     fn access_retry(&mut self, req: MemRequest, _now: Cycle) {
@@ -218,12 +235,12 @@ mod tests {
         MemRequest::load(LineAddr(line), SmId(sm), WarpId(0), Pc(0), 0, 0, 0)
     }
 
-    fn run_until(bank: &mut L2Bank, from: Cycle, to: Cycle, lat: Cycle) -> Vec<(Cycle, L2Response)> {
+    fn run_until(bank: &mut L2Bank, from: Cycle, to: Cycle) -> Vec<(Cycle, MemRequest)> {
         let mut out = Vec::new();
+        let mut ready = Vec::new();
         for now in from..to {
-            for r in bank.tick(now, lat) {
-                out.push((now, r));
-            }
+            bank.tick(now, &mut ready);
+            out.extend(ready.drain(..).map(|r| (now, r)));
         }
         out
     }
@@ -233,7 +250,7 @@ mod tests {
         let (l2, dr) = cfgs();
         let mut bank = L2Bank::new(&l2, &dr);
         bank.access(load(1, 0), 0, 20);
-        let done = run_until(&mut bank, 0, 200, 20);
+        let done = run_until(&mut bank, 0, 200);
         assert_eq!(done.len(), 1);
         // Serviced at 0, ready at 100.
         assert_eq!(done[0].0, 100);
@@ -246,9 +263,9 @@ mod tests {
         let (l2, dr) = cfgs();
         let mut bank = L2Bank::new(&l2, &dr);
         bank.access(load(1, 0), 0, 20);
-        run_until(&mut bank, 0, 150, 20);
+        run_until(&mut bank, 0, 150);
         bank.access(load(1, 0), 150, 20);
-        let done = run_until(&mut bank, 150, 200, 20);
+        let done = run_until(&mut bank, 150, 200);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, 170);
         assert_eq!(bank.stats().hits, 1);
@@ -260,11 +277,11 @@ mod tests {
         let mut bank = L2Bank::new(&l2, &dr);
         bank.access(load(1, 0), 0, 20);
         bank.access(load(1, 1), 0, 20);
-        let done = run_until(&mut bank, 0, 200, 20);
+        let done = run_until(&mut bank, 0, 200);
         assert_eq!(done.len(), 2);
         assert_eq!(bank.stats().mshr_merges, 1);
         assert_eq!(bank.dram_line_fills, 1);
-        let sms: Vec<u32> = done.iter().map(|(_, r)| r.req.sm.0).collect();
+        let sms: Vec<u32> = done.iter().map(|(_, r)| r.sm.0).collect();
         assert!(sms.contains(&0) && sms.contains(&1));
     }
 
@@ -274,7 +291,7 @@ mod tests {
         let mut bank = L2Bank::new(&l2, &dr);
         let st = MemRequest::store(LineAddr(1), SmId(0), WarpId(0), Pc(0), 0);
         bank.access(st, 0, 20);
-        let done = run_until(&mut bank, 0, 200, 20);
+        let done = run_until(&mut bank, 0, 200);
         assert!(done.is_empty());
         assert_eq!(bank.dram_line_writes, 1);
         assert_eq!(bank.stats().accesses, 0);
@@ -288,7 +305,7 @@ mod tests {
             bank.access(load(i, 0), 0, 20);
         }
         assert_eq!(bank.stats().reservation_fails, 1);
-        let done = run_until(&mut bank, 0, 400, 20);
+        let done = run_until(&mut bank, 0, 400);
         assert_eq!(done.len(), 5, "retried request eventually completes");
         assert!(bank.is_idle());
     }
@@ -300,7 +317,7 @@ mod tests {
         for i in 0..4 {
             bank.access(load(i * 8, 0), 0, 20);
         }
-        let done = run_until(&mut bank, 0, 300, 20);
+        let done = run_until(&mut bank, 0, 300);
         let times: Vec<Cycle> = done.iter().map(|(t, _)| *t).collect();
         assert_eq!(times.len(), 4);
         // Bandwidth spreads services: completions strictly increase (row

@@ -30,6 +30,8 @@ pub struct MemorySystem {
     /// Per-SM response pipes back from the L2.
     from_l2: Vec<DelayPipe<MemRequest>>,
     banks: Vec<L2Bank>,
+    /// One bank's responses of the current tick (reused every cycle).
+    responses: Vec<MemRequest>,
     stats: MemStats,
     /// Non-store requests accepted off-core (conservation ledger, debit).
     submitted: u64,
@@ -61,6 +63,7 @@ impl MemorySystem {
             banks: (0..cfg.dram.partitions)
                 .map(|_| L2Bank::new(&cfg.l2, &cfg.dram))
                 .collect(),
+            responses: Vec::new(),
             stats: MemStats::default(),
             submitted: 0,
             delivered: 0,
@@ -153,34 +156,39 @@ impl MemorySystem {
         }
         // SM → L2: each SM may inject `requests_per_cycle` per cycle.
         for sm in 0..self.to_l2.len() {
-            let ready = self.to_l2[sm].pop_ready(now, self.cfg.noc.requests_per_cycle);
-            for req in ready {
+            for _ in 0..self.cfg.noc.requests_per_cycle {
+                let Some(req) = self.to_l2[sm].pop_ready(now) else {
+                    break;
+                };
                 let bank = self.partition_of(req.line);
                 self.banks[bank].access(req, now, self.cfg.l2.hit_latency);
             }
         }
         // Banks and DRAM.
+        let mut responses = std::mem::take(&mut self.responses);
         for bank_idx in 0..self.banks.len() {
-            let responses = self.banks[bank_idx].tick(now, self.cfg.l2.hit_latency);
-            for resp in responses {
-                if resp.req.kind == AccessKind::Store {
+            self.banks[bank_idx].tick(now, &mut responses);
+            for req in responses.drain(..) {
+                if req.kind == AccessKind::Store {
                     continue;
                 }
-                self.deliver(resp.req, now);
+                self.deliver(req, now);
             }
         }
+        self.responses = responses;
     }
 
-    /// Removes every in-flight response bound for `sm`, returning each fill
+    /// Removes every in-flight response bound for `sm`, yielding each fill
     /// with the cycle at which it completes NoC traversal (FIFO order,
-    /// ready cycles non-decreasing). The cycle loop calls this after
+    /// ready cycles non-decreasing); an out-of-range `sm` yields nothing.
+    /// The pipe drains in place. The cycle loop calls this after
     /// [`MemorySystem::tick`] to hand fills to per-SM inboxes; a fill must
     /// not be applied before its ready cycle.
-    pub fn take_fills(&mut self, sm: usize) -> Vec<(Cycle, MemRequest)> {
+    pub fn take_fills(&mut self, sm: usize) -> impl Iterator<Item = (Cycle, MemRequest)> + '_ {
         self.from_l2
             .get_mut(sm)
-            .map(DelayPipe::drain_timed)
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(DelayPipe::drain_timed)
     }
 
     /// Folds in `count` completed demand loads whose round-trip latencies
@@ -302,7 +310,7 @@ mod tests {
     fn first_fill(ms: &mut MemorySystem, sm: usize, from: Cycle) -> Option<(Cycle, MemRequest)> {
         (from..3000).find_map(|now| {
             ms.tick(now);
-            ms.take_fills(sm).into_iter().next()
+            ms.take_fills(sm).next()
         })
     }
 
@@ -383,6 +391,10 @@ mod tests {
             }
         }
         assert!(got[0] && got[1]);
+        assert!(
+            ms.take_fills(2).next().is_none(),
+            "out-of-range sm gets nothing"
+        );
     }
 
     #[test]
@@ -402,7 +414,7 @@ mod tests {
         ms.submit(0, st, 0);
         for now in 0..600 {
             ms.tick(now);
-            assert!(ms.take_fills(0).is_empty(), "stores never respond");
+            assert!(ms.take_fills(0).next().is_none(), "stores never respond");
         }
         assert_eq!(ms.dram_accesses(), 1);
         assert_eq!(ms.stats().bytes_from_dram, cfg.l1.line_bytes);
@@ -420,7 +432,7 @@ mod tests {
         ms.submit(0, load(1, 0), 0);
         for now in 0..2000 {
             ms.tick(now);
-            assert!(ms.take_fills(0).is_empty(), "response was dropped");
+            assert!(ms.take_fills(0).next().is_none(), "response was dropped");
         }
         assert!(ms.is_idle());
         assert_eq!(ms.fault_counters().dropped_responses, 1);
@@ -453,7 +465,7 @@ mod tests {
         ms.submit(0, load(1, 0), 0);
         for now in 0..1000 {
             ms.tick(now);
-            assert!(ms.take_fills(0).is_empty());
+            assert!(ms.take_fills(0).next().is_none());
         }
         assert_eq!(ms.fault_counters().dropped_requests, 1);
         assert_eq!(ms.submitted(), 1);

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 /// A FIFO pipe with a constant traversal latency. Items pushed at cycle `t`
 /// become visible to [`DelayPipe::pop_ready`] at `t + latency`; the consumer
-/// applies its own per-cycle budget, which models link bandwidth.
+/// pops up to its own per-cycle budget, which models link bandwidth.
 ///
 /// # Example
 ///
@@ -14,8 +14,8 @@ use std::collections::VecDeque;
 ///
 /// let mut p = DelayPipe::new(8);
 /// p.push("x", 0);
-/// assert!(p.pop_ready(7, 4).is_empty());
-/// assert_eq!(p.pop_ready(8, 4), vec!["x"]);
+/// assert_eq!(p.pop_ready(7), None);
+/// assert_eq!(p.pop_ready(8), Some("x"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DelayPipe<T> {
@@ -42,20 +42,12 @@ impl<T> DelayPipe<T> {
         self.queue.push_back((ready, item));
     }
 
-    /// Pops up to `budget` items that have completed traversal by `now`.
-    pub fn pop_ready(&mut self, now: Cycle, budget: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        while out.len() < budget {
-            match self.queue.front() {
-                Some(&(ready, _)) if ready <= now => {
-                    if let Some((_, item)) = self.queue.pop_front() {
-                        out.push(item);
-                    }
-                }
-                _ => break,
-            }
+    /// Pops the oldest item if it has completed traversal by `now`.
+    pub fn pop_ready(&mut self, now: Cycle) -> Option<T> {
+        match self.queue.front() {
+            Some(&(ready, _)) if ready <= now => self.queue.pop_front().map(|(_, item)| item),
+            _ => None,
         }
-        out
     }
 
     /// Items currently in flight.
@@ -68,12 +60,12 @@ impl<T> DelayPipe<T> {
         self.queue.is_empty()
     }
 
-    /// Empties the pipe, returning every in-flight item together with the
-    /// cycle at which it completes traversal (FIFO order, ready cycles
-    /// non-decreasing). Used by the cycle loop to re-home in-flight
+    /// Empties the pipe in place, yielding every in-flight item together
+    /// with the cycle at which it completes traversal (FIFO order, ready
+    /// cycles non-decreasing). Used by the cycle loop to re-home in-flight
     /// responses into per-SM inboxes.
-    pub fn drain_timed(&mut self) -> Vec<(Cycle, T)> {
-        self.queue.drain(..).collect()
+    pub fn drain_timed(&mut self) -> std::collections::vec_deque::Drain<'_, (Cycle, T)> {
+        self.queue.drain(..)
     }
 }
 
@@ -85,27 +77,28 @@ mod tests {
     fn respects_latency() {
         let mut p = DelayPipe::new(5);
         p.push(1, 10);
-        assert!(p.pop_ready(14, 10).is_empty());
-        assert_eq!(p.pop_ready(15, 10), vec![1]);
+        assert_eq!(p.pop_ready(14), None);
+        assert_eq!(p.pop_ready(15), Some(1));
         assert!(p.is_empty());
     }
 
     #[test]
-    fn respects_budget_and_order() {
+    fn pops_in_order() {
         let mut p = DelayPipe::new(0);
-        for i in 0..5 {
+        for i in 0..3 {
             p.push(i, 0);
         }
-        assert_eq!(p.pop_ready(0, 2), vec![0, 1]);
-        assert_eq!(p.pop_ready(0, 2), vec![2, 3]);
-        assert_eq!(p.pop_ready(0, 2), vec![4]);
+        assert_eq!(p.pop_ready(0), Some(0));
+        assert_eq!(p.pop_ready(0), Some(1));
+        assert_eq!(p.pop_ready(0), Some(2));
+        assert_eq!(p.pop_ready(0), None);
     }
 
     #[test]
     fn zero_latency_same_cycle() {
         let mut p = DelayPipe::new(0);
         p.push("a", 3);
-        assert_eq!(p.pop_ready(3, 1), vec!["a"]);
+        assert_eq!(p.pop_ready(3), Some("a"));
     }
 
     #[test]
@@ -113,8 +106,21 @@ mod tests {
         let mut p = DelayPipe::new(2);
         p.push(1, 0);
         p.push(2, 5);
-        assert_eq!(p.pop_ready(3, 10), vec![1]);
+        assert_eq!(p.pop_ready(3), Some(1));
+        assert_eq!(p.pop_ready(3), None);
         assert_eq!(p.len(), 1);
-        assert_eq!(p.pop_ready(7, 10), vec![2]);
+        assert_eq!(p.pop_ready(7), Some(2));
+    }
+
+    #[test]
+    fn drain_timed_keeps_ready_cycles() {
+        let mut p = DelayPipe::new(4);
+        p.push('a', 1);
+        p.push('b', 3);
+        assert_eq!(
+            p.drain_timed().collect::<Vec<_>>(),
+            vec![(5, 'a'), (7, 'b')]
+        );
+        assert!(p.is_empty());
     }
 }

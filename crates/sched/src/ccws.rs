@@ -17,6 +17,7 @@
 
 use gpu_common::{LineAddr, WarpId};
 use gpu_sm::traits::{L1Event, ReadyWarp, SchedCtx, SchedFeedback, WarpScheduler};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Victim-tag entries per warp.
@@ -45,6 +46,8 @@ pub struct Ccws {
     // the table, so visit order must be WarpId order, not a per-process
     // RandomState (lint: hash-iter).
     warps: BTreeMap<WarpId, WarpLocality>,
+    /// `pick`'s ready warps as (score desc, id asc) keys; reused per pick.
+    ranked: Vec<(Reverse<u64>, u32)>,
     table_accesses: u64,
     last: Option<u32>,
     picks: u64,
@@ -86,22 +89,24 @@ impl WarpScheduler for Ccws {
         }
         let allowed = self.allowed_warps(ctx.warps_per_sm);
         // The allowed set is the `allowed` highest-scoring warps by ID-stable
-        // order: sort warp IDs by (score desc, id asc) and keep the prefix.
+        // order: sort the keys (score desc, id asc) and keep the prefix.
         // Warps outside the cut may not issue (throttled).
-        let mut by_score: Vec<WarpId> = ready.iter().map(|r| r.id).collect();
-        by_score.sort_by_key(|w| (std::cmp::Reverse(self.score(*w)), w.0));
-        let allowed_set: Vec<WarpId> = by_score.into_iter().take(allowed).collect();
-        if allowed_set.is_empty() {
-            return None;
-        }
-        // Round-robin among allowed warps for fairness inside the cut.
+        let mut ranked = std::mem::take(&mut self.ranked);
+        ranked.clear();
+        ranked.extend(ready.iter().map(|r| (Reverse(self.score(r.id)), r.id.0)));
+        ranked.sort_unstable();
+        ranked.truncate(allowed);
+        // Round-robin by warp ID among allowed warps for fairness inside the
+        // cut: the lowest ID from `start` on, else the lowest.
         let start = self.last.map_or(0, |l| l.wrapping_add(1));
-        let mut candidates: Vec<WarpId> = allowed_set.clone();
-        candidates.sort_by_key(|w| w.0);
-        let pick = *candidates
-            .iter()
-            .find(|w| w.0 >= start)
-            .unwrap_or(&candidates[0]);
+        let ids = ranked.iter().map(|&(_, id)| id);
+        let pick = ids
+            .clone()
+            .filter(|&id| id >= start)
+            .min()
+            .or_else(|| ids.min());
+        self.ranked = ranked;
+        let pick = WarpId(pick?);
         self.last = Some(pick.0);
         // Decay once per scheduling round.
         self.picks += 1;

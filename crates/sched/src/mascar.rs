@@ -37,13 +37,12 @@ impl Mascar {
         self.owner
     }
 
-    fn round_robin(&mut self, candidates: &[&ReadyWarp]) -> Option<WarpId> {
+    fn round_robin(&mut self, candidates: impl Iterator<Item = WarpId> + Clone) -> Option<WarpId> {
         let start = self.last.map_or(0, |l| l.wrapping_add(1));
         let pick = candidates
-            .iter()
-            .find(|r| r.id.0 >= start)
-            .or_else(|| candidates.first())?
-            .id;
+            .clone()
+            .find(|w| w.0 >= start)
+            .or_else(|| candidates.clone().next())?;
         self.last = Some(pick.0);
         Some(pick)
     }
@@ -61,8 +60,7 @@ impl WarpScheduler for Mascar {
         let saturated = ctx.mshr_occupancy >= SATURATION_THRESHOLD;
         if !saturated {
             self.owner = None;
-            let all: Vec<&ReadyWarp> = ready.iter().collect();
-            return self.round_robin(&all);
+            return self.round_robin(ready.iter().map(|r| r.id));
         }
         self.mp_cycles += 1;
         // MP mode. Ensure there is an owner with a memory instruction ready.
@@ -85,8 +83,7 @@ impl WarpScheduler for Mascar {
             return Some(mem_warp.id);
         }
         // No memory warp: compute warps proceed round-robin.
-        let compute: Vec<&ReadyWarp> = ready.iter().filter(|r| !r.next_is_mem).collect();
-        self.round_robin(&compute)
+        self.round_robin(ready.iter().filter(|r| !r.next_is_mem).map(|r| r.id))
     }
 
     fn on_warp_finished(&mut self, warp: WarpId) {

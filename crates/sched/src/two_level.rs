@@ -50,22 +50,22 @@ impl WarpScheduler for TwoLevel {
         // Find a group (starting from the active one) with a ready warp.
         for hop in 0..num_groups {
             let g = (self.active_group + hop) % num_groups;
-            let in_group: Vec<&ReadyWarp> =
-                ready.iter().filter(|r| self.group_of(r.id) == g).collect();
-            if in_group.is_empty() {
+            let in_group = || {
+                ready
+                    .iter()
+                    .map(|r| r.id)
+                    .filter(|&w| self.group_of(w) == g)
+            };
+            let Some(first) = in_group().next() else {
                 continue;
-            }
-            if hop != 0 {
-                // Switched groups: restart its round-robin pointer.
-                self.active_group = g;
-                self.last_in_group = None;
-            }
-            let start = self.last_in_group.map_or(0, |l| l.wrapping_add(1));
-            let pick = in_group
-                .iter()
-                .find(|r| r.id.0 >= start)
-                .unwrap_or(&in_group[0])
-                .id;
+            };
+            // Switching groups restarts the round-robin pointer.
+            let start = match self.last_in_group {
+                Some(l) if hop == 0 => l.wrapping_add(1),
+                _ => 0,
+            };
+            let pick = in_group().find(|w| w.0 >= start).unwrap_or(first);
+            self.active_group = g;
             self.last_in_group = Some(pick.0);
             return Some(pick);
         }

@@ -10,8 +10,9 @@
 //! instead of a full access.
 
 use crate::traits::{L1Event, L1Outcome};
-use gpu_common::{Addr, Cycle, LineAddr, Pc, SmId, WarpId};
-use gpu_mem::l1::{L1AccessOutcome, L1Cache, LineFill, RejectCause};
+use gpu_common::{Addr, Cycle, LaneList, LineAddr, Pc, SmId, WarpId};
+use gpu_mem::l1::{L1AccessOutcome, L1Cache, RejectCause};
+use gpu_mem::mshr::MshrEntry;
 use gpu_mem::request::MemRequest;
 use std::collections::VecDeque;
 
@@ -38,12 +39,13 @@ pub struct MemOp {
     pub is_load: bool,
     /// Lowest-lane byte address (prefetcher training key).
     pub addr0: Addr,
-    /// Coalesced line requests still to be sent to the L1.
-    pub lines: VecDeque<LineAddr>,
+    /// Coalesced line requests, in the order they are sent to the L1.
+    pub lines: LaneList<LineAddr>,
     /// Cycle the instruction issued (latency accounting).
     pub issue_cycle: Cycle,
-    /// Set once the head line has been sent to the L1 (internal).
-    pub head_sent: bool,
+    /// How many of `lines` have been sent to the L1 (internal; 0 until the
+    /// head line is sent).
+    pub sent: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -69,13 +71,11 @@ pub struct LoadCompletion {
     pub issue_cycle: Cycle,
 }
 
-/// What one LSU cycle produced.
-#[derive(Debug, Clone, Default)]
+/// What one LSU cycle produced besides its completions.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LsuActivity {
     /// Head-line access report for a load (feeds scheduler + prefetchers).
     pub head_event: Option<L1Event>,
-    /// Loads that completed entirely from L1 hits this cycle.
-    pub completions: Vec<LoadCompletion>,
     /// The unit stalled on MSHR exhaustion.
     pub stalled: bool,
 }
@@ -179,16 +179,22 @@ impl Lsu {
     }
 
     /// Sends the head load's next line to the L1 and drains one store line.
+    /// Loads that complete entirely from L1 hits are appended to `done`.
     /// Call once per cycle.
-    pub fn process_one(&mut self, l1: &mut L1Cache, now: Cycle) -> LsuActivity {
+    pub fn process_one(
+        &mut self,
+        l1: &mut L1Cache,
+        now: Cycle,
+        done: &mut Vec<LoadCompletion>,
+    ) -> LsuActivity {
         // Posted stores drain independently (one line per cycle).
         if let Some(st) = self.store_queue.front_mut() {
-            if let Some(&line) = st.lines.front() {
+            if let Some(&line) = st.lines.get(st.sent) {
                 let req = MemRequest::store(line, self.sm, st.warp, st.pc, st.issue_cycle);
                 l1.access(req, now);
-                st.lines.pop_front();
+                st.sent += 1;
             }
-            if st.lines.is_empty() {
+            if st.sent >= st.lines.len() {
                 self.store_queue.pop_front();
             }
         }
@@ -196,7 +202,7 @@ impl Lsu {
         let Some(op) = self.queue.front() else {
             return activity;
         };
-        let Some(&line) = op.lines.front() else {
+        let Some(&line) = op.lines.get(op.sent) else {
             // Ops always hold ≥1 line; an empty one has nothing to send.
             self.queue.pop_front();
             return activity;
@@ -210,7 +216,7 @@ impl Lsu {
             activity.stalled = true;
             return activity;
         }
-        let is_head = !op.head_sent;
+        let is_head = op.sent == 0;
         let key = op_key(op);
         let req = if op.is_load {
             MemRequest::load(line, self.sm, op.warp, op.pc, op.body_idx, op.iter, op.issue_cycle)
@@ -228,7 +234,7 @@ impl Lsu {
                 return activity; // retry same line next cycle
             }
             L1AccessOutcome::Hit { ready_at } => {
-                self.resolve_line(key, true, ready_at, &mut activity);
+                self.resolve_line(key, true, ready_at, done);
                 Some(L1Outcome::Hit)
             }
             L1AccessOutcome::Miss => {
@@ -249,7 +255,6 @@ impl Lsu {
         let Some(op) = self.queue.front_mut() else {
             return activity;
         };
-        op.head_sent = true;
         if op.is_load && is_head {
             if let Some(outcome) = l1_outcome {
                 activity.head_event = Some(L1Event {
@@ -262,8 +267,8 @@ impl Lsu {
                 });
             }
         }
-        op.lines.pop_front();
-        if op.lines.is_empty() {
+        op.sent += 1;
+        if op.sent >= op.lines.len() {
             self.queue.pop_front();
         }
         activity
@@ -276,7 +281,13 @@ impl Lsu {
         }
     }
 
-    fn resolve_line(&mut self, key: OpKey, from_hit: bool, ready: Cycle, out: &mut LsuActivity) {
+    fn resolve_line(
+        &mut self,
+        key: OpKey,
+        from_hit: bool,
+        ready: Cycle,
+        done: &mut Vec<LoadCompletion>,
+    ) {
         let Some(pos) = self.outstanding.iter().position(|(k, _)| *k == key) else {
             return;
         };
@@ -289,7 +300,7 @@ impl Lsu {
         st.latest_ready = st.latest_ready.max(ready);
         if st.lines_left == 0 && st.fills_pending == 0 {
             let (key, st) = self.outstanding.remove(pos);
-            out.completions.push(LoadCompletion {
+            done.push(LoadCompletion {
                 warp: key.warp,
                 body_idx: key.body_idx,
                 iter: key.iter,
@@ -299,19 +310,17 @@ impl Lsu {
         }
     }
 
-    /// Applies an L1 fill: wakes every load instruction whose last line this
-    /// was.
-    pub fn on_fill(&mut self, fill: &LineFill, now: Cycle) -> Vec<LoadCompletion> {
-        let mut activity = LsuActivity::default();
-        for req in &fill.waiting_loads {
+    /// Applies an L1 fill (the released MSHR entry): appends to `done`
+    /// every load instruction whose last line this was.
+    pub fn on_fill(&mut self, fill: &MshrEntry, now: Cycle, done: &mut Vec<LoadCompletion>) {
+        for req in fill.demand_loads() {
             let key = OpKey {
                 warp: req.warp,
                 body_idx: req.body_idx,
                 iter: req.iter,
             };
-            self.resolve_line(key, false, now, &mut activity);
+            self.resolve_line(key, false, now, done);
         }
-        activity.completions
     }
 }
 
@@ -349,10 +358,26 @@ mod tests {
             iter,
             is_load: true,
             addr0: Addr::new(lines[0] * 128),
-            lines: lines.iter().map(|&l| LineAddr(l)).collect(),
+            lines: LaneList::from_fn(lines.len(), |i| LineAddr(lines[i])),
             issue_cycle: issue,
-            head_sent: false,
+            sent: 0,
         }
+    }
+
+    /// One LSU cycle; returns its activity and the loads it completed.
+    fn step(lsu: &mut Lsu, l1: &mut L1Cache, now: Cycle) -> (LsuActivity, Vec<LoadCompletion>) {
+        let mut done = Vec::new();
+        let act = lsu.process_one(l1, now, &mut done);
+        (act, done)
+    }
+
+    /// Fills `line` at `now` and returns the loads it completed.
+    fn fill(lsu: &mut Lsu, l1: &mut L1Cache, line: u64, now: Cycle) -> Vec<LoadCompletion> {
+        let mut done = Vec::new();
+        if let Some(entry) = l1.fill(LineAddr(line), now) {
+            lsu.on_fill(&entry, now, &mut done);
+        }
+        done
     }
 
     #[test]
@@ -361,16 +386,15 @@ mod tests {
         let mut lsu = Lsu::new(SmId(0), 4);
         // Warm the line.
         lsu.push(load_op(0, &[1], 0, 0));
-        lsu.process_one(&mut l1, 0);
-        let fills = l1.fill(LineAddr(1), 50);
-        let done = lsu.on_fill(&fills, 50);
+        step(&mut lsu, &mut l1, 0);
+        let done = fill(&mut lsu, &mut l1, 1, 50);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].ready_at, 50);
         // Second access hits.
         lsu.push(load_op(1, &[1], 0, 60));
-        let act = lsu.process_one(&mut l1, 60);
-        assert_eq!(act.completions.len(), 1);
-        assert_eq!(act.completions[0].ready_at, 70);
+        let (act, done) = step(&mut lsu, &mut l1, 60);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].ready_at, 70);
         assert_eq!(act.head_event.unwrap().outcome, L1Outcome::Hit);
         assert!(lsu.is_drained());
     }
@@ -380,16 +404,17 @@ mod tests {
         let mut l1 = l1();
         let mut lsu = Lsu::new(SmId(0), 4);
         lsu.push(load_op(0, &[1, 9], 0, 0));
-        let a0 = lsu.process_one(&mut l1, 0);
+        let (a0, done) = step(&mut lsu, &mut l1, 0);
         assert!(a0.head_event.is_some());
-        assert!(a0.completions.is_empty());
-        let a1 = lsu.process_one(&mut l1, 1);
+        assert!(done.is_empty());
+        let (a1, _) = step(&mut lsu, &mut l1, 1);
         assert!(a1.head_event.is_none(), "only the first line reports");
         assert!(lsu.is_empty());
-        let f1 = l1.fill(LineAddr(1), 100);
-        assert!(lsu.on_fill(&f1, 100).is_empty(), "one line still pending");
-        let f9 = l1.fill(LineAddr(9), 130);
-        let done = lsu.on_fill(&f9, 130);
+        assert!(
+            fill(&mut lsu, &mut l1, 1, 100).is_empty(),
+            "one line still pending"
+        );
+        let done = fill(&mut lsu, &mut l1, 9, 130);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].ready_at, 130);
         assert!(lsu.is_drained());
@@ -401,13 +426,13 @@ mod tests {
         let mut lsu = Lsu::new(SmId(0), 4);
         // Warm line 1.
         lsu.push(load_op(0, &[1], 0, 0));
-        lsu.process_one(&mut l1, 0);
-        lsu.on_fill(&l1.fill(LineAddr(1), 20), 20);
+        step(&mut lsu, &mut l1, 0);
+        fill(&mut lsu, &mut l1, 1, 20);
         // Op touching warm line 1 and cold line 9.
         lsu.push(load_op(1, &[1, 9], 0, 30));
-        lsu.process_one(&mut l1, 30); // hit, ready 40
-        lsu.process_one(&mut l1, 31); // miss
-        let done = lsu.on_fill(&l1.fill(LineAddr(9), 200), 200);
+        step(&mut lsu, &mut l1, 30); // hit, ready 40
+        step(&mut lsu, &mut l1, 31); // miss
+        let done = fill(&mut lsu, &mut l1, 9, 200);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].ready_at, 200);
     }
@@ -419,14 +444,14 @@ mod tests {
         lsu.push(load_op(0, &[1], 0, 0));
         lsu.push(load_op(1, &[2], 0, 0));
         lsu.push(load_op(2, &[3], 0, 0));
-        lsu.process_one(&mut l1, 0);
-        lsu.process_one(&mut l1, 1);
-        let act = lsu.process_one(&mut l1, 2);
+        step(&mut lsu, &mut l1, 0);
+        step(&mut lsu, &mut l1, 1);
+        let (act, _) = step(&mut lsu, &mut l1, 2);
         assert!(act.stalled);
         assert_eq!(lsu.len(), 1, "op stays queued");
         // Free an MSHR and retry.
-        lsu.on_fill(&l1.fill(LineAddr(1), 50), 50);
-        let act = lsu.process_one(&mut l1, 51);
+        fill(&mut lsu, &mut l1, 1, 50);
+        let (act, _) = step(&mut lsu, &mut l1, 51);
         assert!(!act.stalled);
         assert!(lsu.is_empty());
     }
@@ -442,13 +467,13 @@ mod tests {
             iter: 0,
             is_load: false,
             addr0: Addr::new(128),
-            lines: [LineAddr(1)].into_iter().collect(),
+            lines: LaneList::from_fn(1, |_| LineAddr(1)),
             issue_cycle: 0,
-            head_sent: false,
+            sent: 0,
         });
-        let act = lsu.process_one(&mut l1, 0);
+        let (act, done) = step(&mut lsu, &mut l1, 0);
         assert!(act.head_event.is_none());
-        assert!(act.completions.is_empty());
+        assert!(done.is_empty());
         assert!(lsu.is_drained());
     }
 
@@ -473,12 +498,12 @@ mod tests {
         let mut lsu = Lsu::new(SmId(0), 4);
         lsu.push(load_op(0, &[1], 0, 0));
         lsu.push(load_op(0, &[2], 1, 5));
-        lsu.process_one(&mut l1, 0);
-        lsu.process_one(&mut l1, 5);
-        let d1 = lsu.on_fill(&l1.fill(LineAddr(2), 100), 100);
+        step(&mut lsu, &mut l1, 0);
+        step(&mut lsu, &mut l1, 5);
+        let d1 = fill(&mut lsu, &mut l1, 2, 100);
         assert_eq!(d1.len(), 1);
         assert_eq!(d1[0].iter, 1);
-        let d0 = lsu.on_fill(&l1.fill(LineAddr(1), 120), 120);
+        let d0 = fill(&mut lsu, &mut l1, 1, 120);
         assert_eq!(d0.len(), 1);
         assert_eq!(d0[0].iter, 0);
     }

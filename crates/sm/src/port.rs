@@ -2,7 +2,8 @@
 //!
 //! An [`SmPort`] is the only conduit for cross-boundary traffic: the SM
 //! pushes outgoing L1 misses/stores/prefetches into the outbox and pops
-//! matured line fills from the inbox; once per cycle the cycle loop
+//! matured line fills from the inbox, one at a time; once per cycle the
+//! cycle loop
 //! ([`crate::gpu::Gpu::run`]) drains every outbox into the shared
 //! [`gpu_mem::memsys::MemorySystem`] in fixed SM-id order and re-homes
 //! responses into the inboxes with their NoC-ready cycles intact.
@@ -35,19 +36,14 @@ impl SmPort {
 
     // --- SM side -----------------------------------------------------
 
-    /// Pops every fill whose NoC traversal has completed by `now` (the
-    /// ready cycles [`gpu_mem::memsys::MemorySystem::take_fills`] stamped).
-    pub fn drain_fills(&mut self, now: Cycle) -> Vec<MemRequest> {
-        let mut out = Vec::new();
-        while let Some(&(ready, _)) = self.inbox.front() {
-            if ready > now {
-                break;
-            }
-            if let Some((_, req)) = self.inbox.pop_front() {
-                out.push(req);
-            }
+    /// Pops the oldest fill if its NoC traversal has completed by `now`
+    /// (the ready cycles [`gpu_mem::memsys::MemorySystem::take_fills`]
+    /// stamped).
+    pub fn pop_fill(&mut self, now: Cycle) -> Option<MemRequest> {
+        match self.inbox.front() {
+            Some(&(ready, _)) if ready <= now => self.inbox.pop_front().map(|(_, req)| req),
+            _ => None,
         }
-        out
     }
 
     /// Queues an outgoing request submitted by the SM at cycle `now`.
@@ -78,10 +74,10 @@ impl SmPort {
         self.inbox.push_back((ready, req));
     }
 
-    /// Takes the whole outbox for routing (submission order, cycle stamps
-    /// non-decreasing).
-    pub fn take_outbox(&mut self) -> Vec<(Cycle, MemRequest)> {
-        std::mem::take(&mut self.outbox)
+    /// Drains the whole outbox for routing (submission order, cycle stamps
+    /// non-decreasing). The outbox keeps its capacity for the next cycle.
+    pub fn take_outbox(&mut self) -> std::vec::Drain<'_, (Cycle, MemRequest)> {
+        self.outbox.drain(..)
     }
 
     /// Takes the accumulated `(latency sum, completed loads)` pair,
@@ -114,11 +110,12 @@ mod tests {
         p.deliver(5, req(1));
         p.deliver(5, req(2));
         p.deliver(9, req(3));
-        assert!(p.drain_fills(4).is_empty());
-        let ready: Vec<_> = p.drain_fills(5).iter().map(|r| r.line).collect();
-        assert_eq!(ready, vec![LineAddr(1), LineAddr(2)]);
+        assert_eq!(p.pop_fill(4), None);
+        assert_eq!(p.pop_fill(5).map(|r| r.line), Some(LineAddr(1)));
+        assert_eq!(p.pop_fill(5).map(|r| r.line), Some(LineAddr(2)));
+        assert_eq!(p.pop_fill(5), None);
         assert!(!p.is_idle());
-        assert_eq!(p.drain_fills(9).len(), 1);
+        assert_eq!(p.pop_fill(9).map(|r| r.line), Some(LineAddr(3)));
         assert!(p.is_idle());
     }
 
@@ -129,13 +126,14 @@ mod tests {
         p.submit(req(2), 3);
         p.submit(req(3), 4);
         assert!(!p.is_idle());
-        let out = p.take_outbox();
         assert_eq!(
-            out.iter().map(|&(c, ref r)| (c, r.line)).collect::<Vec<_>>(),
+            p.take_outbox()
+                .map(|(c, r)| (c, r.line))
+                .collect::<Vec<_>>(),
             vec![(3, LineAddr(1)), (3, LineAddr(2)), (4, LineAddr(3))]
         );
         assert!(p.is_idle());
-        assert!(p.take_outbox().is_empty());
+        assert!(p.take_outbox().next().is_none());
     }
 
     #[test]

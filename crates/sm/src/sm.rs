@@ -14,7 +14,7 @@
 //!    §14);
 //! 4. **Drain** — L1 misses/stores/prefetches stream to the interconnect.
 
-use crate::lsu::{Lsu, MemOp};
+use crate::lsu::{LoadCompletion, Lsu, MemOp};
 use crate::port::SmPort;
 use crate::trace::{IssueKind, TraceEvent};
 use crate::traits::{
@@ -112,6 +112,10 @@ pub struct Sm {
     stats: SimStats,
     energy: EnergyEvents,
     ready_buf: Vec<ReadyWarp>,
+    /// Loads the LSU completed in the current stage (reused every cycle).
+    completions: Vec<LoadCompletion>,
+    /// Warps targeted by this access's issued prefetches (reused).
+    prefetch_targets: Vec<WarpId>,
     /// Barrier rendezvous: (wave, iteration, body index) → warps arrived.
     barriers: BTreeMap<(u32, u64, usize), Vec<WarpId>>,
     /// Record pipeline events into `events` (set per run by the cycle loop).
@@ -153,6 +157,8 @@ impl Sm {
             stats: SimStats::default(),
             energy: EnergyEvents::default(),
             ready_buf: Vec::new(),
+            completions: Vec::new(),
+            prefetch_targets: Vec::new(),
             barriers: BTreeMap::new(),
             record_events: false,
             events: Vec::new(),
@@ -203,32 +209,42 @@ impl Sm {
     }
 
     fn apply_fills(&mut self, now: Cycle, port: &mut SmPort) {
-        for req in port.drain_fills(now) {
+        while let Some(req) = port.pop_fill(now) {
             self.energy.l1_accesses += 1;
             let fill = self.l1.fill(req.line, now);
             self.record(TraceEvent::Fill {
                 cycle: now,
                 line: req.line,
-                woken: fill.waiting_loads.len() as u32,
+                woken: fill.as_ref().map_or(0, |f| f.demand_loads().count() as u32),
             });
-            for done in self.lsu.on_fill(&fill, now) {
-                self.complete_load(done.warp, done.body_idx, done.iter, done.ready_at);
-                port.note_load_latency(done.ready_at.saturating_sub(done.issue_cycle));
+            if let Some(fill) = fill {
+                let mut done = std::mem::take(&mut self.completions);
+                self.lsu.on_fill(&fill, now, &mut done);
+                self.complete_loads(&mut done, port);
+                self.completions = done;
             }
+        }
+    }
+
+    /// Wakes the warps of `done`'s loads and feeds their round-trip
+    /// latencies to Fig. 13's average; leaves `done` empty.
+    fn complete_loads(&mut self, done: &mut Vec<LoadCompletion>, port: &mut SmPort) {
+        for d in done.drain(..) {
+            self.complete_load(d.warp, d.body_idx, d.iter, d.ready_at);
+            port.note_load_latency(d.ready_at.saturating_sub(d.issue_cycle));
         }
     }
 
     fn lsu_stage(&mut self, now: Cycle, port: &mut SmPort) {
         let before = self.l1.stats().accesses;
-        let activity = self.lsu.process_one(&mut self.l1, now);
+        let mut done = std::mem::take(&mut self.completions);
+        let activity = self.lsu.process_one(&mut self.l1, now, &mut done);
         if self.l1.stats().accesses != before {
             self.energy.l1_accesses += 1;
         }
-        for done in &activity.completions {
-            self.complete_load(done.warp, done.body_idx, done.iter, done.ready_at);
-            // Pure-hit loads also contribute to Fig. 13's average latency.
-            port.note_load_latency(done.ready_at.saturating_sub(done.issue_cycle));
-        }
+        // Pure-hit loads also contribute to Fig. 13's average latency.
+        self.complete_loads(&mut done, port);
+        self.completions = done;
         let Some(ev) = activity.head_event else {
             return;
         };
@@ -268,7 +284,7 @@ impl Sm {
         if prefetches.is_empty() {
             return;
         }
-        let mut targets = Vec::with_capacity(prefetches.len());
+        self.prefetch_targets.clear();
         for pf in prefetches {
             let line = pf.addr.line(self.cfg.l1.line_bytes);
             let req = MemRequest::prefetch(line, pf.source, self.id, pf.target_warp, gpu_common::Pc(0), now);
@@ -287,11 +303,11 @@ impl Sm {
                     target: pf.target_warp,
                     line,
                 });
-                targets.push(pf.target_warp);
+                self.prefetch_targets.push(pf.target_warp);
             }
         }
-        if !targets.is_empty() {
-            self.scheduler.on_prefetch_targets(&targets);
+        if !self.prefetch_targets.is_empty() {
+            self.scheduler.on_prefetch_targets(&self.prefetch_targets);
         }
     }
 
@@ -391,7 +407,6 @@ impl Sm {
                     issued.iter,
                     lanes,
                 );
-                let lines = coalesce(&addrs, self.cfg.l1.line_bytes);
                 self.lsu.push(MemOp {
                     warp: wid,
                     pc: issued.pc,
@@ -399,9 +414,9 @@ impl Sm {
                     iter: issued.iter,
                     is_load,
                     addr0: addrs[0],
-                    lines: lines.into_iter().collect(),
+                    lines: coalesce(&addrs, self.cfg.l1.line_bytes),
                     issue_cycle: now,
-                    head_sent: false,
+                    sent: 0,
                 });
             }
         }
@@ -539,7 +554,10 @@ impl Sm {
     }
 
     fn drain_stage(&mut self, now: Cycle, port: &mut SmPort) {
-        for req in self.l1.drain_outgoing(self.cfg.noc.requests_per_cycle) {
+        for _ in 0..self.cfg.noc.requests_per_cycle {
+            let Some(req) = self.l1.pop_outgoing() else {
+                break;
+            };
             port.submit(req, now);
         }
     }

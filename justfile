@@ -33,16 +33,18 @@ lint-workspace:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# The exhibit bytes are the spec: every fast-scale exhibit, regenerated
-# through one fresh shared result cache, must equal results/fast_scale.txt
-# and results/csv_fast/ byte for byte (needs `just build` first).
+# The exhibit bytes are the spec: every fast-scale exhibit, regenerated at
+# --jobs 2 and again at --jobs 1, each pass through its own fresh result
+# cache, must equal results/fast_scale.txt and results/csv_fast/ byte for
+# byte (needs `just build` first).
 golden:
     bash scripts/golden.sh
 
-# Determinism gate of the parallel sweep harness: every bench binary at
-# the minimal scale must print byte-identical output under --jobs 1 and
-# --jobs 2, and every example must exit 0 with the same stdout on two runs
-# (needs `just build` first; `check` orders them correctly).
+# Determinism gate of the parallel sweep harness: every bench binary that
+# `golden` does not cover must print byte-identical output at the minimal
+# scale under --jobs 1 and --jobs 2, and every example must exit 0 with the
+# same stdout on two runs (needs `just build` first; `check` orders them
+# correctly).
 bench-smoke:
     bash scripts/bench_smoke.sh
 
@@ -58,7 +60,8 @@ serve-smoke:
 # perf_trajectory against an in-process calibration loop and fails if
 # suite/calibration rose >25% above the newest checked-in BENCH_*.json
 # (a same-process ratio, not absolute rates, so the gate is
-# machine-portable; METHODOLOGY.md).
+# machine-portable), or if any suite entry makes more heap allocations
+# than that file records (exact counts, zero tolerance; METHODOLOGY.md).
 perf-gate:
     cargo run --release -p apres-bench --bin perf_trajectory -- --fast --check > /dev/null
 

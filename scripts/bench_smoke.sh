@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # `just bench-smoke` — the determinism gate of the parallel sweep harness.
 #
-# Runs every bench binary at the minimal (--tiny) scale twice, once with
-# `--jobs 1` and once with `--jobs 2`, and byte-compares stdout; for the
-# binaries that emit JSON artifacts it byte-compares those too. Any
-# difference means the harness leaked thread-scheduling order into the
-# output, which is a bug (see DESIGN.md §10).
+# Runs every bench binary that `just golden` does not cover at the minimal
+# (--tiny) scale twice, once with `--jobs 1` and once with `--jobs 2`, and
+# byte-compares stdout; for the binaries that emit JSON artifacts it
+# byte-compares those too. Any difference means the harness leaked
+# thread-scheduling order into the output, which is a bug (see DESIGN.md
+# §10). The twelve fast-scale exhibit binaries are checked against the
+# checked-in results/ at both job counts by `just golden` instead.
 #
-# probe runs with --no-time because its wall-clock columns are the one
-# deliberately non-deterministic output. Every example under examples/ also
-# runs twice and must exit 0 with identical stdout both times.
+# Every example under examples/ also runs twice and must exit 0 with
+# identical stdout both times.
 set -u
 cd "$(dirname "$0")/.."
 BIN=target/release
@@ -82,26 +83,14 @@ no_time_check() {
   fi
 }
 
-# Every exhibit and study binary, at the scale bench-smoke exercises.
-compare fig2 --tiny
-compare fig3 --tiny
-compare fig4 --tiny
-compare fig10 --tiny
-compare fig11 --tiny
-compare fig12 --tiny
-compare fig13 --tiny
-compare fig14 --tiny
-compare fig15 --tiny
+# Every table and study binary outside the golden set, at the scale
+# bench-smoke exercises.
 compare table1 --tiny
 compare table2 --tiny
 compare table3 --tiny
 compare sweep --tiny
 compare diag --tiny SRAD
-compare probe --tiny --no-time
 compare fidelity
-compare ablation_apres --tiny
-compare ablation_substrate --tiny
-compare bypass_study --tiny
 compare kernel-lint --oracle
 
 # JSON artifacts must be byte-identical too (exhibit + sweep shapes).
@@ -111,7 +100,6 @@ json_compare sweep --tiny
 
 # --no-time runs must be silent about wall time everywhere (the Clock
 # routing of the bench binaries plus the harness's no-time summary).
-no_time_check probe --tiny
 no_time_check table1 --tiny
 no_time_check fidelity
 no_time_check fig10 --tiny
