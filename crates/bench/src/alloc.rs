@@ -14,6 +14,11 @@
 //! not on the host or its load. `perf_trajectory` gates it with zero
 //! tolerance (METHODOLOGY.md).
 
+#![expect(
+    unsafe_code,
+    reason = "a `GlobalAlloc` impl is unsafe by definition; it only forwards to `System`"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -29,6 +29,13 @@
 //! writer nor two concurrent writers of one spec can leave a half-written
 //! entry under a live entry name.
 
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the temp-file sequence and the ops counters are atomics shared by workers; no result depends on their update order"
+)]
+
 use crate::{Combo, Scale};
 use apres_core::sim::{PrefetcherChoice, SchedulerChoice, Simulation};
 use gpu_common::config::GpuConfig;
@@ -748,7 +755,7 @@ mod tests {
         let spec = tiny_spec();
         let cold = exec.run(0, Some(&spec), || spec.run()).expect("computed");
         let warm = exec
-            .run(0, Some(&spec), || unreachable!("a hit never computes"))
+            .run(0, Some(&spec), || panic!("a hit never computes"))
             .expect("served");
         assert_eq!(warm, cold);
         let mut other = tiny_spec();

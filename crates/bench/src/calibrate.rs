@@ -1,12 +1,10 @@
 //! The substrate microbenchmarks — tag store, MSHR file, coalescer and
 //! address-pattern sampler — as fixed-work loops.
 //!
-//! Two callers share these loops. The `simulator` bench reports each one
-//! as ns/iteration. `perf_trajectory` runs all of them as its calibration
-//! loop and gates the pinned suite's wall-clock divided by the
-//! calibration's, timed in the same process: both scale with the host's
-//! speed, so the ratio tracks the cycle loop rather than the machine
-//! (METHODOLOGY.md).
+//! `perf_trajectory` runs all of them as its calibration loop and gates
+//! the pinned suite's wall-clock divided by the calibration's, timed in
+//! the same process: both scale with the host's speed, so the ratio
+//! tracks the cycle loop rather than the machine (METHODOLOGY.md).
 
 use gpu_common::config::{CacheConfig, Replacement};
 use gpu_common::{Addr, LineAddr, Pc, SmId, WarpId};

@@ -39,6 +39,11 @@
 //! summary line — stdout stays clean for the exhibit tables, which is what
 //! `just bench-smoke` byte-compares across `--jobs` values.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the worker pool shares its task slots, cursor and progress state across threads; results are aggregated in submission order"
+)]
+
 use crate::cache::{CacheSummary, Executor, JobSpec, ResultCache};
 use crate::{report_outcome, Combo, Scale};
 use gpu_common::clock::{Clock, WallClock};
@@ -226,8 +231,10 @@ impl SimSweep {
             no_time,
         } = self;
         let total = tasks.len();
-        // Sweep elapsed feeds only stderr (TTY repaints + summary), never
-        // stdout. lint: allow(wall-clock)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sweep elapsed feeds only stderr (TTY repaints + summary), never stdout"
+        )]
         let started = Instant::now();
         let progress = Progress::new(&name, total, jobs, no_time);
         let executor = Executor::new(cache.as_ref());
@@ -461,7 +468,7 @@ impl Progress {
             workers,
             live: std::io::stderr().is_terminal(),
             no_time,
-            // TTY progress pacing only. lint: allow(wall-clock)
+            #[expect(clippy::disallowed_methods, reason = "TTY progress pacing only")]
             started: Instant::now(),
             state: Mutex::new(ProgressState {
                 done: 0,
@@ -481,7 +488,7 @@ impl Progress {
         if !self.live {
             return;
         }
-        // TTY repaint pacing only. lint: allow(wall-clock)
+        #[expect(clippy::disallowed_methods, reason = "TTY repaint pacing only")]
         let now = Instant::now();
         let due = st
             .last_paint
@@ -729,12 +736,7 @@ mod tests {
             assert_eq!(ctx.total, 1);
             assert_eq!(ctx.index, 0);
             assert!(!ctx.reseed);
-            crate::try_run_with_config(
-                Benchmark::Hs,
-                BASELINE,
-                Scale::Tiny,
-                &Scale::Tiny.config(),
-            )
+            crate::simulation_for(Benchmark::Hs, BASELINE, Scale::Tiny, &Scale::Tiny.config()).run()
         });
         let r = sweep.run(1);
         assert!(r.get(id).is_some());

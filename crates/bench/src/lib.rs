@@ -19,8 +19,8 @@
 //!
 //! Pass `--fast` to any binary for a reduced scale (fewer SMs/iterations;
 //! same qualitative shape, minutes → seconds), `--tiny` for the minimal
-//! smoke-test scale. The timing harness in `benches/` measures simulator
-//! throughput itself.
+//! smoke-test scale. The `perf_trajectory` binary times the simulator
+//! itself against the [`calibrate`] loops (`just perf-gate`).
 //!
 //! Every exhibit binary shards its (benchmark × policy × config) matrix
 //! across a worker pool — the [`harness`] module — because each data point
@@ -30,13 +30,12 @@
 //! bench-smoke` enforce this). Command lines parse through [`cli::BenchArgs`]; tables print
 //! through [`emit_table`], which also writes `--csv`/`--json` copies.
 //!
-//! All data points go through the crash-safe [`run`] /
-//! [`run_with_config`] entry points or their harness equivalents: a point
-//! whose simulation fails with a typed [`gpu_common::SimError`] (invalid
-//! geometry, watchdog-diagnosed deadlock, …) is reported on stderr and
-//! skipped, so one bad point never aborts a whole sweep. Points that
-//! exhausted their cycle budget instead of draining are flagged on stderr
-//! too.
+//! Every data point's outcome passes through [`report_outcome`] (the
+//! [`harness`] does that for its jobs): a point whose simulation fails
+//! with a typed [`gpu_common::SimError`] (invalid geometry,
+//! watchdog-diagnosed deadlock, …) is reported on stderr and skipped, so
+//! one bad point never aborts a whole sweep. Points that exhausted their
+//! cycle budget instead of draining are flagged on stderr too.
 
 use apres_core::sim::{PrefetcherChoice, SchedulerChoice, Simulation};
 use gpu_common::config::GpuConfig;
@@ -148,39 +147,9 @@ impl Scale {
     }
 }
 
-/// Runs one benchmark under one policy combination, crash-safe: a typed
-/// simulation failure is reported on stderr and yields `None` so sweeps
-/// skip the point instead of aborting.
-pub fn run(bench: Benchmark, combo: Combo, scale: Scale) -> Option<RunResult> {
-    run_with_config(bench, combo, scale, &scale.config())
-}
-
-/// Crash-safe variant of [`try_run_with_config`] (Fig. 2 uses a 32 MB L1).
-pub fn run_with_config(
-    bench: Benchmark,
-    combo: Combo,
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> Option<RunResult> {
-    let label = format!("{}/{}", bench.label(), combo.label());
-    report_outcome(&label, try_run_with_config(bench, combo, scale, cfg))
-}
-
-/// Runs one data point, propagating any [`gpu_common::SimError`] to the
-/// caller.
-pub fn try_run_with_config(
-    bench: Benchmark,
-    combo: Combo,
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> SimResult<RunResult> {
-    simulation_for(bench, combo, scale, cfg).run()
-}
-
-/// Builds (without running) the [`Simulation`] for one data point — the
-/// single place the (benchmark, policy, scale, config) tuple is turned
-/// into a configured simulation, shared by the serial entry points above
-/// and by [`harness::SimSweep`]'s worker jobs.
+/// Builds (without running) the [`Simulation`] for one (benchmark, policy,
+/// scale, config) data point; [`report_outcome`] turns its run's outcome
+/// into the crash-safe form.
 pub fn simulation_for(
     bench: Benchmark,
     combo: Combo,
@@ -393,7 +362,8 @@ mod tests {
 
     #[test]
     fn fast_run_completes() {
-        let r = run(Benchmark::Hs, BASELINE, Scale::Fast).expect("valid point runs");
+        let sim = simulation_for(Benchmark::Hs, BASELINE, Scale::Fast, &Scale::Fast.config());
+        let r = report_outcome("HS/baseline", sim.run()).expect("valid point runs");
         assert!(!r.timed_out);
         assert!(r.termination.is_drained());
         assert!(r.ipc() > 0.0);
@@ -403,9 +373,9 @@ mod tests {
     fn invalid_config_point_is_skipped_not_fatal() {
         let mut cfg = Scale::Fast.config();
         cfg.l1.ways = 0;
-        assert!(run_with_config(Benchmark::Hs, BASELINE, Scale::Fast, &cfg).is_none());
-        let err = try_run_with_config(Benchmark::Hs, BASELINE, Scale::Fast, &cfg)
-            .expect_err("zero ways must be rejected");
+        let run = || simulation_for(Benchmark::Hs, BASELINE, Scale::Fast, &cfg).run();
+        assert!(report_outcome("HS/baseline", run()).is_none());
+        let err = run().expect_err("zero ways must be rejected");
         assert_eq!(err.class(), "config-validation");
     }
 }

@@ -15,6 +15,11 @@
 //! Implementations must be [`Sync`]: one clock is shared by every worker
 //! thread of a batch.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "`VirtualClock` is shared by worker threads, so its counter is an atomic; it feeds deadlines, never results"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -43,8 +48,10 @@ impl WallClock {
     /// Starts a wall clock whose epoch is "now".
     pub fn new() -> Self {
         WallClock {
-            // The one legal raw wall-clock read: every other component
-            // takes a `&dyn Clock`. lint: allow(wall-clock)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the one raw clock read behind the `Clock` trait; every other component takes a `&dyn Clock`"
+            )]
             epoch: Instant::now(),
         }
     }

@@ -9,6 +9,8 @@
 //! exactly once when a simulation is constructed. Geometry accessors such as
 //! [`CacheConfig::checked_num_sets`] never panic.
 
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::error::{SimError, SimResult};
 use crate::lanes::MAX_REQUESTS_PER_WARP;
 
@@ -116,11 +118,6 @@ impl CacheConfig {
             return Err(SimError::config(level, "mshr_merge_slots must be > 0"));
         }
         Ok(())
-    }
-
-    /// Total number of cache lines.
-    pub fn num_lines(&self) -> usize {
-        (self.capacity_bytes / self.line_bytes.max(1)) as usize
     }
 }
 
@@ -333,15 +330,6 @@ impl GpuConfig {
         cfg
     }
 
-    /// The paper's hypothetical large-cache GPU used in Figure 2: identical
-    /// to the baseline but with a 32 MB L1 per SM.
-    pub fn huge_l1() -> Self {
-        let mut cfg = Self::paper_baseline();
-        cfg.l1.capacity_bytes = 32 * 1024 * 1024;
-        cfg.l1.mshrs = 64;
-        cfg
-    }
-
     /// Validates internal consistency of the configuration.
     ///
     /// Run once when a simulation is constructed; everything downstream may
@@ -457,17 +445,7 @@ mod tests {
     fn l1_geometry() {
         let cfg = GpuConfig::paper_baseline();
         // 32 KB / 128 B = 256 lines; 256 / 8 ways = 32 sets.
-        assert_eq!(cfg.l1.num_lines(), 256);
         assert_eq!(cfg.l1.num_sets(), 32);
-    }
-
-    #[test]
-    fn huge_l1_only_changes_capacity() {
-        let base = GpuConfig::paper_baseline();
-        let huge = GpuConfig::huge_l1();
-        assert_eq!(huge.l1.capacity_bytes, 32 * 1024 * 1024);
-        assert_eq!(huge.l2, base.l2);
-        assert!(huge.validate().is_ok());
     }
 
     #[test]
@@ -565,7 +543,6 @@ mod tests {
             bypass: false,
         };
         assert_eq!(degenerate.num_sets(), 0);
-        assert_eq!(degenerate.num_lines(), 0);
         assert!(degenerate.checked_num_sets("l1").is_err());
     }
 

@@ -77,14 +77,6 @@ pub fn hash_hex(h: u128) -> String {
     format!("{h:032x}")
 }
 
-/// Parses a hash previously formatted by [`hash_hex`].
-pub fn parse_hash_hex(s: &str) -> Option<u128> {
-    if s.len() != 32 {
-        return None;
-    }
-    u128::from_str_radix(s, 16).ok()
-}
-
 /// Short (16-hex-digit) form of a hash for display in error messages —
 /// enough to identify a job spec uniquely in any realistic batch.
 pub fn short_hex(h: u128) -> String {
@@ -123,9 +115,7 @@ mod tests {
         let h = content_hash_str("spec");
         let hex = hash_hex(h);
         assert_eq!(hex.len(), 32);
-        assert_eq!(parse_hash_hex(&hex), Some(h));
-        assert_eq!(parse_hash_hex("zz"), None);
-        assert_eq!(parse_hash_hex(&"g".repeat(32)), None);
+        assert_eq!(u128::from_str_radix(&hex, 16), Ok(h));
         assert_eq!(short_hex(h).len(), 16);
     }
 

@@ -237,11 +237,13 @@ mod tests {
 
     #[test]
     fn ids_are_orderable_and_hashable() {
-        use std::collections::HashSet;
-        let mut set = HashSet::new();
-        set.insert(WarpId(1));
-        set.insert(WarpId(1));
-        assert_eq!(set.len(), 1);
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let hash = |w: WarpId| {
+            let mut h = DefaultHasher::new();
+            w.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(WarpId(1)), hash(WarpId(1)));
         assert!(WarpId(1) < WarpId(2));
         assert!(Pc(0x10) < Pc(0x20));
     }

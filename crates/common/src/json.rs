@@ -90,14 +90,6 @@ impl Json {
         }
     }
 
-    /// The number as `i64`, if it parses exactly.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The number as `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -424,7 +424,7 @@ mod tests {
         let r = ready(&[0, 1, 2, 3, 4, 5, 6, 7]);
         let picks: Vec<u32> = (0..10).map(|_| s.pick(&r, &ctx()).unwrap().0).collect();
         // All of the 8-warp ready set participates (8-wide head window).
-        let distinct: std::collections::HashSet<u32> = picks.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<u32> = picks.iter().copied().collect();
         assert_eq!(distinct.len(), 8, "{picks:?}");
     }
 

@@ -40,6 +40,7 @@
 //! assert!(!result.timed_out);
 //! ```
 
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types, unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

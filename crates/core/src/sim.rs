@@ -13,6 +13,8 @@
 //! | LAWS+STR    | `Laws`              | `Str`                |
 //! | **APRES**   | `Laws`              | `Sap`                |
 
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::laws::Laws;
 use crate::sap::Sap;
 use gpu_common::config::GpuConfig;

@@ -27,6 +27,8 @@
 //! assert_eq!(k.body().len(), 2);
 //! ```
 
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types, unsafe_code)]
+
 mod instr;
 mod kernel;
 mod pattern;

@@ -36,7 +36,7 @@ struct PcEntry {
 pub struct BypassPredictor {
     // BTreeMap, not HashMap: the LRU eviction below iterates the table,
     // and `min_by_key` must break score ties by Pc order, not by a
-    // per-process RandomState (lint: hash-iter).
+    // per-process RandomState (`clippy.toml` bans HashMap, DESIGN.md §12).
     table: BTreeMap<Pc, PcEntry>,
     tick: u64,
     /// Demand loads served around the L1.

@@ -194,13 +194,6 @@ impl TagStore {
         evicted
     }
 
-    /// Invalidates a line if present, returning its state.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<LineState> {
-        let set = self.set_of(line);
-        let pos = self.sets[set].iter().position(|l| l.line == line)?;
-        Some(self.sets[set].swap_remove(pos))
-    }
-
     /// Iterates over all resident lines (diagnostics/tests).
     pub fn iter(&self) -> impl Iterator<Item = &LineState> {
         self.sets.iter().flatten()
@@ -292,15 +285,6 @@ mod tests {
         assert_eq!(ev.state.line, set0(0));
         assert!(ev.state.prefetched);
         assert!(!ev.state.demand_used);
-    }
-
-    #[test]
-    fn invalidate() {
-        let mut c = small();
-        c.fill(set0(0), false, 0);
-        assert!(c.invalidate(set0(0)).is_some());
-        assert!(!c.probe(set0(0)));
-        assert!(c.invalidate(set0(0)).is_none());
     }
 
     fn small_with(policy: Replacement) -> TagStore {

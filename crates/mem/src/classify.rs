@@ -23,13 +23,6 @@ pub enum AccessClass {
     CapacityConflictMiss,
 }
 
-impl AccessClass {
-    /// `true` for either hit class.
-    pub fn is_hit(self) -> bool {
-        matches!(self, AccessClass::HitAfterHit | AccessClass::HitAfterMiss)
-    }
-}
-
 /// Classifies the demand-access stream of one cache.
 #[derive(Debug, Clone, Default)]
 pub struct MissClassifier {
@@ -115,14 +108,6 @@ mod tests {
         assert_eq!(c.classify(LineAddr(1), true), AccessClass::HitAfterHit);
     }
 
-    #[test]
-    fn is_hit_helper() {
-        assert!(AccessClass::HitAfterHit.is_hit());
-        assert!(AccessClass::HitAfterMiss.is_hit());
-        assert!(!AccessClass::ColdMiss.is_hit());
-        assert!(!AccessClass::CapacityConflictMiss.is_hit());
-    }
-
     mod properties {
         use super::*;
         use gpu_common::check::run_cases;
@@ -165,7 +150,7 @@ mod tests {
         fn cold_at_most_once_per_line() {
             run_cases(64, |_, g| {
                 let mut c = MissClassifier::new();
-                let mut cold_seen = std::collections::HashSet::new();
+                let mut cold_seen = std::collections::BTreeSet::new();
                 let n = g.usize_range(0, 99);
                 for _ in 0..n {
                     let l = g.range(0, 7);

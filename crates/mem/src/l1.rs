@@ -11,6 +11,8 @@
 //!   [`gpu_common::stats::CacheStats::mshr_merges`];
 //! * prefetches are dropped when the line is resident or already in flight.
 
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::bypass::BypassPredictor;
 use crate::cache::TagStore;
 use crate::classify::{AccessClass, MissClassifier};
@@ -100,7 +102,8 @@ pub struct L1Cache {
     // handful of static loads, so a binary-searched contiguous vector
     // beats tree nodes (DESIGN.md §13). Sortedness is load-bearing — the
     // slice feeds report output directly, and emitted order must never
-    // depend on a per-process RandomState (lint rule `hash-iter`).
+    // depend on a per-process RandomState (`clippy.toml` bans HashMap,
+    // DESIGN.md §12).
     per_pc: Vec<(Pc, PcStats)>,
     bypass: Option<BypassPredictor>,
     /// Lines whose in-flight fill must not be installed (bypassed loads).

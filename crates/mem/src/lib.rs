@@ -22,6 +22,7 @@
 //! flat arrays / vectors on per-cycle lookup paths, ordered containers only
 //! where iteration order is emitted or models an event queue.
 
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types, unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod bypass;

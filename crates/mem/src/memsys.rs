@@ -12,6 +12,8 @@
 //! drain is an [`SimError::InvariantViolation`], i.e. a leak in the NoC, the
 //! L2 MSHRs, or DRAM queues.
 
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::l2::L2Bank;
 use crate::noc::DelayPipe;
 use crate::request::{AccessKind, MemRequest};

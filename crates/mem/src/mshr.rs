@@ -7,6 +7,8 @@
 //! demand requests are merged in miss status handling registers of the L1
 //! cache" (Section I).
 
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::request::{AccessKind, MemRequest};
 use gpu_common::LineAddr;
 
@@ -74,7 +76,7 @@ pub struct MshrFile {
     // load-bearing part: `iter()` feeds diagnostics (deadlock dumps) and
     // the property-test ledger, so the visit order must stay line-ordered
     // and process-independent — never a HashMap's RandomState order
-    // (lint rule `hash-iter` documents this hazard).
+    // (`clippy.toml` bans HashMap, DESIGN.md §12).
     entries: Vec<MshrEntry>,
     capacity: usize,
     merge_slots: usize,

@@ -12,6 +12,8 @@
 //! SAP, the paper's scheduling-aware prefetcher, lives in `apres-core`
 //! because it cooperates with LAWS.
 
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types, unsafe_code)]
+
 mod sld;
 mod str_prefetch;
 

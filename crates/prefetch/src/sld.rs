@@ -33,7 +33,7 @@ struct BlockEntry {
 pub struct Sld {
     // BTreeMap, not HashMap: LRU eviction iterates the table and must
     // break ties by block id, not by a per-process RandomState
-    // (lint: hash-iter).
+    // (`clippy.toml` bans HashMap, DESIGN.md §12).
     table: BTreeMap<u64, BlockEntry>,
     tick: u64,
     table_accesses: u64,

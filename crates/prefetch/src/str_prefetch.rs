@@ -35,7 +35,8 @@ struct StrEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Str {
     // BTreeMap, not HashMap: LRU eviction iterates the table and must
-    // break ties by Pc, not by a per-process RandomState (lint: hash-iter).
+    // break ties by Pc, not by a per-process RandomState (`clippy.toml`
+    // bans HashMap, DESIGN.md §12).
     table: BTreeMap<Pc, StrEntry>,
     tick: u64,
     table_accesses: u64,

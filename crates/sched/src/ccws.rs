@@ -44,7 +44,7 @@ struct WarpLocality {
 pub struct Ccws {
     // BTreeMap, not HashMap: score sums and the per-round decay iterate
     // the table, so visit order must be WarpId order, not a per-process
-    // RandomState (lint: hash-iter).
+    // RandomState (`clippy.toml` bans HashMap, DESIGN.md §12).
     warps: BTreeMap<WarpId, WarpLocality>,
     /// `pick`'s ready warps as (score desc, id asc) keys; reused per pick.
     ranked: Vec<(Reverse<u64>, u32)>,
@@ -225,7 +225,7 @@ mod tests {
         // Warp 3 must be inside the allowed cut.
         let c = ctx(0.0);
         let r = ready(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..12 {
             seen.insert(s.pick(&r, &c).unwrap().0);
         }

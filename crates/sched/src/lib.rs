@@ -19,6 +19,8 @@
 //! scheduling decision (e.g. CCWS's exact VTA indexing) are simplified and
 //! documented inline.
 
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types, unsafe_code)]
+
 mod ccws;
 mod gto;
 mod lrr;

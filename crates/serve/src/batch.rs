@@ -22,6 +22,8 @@
 //! loudly at the door; *runtime* failures degrade gracefully instead, see
 //! [`crate::service`]).
 
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use apres_bench::cache::JobSpec;
 use gpu_common::json::Json;
 use gpu_common::{SimError, SimResult};

@@ -33,6 +33,8 @@
 //! Operational detail lives in [`ServeStats`], reported on stderr by the
 //! binary.
 
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use apres_bench::cache::{Executor, JobSpec, ResultCache};
 use gpu_common::{Clock, ServiceFaultPlan, SimError, SimResult};
 use gpu_sm::RunResult;

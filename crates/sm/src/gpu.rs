@@ -9,6 +9,8 @@
 //! an [`Observer`], which reads the GPU after every cycle but cannot change
 //! it.
 
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::port::SmPort;
 use crate::sm::Sm;
 use crate::traits::{Prefetcher, WarpScheduler};

@@ -24,6 +24,7 @@
 //! The cycle loop ticks every SM and the memory system once per cycle; the
 //! engines tried and rejected in its place are recorded in DESIGN.md §15.
 
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types, unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod codec;

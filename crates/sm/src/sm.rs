@@ -269,10 +269,16 @@ impl Sm {
         };
         let mut prefetches = self.prefetcher.on_access(&acc);
         if !feedback.prefetch_group.is_empty() {
-            prefetches.extend(
-                self.prefetcher
-                    .on_group_miss(&acc, &feedback.prefetch_group),
-            );
+            let group = self
+                .prefetcher
+                .on_group_miss(&acc, &feedback.prefetch_group);
+            // Take the group's `Vec` as it is when `on_access` returned
+            // nothing, rather than copying it into a second allocation.
+            if prefetches.is_empty() {
+                prefetches = group;
+            } else {
+                prefetches.extend(group);
+            }
         }
         self.issue_prefetches(&prefetches, now);
         // Completions from pure-hit ops were already handled above; latency

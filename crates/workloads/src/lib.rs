@@ -14,6 +14,8 @@
 //! loose-round-robin order and regenerates Table I's columns, which is how
 //! the synthetic parameters were validated.
 
+#![forbid(clippy::disallowed_methods, clippy::disallowed_types, unsafe_code)]
+
 pub mod benchmarks;
 pub mod characterize;
 pub mod fidelity;

@@ -3,13 +3,8 @@
 //!
 //! The workspace layers are (low to high):
 //!
-//! `common < {kernel, lint} < mem < sm < {sched, prefetch} < core <
-//! workloads < analysis < bench < serve`
-//!
-//! `apres-lint` sits at rank 1: it audits source text, so it needs only
-//! the diagnostics types from `gpu-common` and nothing from the
-//! simulator stack (and nothing may depend on it — it is a leaf tool
-//! reached via its `workspace-lint` binary).
+//! `common < kernel < mem < sm < {sched, prefetch} < core < workloads <
+//! analysis < bench < serve`
 //!
 //! Each member crate's manifest is parsed (in-tree, string-level — the
 //! workspace is dependency-free by design) and every internal dependency
@@ -27,7 +22,6 @@ fn layer_ranks() -> BTreeMap<&'static str, u32> {
     BTreeMap::from([
         ("gpu-common", 0),
         ("gpu-kernel", 1),
-        ("apres-lint", 1),
         ("gpu-mem", 2),
         ("gpu-sm", 3),
         ("gpu-sched", 4),
