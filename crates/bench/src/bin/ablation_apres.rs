@@ -21,7 +21,12 @@ const WGT_SWEEP: [usize; 5] = [1, 3, 6, 12, 24];
 const PT_SWEEP: [usize; 4] = [1, 4, 10, 32];
 const BUDGET_SWEEP: [usize; 4] = [2, 8, 16, 47];
 
-fn add_point(sweep: &mut SimSweep, label: String, cfg_apres: ApresConfig, args: &BenchArgs) -> JobId {
+fn add_point(
+    sweep: &mut SimSweep,
+    label: String,
+    cfg_apres: ApresConfig,
+    args: &BenchArgs,
+) -> JobId {
     let mut cfg = args.scale.config();
     cfg.apres = cfg_apres;
     sweep.add_labeled(label, Benchmark::Lud, APRES, args.scale, &cfg)
@@ -38,7 +43,10 @@ fn main() {
                 wgt_entries: wgt,
                 ..ApresConfig::default()
             };
-            (format!("WGT entries = {wgt}"), add_point(&mut sweep, format!("wgt={wgt}"), cfg, &args))
+            (
+                format!("WGT entries = {wgt}"),
+                add_point(&mut sweep, format!("wgt={wgt}"), cfg, &args),
+            )
         })
         .collect();
     let pt_ids: Vec<_> = PT_SWEEP
@@ -48,7 +56,10 @@ fn main() {
                 pt_entries: pt,
                 ..ApresConfig::default()
             };
-            (format!("PT entries = {pt}"), add_point(&mut sweep, format!("pt={pt}"), cfg, &args))
+            (
+                format!("PT entries = {pt}"),
+                add_point(&mut sweep, format!("pt={pt}"), cfg, &args),
+            )
         })
         .collect();
     let budget_ids: Vec<_> = BUDGET_SWEEP

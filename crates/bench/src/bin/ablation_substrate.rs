@@ -66,7 +66,13 @@ fn main() {
                     scale,
                     &cfg,
                 ),
-                sweep.add_labeled(format!("{}/APRES", bench.label()), bench, APRES, scale, &cfg),
+                sweep.add_labeled(
+                    format!("{}/APRES", bench.label()),
+                    bench,
+                    APRES,
+                    scale,
+                    &cfg,
+                ),
             )
         })
         .collect();
@@ -108,7 +114,12 @@ fn main() {
     emit_table(
         &args,
         "ablation_dram_model",
-        &["bench / DRAM model", "base IPC", "base latency", "APRES speedup"],
+        &[
+            "bench / DRAM model",
+            "base IPC",
+            "base latency",
+            "APRES speedup",
+        ],
         &rows,
     );
 }

@@ -55,7 +55,13 @@ fn main() {
     emit_table(
         &args,
         "bypass_study",
-        &["App", "bypass only", "APRES only", "bypass+APRES", "miss (base→both)"],
+        &[
+            "App",
+            "bypass only",
+            "APRES only",
+            "bypass+APRES",
+            "miss (base→both)",
+        ],
         &rows,
     );
     println!(

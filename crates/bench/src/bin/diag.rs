@@ -24,8 +24,19 @@ fn main() {
 
     println!(
         "{:<10} {:>9} {:>6} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8} {:>8} {:>9}",
-        "combo", "cycles", "ipc", "miss", "pf_iss", "pf_use", "pf_late", "pf_early",
-        "pf_usls", "avg_lat", "st_lsu", "st_dep", "mshr_rej"
+        "combo",
+        "cycles",
+        "ipc",
+        "miss",
+        "pf_iss",
+        "pf_use",
+        "pf_late",
+        "pf_early",
+        "pf_usls",
+        "avg_lat",
+        "st_lsu",
+        "st_dep",
+        "mshr_rej"
     );
     for (c, id) in combos.iter().zip(&ids) {
         let Some(r) = res.get(*id) else {

@@ -19,7 +19,10 @@ fn main() {
         .into_iter()
         .map(|b| {
             let base = sweep.add(b, BASELINE, args.scale);
-            let per_combo: Vec<_> = combos.iter().map(|c| sweep.add(b, *c, args.scale)).collect();
+            let per_combo: Vec<_> = combos
+                .iter()
+                .map(|c| sweep.add(b, *c, args.scale))
+                .collect();
             (b, base, per_combo)
         })
         .collect();

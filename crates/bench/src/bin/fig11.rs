@@ -21,8 +21,14 @@ fn main() {
     let args = BenchArgs::parse();
     let combos = [
         ("B", BASELINE),
-        ("C", Combo::new(SchedulerChoice::Ccws, PrefetcherChoice::None)),
-        ("L", Combo::new(SchedulerChoice::Laws, PrefetcherChoice::None)),
+        (
+            "C",
+            Combo::new(SchedulerChoice::Ccws, PrefetcherChoice::None),
+        ),
+        (
+            "L",
+            Combo::new(SchedulerChoice::Laws, PrefetcherChoice::None),
+        ),
         ("S", CCWS_STR),
         ("A", APRES),
     ];
@@ -39,7 +45,9 @@ fn main() {
         .collect();
     let res = sweep.run(args.jobs);
 
-    println!("Figure 11 — L1 breakdown per access: hit-after-hit / hit-after-miss / cold / cap+conf\n");
+    println!(
+        "Figure 11 — L1 breakdown per access: hit-after-hit / hit-after-miss / cold / cap+conf\n"
+    );
     let mut rows = Vec::new();
     for (b, tag, id) in &points {
         let Some(r) = res.get(*id) else {
@@ -58,7 +66,14 @@ fn main() {
     emit_table(
         &args,
         "fig11",
-        &["App", "hit-after-hit", "hit-after-miss", "cold", "cap+conf", "total-hit"],
+        &[
+            "App",
+            "hit-after-hit",
+            "hit-after-miss",
+            "cold",
+            "cap+conf",
+            "total-hit",
+        ],
         &rows,
     );
 }

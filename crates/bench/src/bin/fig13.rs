@@ -30,7 +30,11 @@ fn main() {
         };
         let norm = |r: &gpu_sm::RunResult| {
             let b = base.mem.avg_load_latency();
-            if b == 0.0 { 0.0 } else { r.mem.avg_load_latency() / b }
+            if b == 0.0 {
+                0.0
+            } else {
+                r.mem.avg_load_latency() / b
+            }
         };
         let (sn, an) = (norm(s), norm(a));
         s_all.push(sn);
@@ -48,5 +52,10 @@ fn main() {
         format!("{:.3}", mean(&s_all)),
         format!("{:.3}", mean(&a_all)),
     ]);
-    emit_table(&args, "fig13", &["App", "Base(cyc)", "CCWS+STR", "APRES"], &rows);
+    emit_table(
+        &args,
+        "fig13",
+        &["App", "Base(cyc)", "CCWS+STR", "APRES"],
+        &rows,
+    );
 }

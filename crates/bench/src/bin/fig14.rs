@@ -48,5 +48,10 @@ fn main() {
         format!("{:.3}", mean(&s_all)),
         format!("{:.3}", mean(&a_all)),
     ]);
-    emit_table(&args, "fig14", &["App", "Base(bytes)", "CCWS+STR", "APRES"], &rows);
+    emit_table(
+        &args,
+        "fig14",
+        &["App", "Base(bytes)", "CCWS+STR", "APRES"],
+        &rows,
+    );
 }

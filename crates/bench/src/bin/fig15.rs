@@ -48,5 +48,10 @@ fn main() {
         format!("{:.3}", mean(&a_all)),
         "-".to_owned(),
     ]);
-    emit_table(&args, "fig15", &["App", "CCWS+STR", "APRES", "APRES-tbl-energy"], &rows);
+    emit_table(
+        &args,
+        "fig15",
+        &["App", "CCWS+STR", "APRES", "APRES-tbl-energy"],
+        &rows,
+    );
 }

@@ -41,10 +41,16 @@ fn main() {
             b.label().to_owned(),
             format!("{:.2}", small.l1.miss_rate()),
             format!("{:.2}", small.l1.cold_misses as f64 / total(small)),
-            format!("{:.2}", small.l1.capacity_conflict_misses as f64 / total(small)),
+            format!(
+                "{:.2}",
+                small.l1.capacity_conflict_misses as f64 / total(small)
+            ),
             format!("{:.2}", huge.l1.miss_rate()),
             format!("{:.2}", huge.l1.cold_misses as f64 / total(huge)),
-            format!("{:.2}", huge.l1.capacity_conflict_misses as f64 / total(huge)),
+            format!(
+                "{:.2}",
+                huge.l1.capacity_conflict_misses as f64 / total(huge)
+            ),
             format!("({:.2})", huge.speedup_over(small)),
         ]);
     }
@@ -52,7 +58,13 @@ fn main() {
         &args,
         "fig2",
         &[
-            "App", "B:miss", "B:cold", "B:cap+conf", "C:miss", "C:cold", "C:cap+conf",
+            "App",
+            "B:miss",
+            "B:cold",
+            "B:cap+conf",
+            "C:miss",
+            "C:cold",
+            "C:cap+conf",
             "C speedup",
         ],
         &rows,

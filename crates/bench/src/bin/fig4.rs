@@ -29,7 +29,10 @@ fn main() {
 
     println!("Figure 4 — early eviction ratio of STR prefetching\n");
     let mut headers = vec!["App"];
-    let labels: Vec<String> = scheds.iter().map(|s| format!("{}+STR", s.label())).collect();
+    let labels: Vec<String> = scheds
+        .iter()
+        .map(|s| format!("{}+STR", s.label()))
+        .collect();
     headers.extend(labels.iter().map(String::as_str));
     let mut rows = Vec::new();
     let mut per_sched: Vec<Vec<f64>> = vec![Vec::new(); scheds.len()];

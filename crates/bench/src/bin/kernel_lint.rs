@@ -91,7 +91,9 @@ fn main() {
             "--oracle" => oracle = true,
             "--deny-warnings" => deny_warnings = true,
             "--jobs" => {
-                let v = args.next().unwrap_or_else(|| usage_exit("--jobs requires a value"));
+                let v = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit("--jobs requires a value"));
                 match v.parse::<usize>() {
                     Ok(n) if n >= 1 => jobs_flag = Some(n),
                     _ => usage_exit(&format!("--jobs: not a positive number: {v:?}")),

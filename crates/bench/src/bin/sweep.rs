@@ -5,9 +5,7 @@
 //! cargo run --release -p apres-bench --bin sweep -- [--fast] [--jobs N] [APP]
 //! ```
 
-use apres_bench::{
-    benchmark_by_label_or_exit, emit_table, BenchArgs, SimSweep, APRES, BASELINE,
-};
+use apres_bench::{benchmark_by_label_or_exit, emit_table, BenchArgs, SimSweep, APRES, BASELINE};
 use gpu_workloads::Benchmark;
 
 const L1_KBS: [u64; 7] = [16, 32, 64, 128, 256, 1024, 4096];
@@ -61,7 +59,10 @@ fn main() {
     }
     emit_table(&args, "sweep_l1", &["L1", "IPC", "miss", "cap+conf"], &rows);
 
-    println!("\nTLP sweep on {} (warps per SM; baseline vs APRES)\n", bench.label());
+    println!(
+        "\nTLP sweep on {} (warps per SM; baseline vs APRES)\n",
+        bench.label()
+    );
     let mut rows = Vec::new();
     for (warps, (base_id, apres_id)) in TLP_WARPS.iter().zip(&tlp_ids) {
         let (Some(base), Some(apres)) = (res.get(*base_id), res.get(*apres_id)) else {

@@ -15,11 +15,9 @@ fn main() {
     println!("Table I — characteristics of frequently executed loads (top 3 per app)\n");
     let timer = StageTimer::from_args(&args);
     let started = timer.start();
-    let per_bench = map_parallel(
-        args.jobs,
-        Benchmark::MEMORY_INTENSIVE.to_vec(),
-        |_, b| (b, characterize(&b.kernel(), &cfg, None)),
-    );
+    let per_bench = map_parallel(args.jobs, Benchmark::MEMORY_INTENSIVE.to_vec(), |_, b| {
+        (b, characterize(&b.kernel(), &cfg, None))
+    });
     eprintln!(
         "[table1] {} apps characterized in {}s on {} worker(s)",
         per_bench.len(),
@@ -43,7 +41,9 @@ fn main() {
     emit_table(
         &args,
         "table1",
-        &["App", "PC", "%Load", "#L/#R", "MissRate", "Stride", "%Stride"],
+        &[
+            "App", "PC", "%Load", "#L/#R", "MissRate", "Stride", "%Stride",
+        ],
         &rows,
     );
 }

@@ -18,7 +18,10 @@ fn main() {
     println!("----------------------------------------");
     println!("LAWS subtotal                 = {:>4} B", cost.laws_bytes());
     println!("SAP  subtotal                 = {:>4} B", cost.sap_bytes());
-    println!("Total                         = {:>4} B (paper: 724 B)", cost.total_bytes());
+    println!(
+        "Total                         = {:>4} B (paper: 724 B)",
+        cost.total_bytes()
+    );
     println!(
         "\nRaw-storage overhead vs 32 KB L1: {:.2}% (paper, incl. CACTI tag overhead: 2.06%)",
         cost.overhead_vs_l1(32 * 1024) * 100.0

@@ -38,7 +38,10 @@ fn main() {
         "Interconnect    {}-cycle latency, {} request(s)/cycle/SM",
         c.noc.latency, c.noc.requests_per_cycle
     );
-    println!("Mem Req Merging request coalescing; merging in {} L1 MSHRs", c.l1.mshrs);
+    println!(
+        "Mem Req Merging request coalescing; merging in {} L1 MSHRs",
+        c.l1.mshrs
+    );
     println!("Branch Control  immediate post-dominator (per-instruction active masks)");
     println!("Baseline        LRR without prefetching");
     println!("APRES           LAWS + SAP");

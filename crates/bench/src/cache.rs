@@ -29,7 +29,12 @@
 //! writer nor two concurrent writers of one spec can leave a half-written
 //! entry under a live entry name.
 
-#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![expect(
     clippy::disallowed_types,
@@ -348,11 +353,17 @@ impl ResultCache {
     pub fn store(&self, spec: &JobSpec, result: &RunResult) -> std::io::Result<()> {
         let payload = gpu_sm::codec::encode(result).to_compact();
         let entry = Json::Obj(vec![
-            ("version".into(), Json::from_u64(u64::from(CACHE_FORMAT_VERSION))),
+            (
+                "version".into(),
+                Json::from_u64(u64::from(CACHE_FORMAT_VERSION)),
+            ),
             ("spec_hash".into(), Json::str(spec.hash_hex())),
             ("canonical".into(), Json::str(spec.canonical())),
             ("spec".into(), spec.to_json()),
-            ("payload_hash".into(), Json::str(hash_hex(content_hash_str(&payload)))),
+            (
+                "payload_hash".into(),
+                Json::str(hash_hex(content_hash_str(&payload))),
+            ),
             ("payload".into(), Json::str(payload)),
         ]);
         let mut text = entry.to_pretty();
@@ -390,7 +401,10 @@ impl ResultCache {
         };
         // Flip a byte in the back half (inside the payload string), keeping
         // the file valid-length so only hash verification can catch it.
-        let idx = bytes.len().saturating_sub(bytes.len() / 4).saturating_sub(1);
+        let idx = bytes
+            .len()
+            .saturating_sub(bytes.len() / 4)
+            .saturating_sub(1);
         if let Some(b) = bytes.get_mut(idx) {
             *b = if *b == b'0' { b'1' } else { b'0' };
         }
@@ -420,11 +434,7 @@ impl ResultCache {
         std::fs::read_dir(&self.dir)
             .map(|rd| {
                 rd.filter_map(Result::ok)
-                    .filter(|e| {
-                        e.path()
-                            .extension()
-                            .is_some_and(|ext| ext == "json")
-                    })
+                    .filter(|e| e.path().extension().is_some_and(|ext| ext == "json"))
                     .count()
             })
             .unwrap_or(0)
@@ -559,21 +569,14 @@ mod tests {
     use crate::{APRES, BASELINE};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "apres-cache-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("apres-cache-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
     fn tiny_spec() -> JobSpec {
-        JobSpec::new(
-            Benchmark::Hs,
-            BASELINE,
-            Scale::Tiny,
-            &Scale::Tiny.config(),
-        )
+        JobSpec::new(Benchmark::Hs, BASELINE, Scale::Tiny, &Scale::Tiny.config())
     }
 
     #[test]
@@ -593,8 +596,8 @@ mod tests {
 
     #[test]
     fn spec_json_round_trip() {
-        let spec = JobSpec::new(Benchmark::Km, APRES, Scale::Tiny, &Scale::Tiny.config())
-            .with_seed(99);
+        let spec =
+            JobSpec::new(Benchmark::Km, APRES, Scale::Tiny, &Scale::Tiny.config()).with_seed(99);
         let back = JobSpec::from_json(&spec.to_json()).expect("parse");
         assert_eq!(back, spec);
         assert_eq!(back.hash(), spec.hash());
@@ -641,7 +644,10 @@ mod tests {
         assert!(cache.corrupt_entry(&spec).expect("corrupt"));
         match cache.lookup(&spec) {
             Lookup::Corrupt { detail } => {
-                assert!(detail.contains("hash mismatch") || detail.contains("decode"), "{detail}");
+                assert!(
+                    detail.contains("hash mismatch") || detail.contains("decode"),
+                    "{detail}"
+                );
             }
             other => panic!("corrupted entry must not be served: {other:?}"),
         }

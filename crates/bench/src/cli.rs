@@ -203,9 +203,13 @@ mod tests {
     #[test]
     fn errors_are_reported() {
         assert!(parse(&["--jobs"]).unwrap_err().contains("--jobs"));
-        assert!(parse(&["--jobs", "x"]).unwrap_err().contains("not a number"));
+        assert!(parse(&["--jobs", "x"])
+            .unwrap_err()
+            .contains("not a number"));
         assert!(parse(&["--jobs", "0"]).unwrap_err().contains("at least 1"));
-        assert!(parse(&["--seed", "-1"]).unwrap_err().contains("not a number"));
+        assert!(parse(&["--seed", "-1"])
+            .unwrap_err()
+            .contains("not a number"));
         assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
         assert!(parse(&["--csv"]).unwrap_err().contains("directory"));
         // The removed engine knobs are unknown flags, not silently ignored.

@@ -367,9 +367,7 @@ where
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .into_iter()
         .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| unreachable!("job {i} finished without a result"))
-        })
+        .map(|(i, slot)| slot.unwrap_or_else(|| unreachable!("job {i} finished without a result")))
         .collect()
 }
 
@@ -423,9 +421,7 @@ impl StageTimer {
     /// Seconds elapsed since `start`, `None` under `--no-time`.
     pub fn seconds_since(&self, start: StageStart) -> Option<f64> {
         match (&self.clock, start) {
-            (Some(clock), Some(t0)) => {
-                Some(clock.now_ms().saturating_sub(t0) as f64 / 1000.0)
-            }
+            (Some(clock), Some(t0)) => Some(clock.now_ms().saturating_sub(t0) as f64 / 1000.0),
             _ => None,
         }
     }
@@ -672,14 +668,12 @@ mod tests {
 
     #[test]
     fn cached_rerun_hits_everything_and_is_identical() {
-        let dir = std::env::temp_dir().join(format!(
-            "apres-harness-cache-test-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("apres-harness-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let run_once = || {
-            let mut sweep = SimSweep::new("test")
-                .with_cache(ResultCache::open(&dir).expect("open cache"));
+            let mut sweep =
+                SimSweep::new("test").with_cache(ResultCache::open(&dir).expect("open cache"));
             let ids: Vec<JobId> = Benchmark::ALL
                 .iter()
                 .take(3)
@@ -720,7 +714,10 @@ mod tests {
         let (c8, r8) = run_with_base(8);
         assert_eq!(c7.misses, 1);
         assert_eq!(c8.misses, 1);
-        assert_eq!(c8.hits, 0, "a reseeded job must never hit another seed's entry");
+        assert_eq!(
+            c8.hits, 0,
+            "a reseeded job must never hit another seed's entry"
+        );
         assert_ne!(r7, r8);
         // Same base again: a true hit with the identical result.
         let (c7b, r7b) = run_with_base(7);

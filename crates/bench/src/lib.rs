@@ -150,12 +150,7 @@ impl Scale {
 /// Builds (without running) the [`Simulation`] for one (benchmark, policy,
 /// scale, config) data point; [`report_outcome`] turns its run's outcome
 /// into the crash-safe form.
-pub fn simulation_for(
-    bench: Benchmark,
-    combo: Combo,
-    scale: Scale,
-    cfg: &GpuConfig,
-) -> Simulation {
+pub fn simulation_for(bench: Benchmark, combo: Combo, scale: Scale, cfg: &GpuConfig) -> Simulation {
     Simulation::new(bench.kernel_scaled(scale.iterations(bench)))
         .config(cfg.clone())
         .scheduler(combo.sched)
@@ -209,7 +204,11 @@ pub fn csv_string(headers: &[&str], rows: &[Vec<String>]) -> String {
             c.to_owned()
         }
     };
-    let mut out = headers.iter().map(|h| quote(h)).collect::<Vec<_>>().join(",");
+    let mut out = headers
+        .iter()
+        .map(|h| quote(h))
+        .collect::<Vec<_>>()
+        .join(",");
     out.push('\n');
     for row in rows {
         out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
@@ -248,7 +247,12 @@ pub fn table_json(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Json {
 pub fn emit_table(args: &cli::BenchArgs, name: &str, headers: &[&str], rows: &[Vec<String>]) {
     print_table(headers, rows);
     if let Some(dir) = &args.csv {
-        write_file(std::path::Path::new(dir), name, "csv", &csv_string(headers, rows));
+        write_file(
+            std::path::Path::new(dir),
+            name,
+            "csv",
+            &csv_string(headers, rows),
+        );
     }
     if let Some(dir) = &args.json {
         let mut doc = table_json(name, headers, rows).to_pretty();
@@ -289,7 +293,10 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
         s
     };
     println!("{}", line(headers.iter().map(|h| h.to_string()).collect()));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    println!(
+        "{}",
+        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
+    );
     for row in rows {
         println!("{}", line(row.clone()));
     }
@@ -352,7 +359,10 @@ mod tests {
     fn csv_escaping() {
         let csv = csv_string(
             &["a", "b"],
-            &[vec!["x,y".into(), "plain".into()], vec!["q\"q".into(), "2".into()]],
+            &[
+                vec!["x,y".into(), "plain".into()],
+                vec!["q\"q".into(), "2".into()],
+            ],
         );
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "a,b");

@@ -123,9 +123,7 @@ impl FaultPlan {
     /// each draws an independent — but reproducible — stream.
     pub fn state(&self, salt: u64) -> FaultState {
         FaultState {
-            rng: Xoshiro256::seed_from_u64(
-                self.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ),
+            rng: Xoshiro256::seed_from_u64(self.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             plan: self.clone(),
             counters: FaultCounters::default(),
         }
@@ -388,7 +386,9 @@ mod tests {
         let plan = FaultPlan::seeded(42).dropping_dram_responses(0.5);
         let mut a = plan.state(1);
         let mut b = plan.state(2);
-        let same = (0..64).filter(|_| a.drop_response() == b.drop_response()).count();
+        let same = (0..64)
+            .filter(|_| a.drop_response() == b.drop_response())
+            .count();
         assert!(same < 64, "salted streams must differ");
     }
 

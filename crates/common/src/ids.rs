@@ -113,7 +113,10 @@ impl Addr {
     /// Panics if `line_bytes` is not a power of two.
     #[inline]
     pub fn line(self, line_bytes: u64) -> LineAddr {
-        assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         LineAddr(self.0 / line_bytes)
     }
 

@@ -460,7 +460,10 @@ mod tests {
             ("name".into(), Json::str("warp_strided")),
             ("iters".into(), Json::from_u64(u64::MAX)),
             ("scale".into(), Json::from_f64(0.5)),
-            ("flags".into(), Json::Arr(vec![Json::Bool(true), Json::Null])),
+            (
+                "flags".into(),
+                Json::Arr(vec![Json::Bool(true), Json::Null]),
+            ),
             (
                 "nested".into(),
                 Json::Obj(vec![("k".into(), Json::from_i64(-3))]),
@@ -494,7 +497,9 @@ mod tests {
         assert!(parse("[1, ]").unwrap_err().contains("unexpected character"));
         assert!(parse("01").is_err() || parse("01").is_ok()); // leading zeros tolerated
         assert!(parse("{\"a\" 1}").unwrap_err().contains("expected ':'"));
-        assert!(parse("\"unterminated").unwrap_err().contains("unterminated"));
+        assert!(parse("\"unterminated")
+            .unwrap_err()
+            .contains("unterminated"));
         assert!(parse("1.").unwrap_err().contains("fraction"));
     }
 
@@ -511,7 +516,10 @@ mod tests {
         assert_eq!(v.get("n").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("f").and_then(Json::as_f64), Some(1.5));
         assert_eq!(v.get("b").and_then(Json::as_bool), Some(false));
-        assert_eq!(v.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
+        assert_eq!(
+            v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
         assert!(v.get("missing").is_none());
         assert!(v.get("s").and_then(Json::as_u64).is_none());
     }

@@ -247,7 +247,7 @@ mod tests {
         let mut sap = Sap::with_defaults();
         sap.on_group_miss(&acc(0x10, 0, 0), &[]);
         sap.on_group_miss(&acc(0x10, 1, 4096), &[]); // stride 4096
-        // Next sample implies stride 8192: mismatch → silent, replace.
+                                                     // Next sample implies stride 8192: mismatch → silent, replace.
         let out = sap.on_group_miss(&acc(0x10, 2, 4096 + 8192), &warps(&[3]));
         assert!(out.is_empty());
         assert_eq!(sap.stride_of(Pc(0x10)), Some(8192));

@@ -13,7 +13,12 @@
 //! | LAWS+STR    | `Laws`              | `Str`                |
 //! | **APRES**   | `Laws`              | `Sap`                |
 
-#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::laws::Laws;
 use crate::sap::Sap;
@@ -494,10 +499,7 @@ mod tests {
         // different overrides must diverge while equal overrides agree.
         let k = || {
             Kernel::builder("irregular")
-                .load(
-                    AddressPattern::irregular(0, 1 << 20, 1 << 12, 0.5),
-                    &[],
-                )
+                .load(AddressPattern::irregular(0, 1 << 20, 1 << 12, 0.5), &[])
                 .alu(8, &[0])
                 .iterations(16)
                 .build()

@@ -297,12 +297,7 @@ impl PatternSampler {
         let w = if pattern.lockstep_noise() { 0 } else { warp };
         let s = if pattern.lockstep_noise() { 0 } else { sm };
         let mut mixed_seed = self.seed;
-        for v in [
-            u64::from(s),
-            u64::from(w),
-            iter,
-            pattern_tag(pattern),
-        ] {
+        for v in [u64::from(s), u64::from(w), iter, pattern_tag(pattern)] {
             mixed_seed = mixed_seed
                 .rotate_left(23)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -461,10 +456,7 @@ mod tests {
         for p in &patterns {
             for w in 0..4 {
                 for i in 0..4 {
-                    assert_eq!(
-                        s.addresses(p, 1, w, i, 32),
-                        s.addresses(p, 1, w, i, 32)
-                    );
+                    assert_eq!(s.addresses(p, 1, w, i, 32), s.addresses(p, 1, w, i, 32));
                 }
             }
         }

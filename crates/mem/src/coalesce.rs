@@ -89,7 +89,9 @@ mod tests {
     fn output_lines_unique_and_cover_all_lanes() {
         run_cases(128, |_, g| {
             let n = g.usize_range(1, 31);
-            let addrs: Vec<Addr> = (0..n).map(|_| Addr::new(g.range(0, (1 << 20) - 1))).collect();
+            let addrs: Vec<Addr> = (0..n)
+                .map(|_| Addr::new(g.range(0, (1 << 20) - 1)))
+                .collect();
             let lines = coalesce(&addrs, 128);
             // Unique.
             let mut sorted = lines.to_vec();

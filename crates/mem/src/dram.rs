@@ -136,7 +136,11 @@ impl DramPartition {
                         req,
                     )
                 } else {
-                    (self.service_interval * ROW_MISS_SERVICE_MULT, self.latency, req)
+                    (
+                        self.service_interval * ROW_MISS_SERVICE_MULT,
+                        self.latency,
+                        req,
+                    )
                 }
             }
         };

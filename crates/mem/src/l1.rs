@@ -11,7 +11,12 @@
 //!   [`gpu_common::stats::CacheStats::mshr_merges`];
 //! * prefetches are dropped when the line is resident or already in flight.
 
-#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::bypass::BypassPredictor;
 use crate::cache::TagStore;
@@ -243,10 +248,7 @@ impl L1Cache {
         }
         // Not resident: consult the bypass predictor — a bypassed load's
         // fill will not be installed, so it cannot thrash the cache.
-        let bypassed = self
-            .bypass
-            .as_mut()
-            .is_some_and(|b| b.should_bypass(pc));
+        let bypassed = self.bypass.as_mut().is_some_and(|b| b.should_bypass(pc));
         if self.mshr_fault_active(now) {
             self.stats.reservation_fails += 1;
             return L1AccessOutcome::Rejected {
@@ -289,9 +291,7 @@ impl L1Cache {
                 self.stats.accesses += 1;
                 self.pc_slot(pc).accesses += 1;
                 match self.classifier.classify(line, false) {
-                    AccessClass::CapacityConflictMiss => {
-                        self.stats.capacity_conflict_misses += 1
-                    }
+                    AccessClass::CapacityConflictMiss => self.stats.capacity_conflict_misses += 1,
                     _ => self.stats.cold_misses += 1,
                 }
                 // Was this a correct prefetch we evicted too early?
@@ -465,7 +465,12 @@ mod tests {
         let mut l1 = L1Cache::new(&cfg());
         l1.access(load(1, 0, 0), 0);
         let out = l1.access(load(1, 1, 1), 1);
-        assert_eq!(out, L1AccessOutcome::Merged { into_prefetch: false });
+        assert_eq!(
+            out,
+            L1AccessOutcome::Merged {
+                into_prefetch: false
+            }
+        );
         assert_eq!(l1.stats().mshr_merges, 1);
         assert_eq!(l1.stats().hits, 1);
         // Only the allocating miss went downstream.
@@ -484,7 +489,9 @@ mod tests {
         let before = l1.stats().accesses;
         assert_eq!(
             l1.access(load(9, 0, 0), 0),
-            L1AccessOutcome::Rejected { cause: RejectCause::Mshrs }
+            L1AccessOutcome::Rejected {
+                cause: RejectCause::Mshrs
+            }
         );
         assert_eq!(l1.stats().accesses, before);
         assert_eq!(l1.stats().reservation_fails, 1);
@@ -548,18 +555,30 @@ mod tests {
     #[test]
     fn prefetch_flow_useful() {
         let mut l1 = L1Cache::new(&cfg());
-        assert_eq!(l1.access(prefetch(1, 3), 0), L1AccessOutcome::PrefetchIssued);
+        assert_eq!(
+            l1.access(prefetch(1, 3), 0),
+            L1AccessOutcome::PrefetchIssued
+        );
         assert_eq!(l1.prefetch_stats().issued, 1);
         // Duplicate while in flight: dropped.
-        assert_eq!(l1.access(prefetch(1, 3), 1), L1AccessOutcome::PrefetchDropped);
+        assert_eq!(
+            l1.access(prefetch(1, 3), 1),
+            L1AccessOutcome::PrefetchDropped
+        );
         let fill = l1.fill(LineAddr(1), 50).unwrap();
         assert!(fill.prefetch_only);
         assert_eq!(fill.demand_loads().count(), 0);
         // Demand hit on the prefetched line: useful.
-        assert!(matches!(l1.access(load(1, 5, 60), 60), L1AccessOutcome::Hit { .. }));
+        assert!(matches!(
+            l1.access(load(1, 5, 60), 60),
+            L1AccessOutcome::Hit { .. }
+        ));
         assert_eq!(l1.prefetch_stats().useful, 1);
         // Duplicate while resident: dropped.
-        assert_eq!(l1.access(prefetch(1, 3), 61), L1AccessOutcome::PrefetchDropped);
+        assert_eq!(
+            l1.access(prefetch(1, 3), 61),
+            L1AccessOutcome::PrefetchDropped
+        );
         assert_eq!(l1.prefetch_stats().dropped_duplicate, 2);
     }
 
@@ -568,7 +587,12 @@ mod tests {
         let mut l1 = L1Cache::new(&cfg());
         l1.access(prefetch(1, 3), 0);
         let out = l1.access(load(1, 3, 5), 5);
-        assert_eq!(out, L1AccessOutcome::Merged { into_prefetch: true });
+        assert_eq!(
+            out,
+            L1AccessOutcome::Merged {
+                into_prefetch: true
+            }
+        );
         let p = l1.prefetch_stats();
         assert_eq!(p.late_merged, 1);
         assert_eq!(l1.stats().merges_into_prefetch, 1);
@@ -654,13 +678,21 @@ mod tests {
         // prefetches dropped — never a panic.
         assert_eq!(
             l1.access(load(1, 0, 5), 5),
-            L1AccessOutcome::Rejected { cause: RejectCause::InjectedBurst }
+            L1AccessOutcome::Rejected {
+                cause: RejectCause::InjectedBurst
+            }
         );
-        assert_eq!(l1.access(prefetch(2, 0), 5), L1AccessOutcome::PrefetchDropped);
+        assert_eq!(
+            l1.access(prefetch(2, 0), 5),
+            L1AccessOutcome::PrefetchDropped
+        );
         assert_eq!(l1.stats().reservation_fails, 1);
         assert_eq!(l1.fault_counters().mshr_refusals, 2);
         // Past the window the same accesses succeed.
         assert_eq!(l1.access(load(1, 0, 50), 50), L1AccessOutcome::Miss);
-        assert_eq!(l1.access(prefetch(2, 0), 50), L1AccessOutcome::PrefetchIssued);
+        assert_eq!(
+            l1.access(prefetch(2, 0), 50),
+            L1AccessOutcome::PrefetchIssued
+        );
     }
 }

@@ -12,7 +12,12 @@
 //! drain is an [`SimError::InvariantViolation`], i.e. a leak in the NoC, the
 //! L2 MSHRs, or DRAM queues.
 
-#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::l2::L2Bank;
 use crate::noc::DelayPipe;
@@ -272,12 +277,9 @@ impl MemorySystem {
 
     /// Aggregate L2 hit rate across banks (diagnostics).
     pub fn l2_hit_rate(&self) -> f64 {
-        let (hits, acc) = self
-            .banks
-            .iter()
-            .fold((0u64, 0u64), |(h, a), b| {
-                (h + b.stats().hits, a + b.stats().accesses)
-            });
+        let (hits, acc) = self.banks.iter().fold((0u64, 0u64), |(h, a), b| {
+            (h + b.stats().hits, a + b.stats().accesses)
+        });
         if acc == 0 {
             0.0
         } else {
@@ -351,7 +353,10 @@ mod tests {
         let (second, _) = first_fill(&mut ms, 0, start).expect("hit returns");
         let second_latency = second - start;
         // noc + l2 hit (200) + noc ≈ 216 < first trip (~456).
-        assert!(second_latency < first, "hit {second_latency} vs miss {first}");
+        assert!(
+            second_latency < first,
+            "hit {second_latency} vs miss {first}"
+        );
         assert!((200..260).contains(&second_latency), "{second_latency}");
     }
 
@@ -365,14 +370,8 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s), "all partitions used: {seen:?}");
         // 256-byte interleave = 2 consecutive 128-byte lines per partition.
-        assert_eq!(
-            ms.partition_of(LineAddr(0)),
-            ms.partition_of(LineAddr(1))
-        );
-        assert_ne!(
-            ms.partition_of(LineAddr(1)),
-            ms.partition_of(LineAddr(2))
-        );
+        assert_eq!(ms.partition_of(LineAddr(0)), ms.partition_of(LineAddr(1)));
+        assert_ne!(ms.partition_of(LineAddr(1)), ms.partition_of(LineAddr(2)));
     }
 
     #[test]
@@ -439,7 +438,10 @@ mod tests {
         assert!(ms.is_idle());
         assert_eq!(ms.fault_counters().dropped_responses, 1);
         assert_eq!(ms.in_flight(), 0, "drop is accounted, not leaked");
-        assert!(ms.audit(2000).is_ok(), "audit attributes the gap to the fault");
+        assert!(
+            ms.audit(2000).is_ok(),
+            "audit attributes the gap to the fault"
+        );
     }
 
     #[test]

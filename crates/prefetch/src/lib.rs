@@ -78,7 +78,11 @@ mod tests {
 
     #[test]
     fn engines_instantiate() {
-        for e in [PrefetchEngine::None, PrefetchEngine::Str, PrefetchEngine::Sld] {
+        for e in [
+            PrefetchEngine::None,
+            PrefetchEngine::Str,
+            PrefetchEngine::Sld,
+        ] {
             assert!(!e.make().name().is_empty());
             assert!(!e.label().is_empty());
         }

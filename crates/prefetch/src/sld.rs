@@ -8,8 +8,8 @@
 //! the paper demonstrates in Figure 3.
 
 use gpu_common::{Addr, LineAddr};
-use gpu_sm::traits::{DemandAccess, PrefetchRequest, Prefetcher};
 use gpu_mem::request::RequestSource;
+use gpu_sm::traits::{DemandAccess, PrefetchRequest, Prefetcher};
 use std::collections::BTreeMap;
 
 /// Lines per macro block.

@@ -10,8 +10,8 @@
 //! (Section V-E) — confidence gating implements exactly that.
 
 use gpu_common::{Addr, Pc, WarpId};
-use gpu_sm::traits::{DemandAccess, PrefetchRequest, Prefetcher};
 use gpu_mem::request::RequestSource;
+use gpu_sm::traits::{DemandAccess, PrefetchRequest, Prefetcher};
 use std::collections::BTreeMap;
 
 /// Table entries (static loads tracked simultaneously).

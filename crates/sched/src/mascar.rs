@@ -134,7 +134,7 @@ mod tests {
         let mut s = Mascar::new();
         let c = ctx(0.9);
         s.pick(&ready_mem(&[(1, true)]), &c); // elect warp 1
-        // Owner not ready; only compute warps are.
+                                              // Owner not ready; only compute warps are.
         let r = ready_mem(&[(0, false), (2, false)]);
         let p = s.pick(&r, &c).unwrap();
         assert!(p.0 == 0 || p.0 == 2);

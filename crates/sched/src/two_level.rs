@@ -106,7 +106,7 @@ mod tests {
     fn wraps_around_groups() {
         let mut s = TwoLevel::new(8);
         let c = ctx(0.0); // 48 warps → 6 groups
-        // Only a warp in the last group is ready.
+                          // Only a warp in the last group is ready.
         assert_eq!(s.pick(&ready(&[47]), &c).unwrap().0, 47);
         assert_eq!(s.active_group, 5);
         // Then only group 0.

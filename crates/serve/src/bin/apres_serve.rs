@@ -142,7 +142,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
 }
 
 fn parse_num(v: &str, flag: &str) -> Result<u64, String> {
-    v.parse().map_err(|_| format!("{flag}: not a number: {v:?}"))
+    v.parse()
+        .map_err(|_| format!("{flag}: not a number: {v:?}"))
 }
 
 /// Runs the requested mode; `Ok(true)` means every job of every batch
@@ -188,8 +189,7 @@ fn run(args: &Args) -> Result<bool, String> {
 /// (submission order for a file-based queue is the lexicographic order of
 /// the request names).
 fn queued_requests(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("--queue {}: {e}", dir.display()))?;
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("--queue {}: {e}", dir.display()))?;
     let mut requests: Vec<PathBuf> = entries
         .filter_map(Result::ok)
         .map(|e| e.path())
@@ -237,9 +237,7 @@ fn process_file(
 /// cache, no deadline, no service machinery) but emit the same response
 /// format, as the reference for byte-comparison with served output.
 fn direct_report(batch: &Batch, jobs: usize) -> BatchReport {
-    let outcomes = apres_bench::map_parallel(jobs.max(1), batch.jobs.clone(), |_, spec| {
-        spec.run()
-    });
+    let outcomes = apres_bench::map_parallel(jobs.max(1), batch.jobs.clone(), |_, spec| spec.run());
     let reports = batch
         .jobs
         .iter()

@@ -33,7 +33,12 @@
 //! Operational detail lives in [`ServeStats`], reported on stderr by the
 //! binary.
 
-#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use apres_bench::cache::{Executor, JobSpec, ResultCache};
 use gpu_common::{Clock, ServiceFaultPlan, SimError, SimResult};
@@ -301,10 +306,8 @@ mod tests {
     }
 
     fn tmp_cache(tag: &str) -> ResultCache {
-        let dir = std::env::temp_dir().join(format!(
-            "apres-serve-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("apres-serve-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         ResultCache::open(dir).expect("open cache")
     }
@@ -357,7 +360,10 @@ mod tests {
             clean.to_json().to_compact()
         );
         drop_cache(&cache);
-        faulted.jobs[0].outcome.clone().expect_err("the faulted job fails")
+        faulted.jobs[0]
+            .outcome
+            .clone()
+            .expect_err("the faulted job fails")
     }
 
     #[test]
@@ -401,10 +407,7 @@ mod tests {
         let rotten = serve_batch(&batch, Some(&cache), &opts, &clock);
         assert_eq!(rotten.stats.cache_evicted, 1);
         assert_eq!(rotten.stats.cache_hits, 0);
-        assert_eq!(
-            rotten.to_json().to_compact(),
-            cold.to_json().to_compact()
-        );
+        assert_eq!(rotten.to_json().to_compact(), cold.to_json().to_compact());
         // The recomputed entry is stored again: a clean re-serve hits.
         let warm = serve_batch(&batch, Some(&cache), &ServeOptions::default(), &clock);
         assert_eq!(warm.stats.cache_hits, 1);
@@ -425,10 +428,7 @@ mod tests {
         };
         let rotten = serve_batch(&batch, Some(&cache), &opts, &clock);
         assert_eq!(rotten.stats.cache_evicted, 1);
-        assert_eq!(
-            rotten.to_json().to_compact(),
-            cold.to_json().to_compact()
-        );
+        assert_eq!(rotten.to_json().to_compact(), cold.to_json().to_compact());
         drop_cache(&cache);
     }
 
@@ -437,7 +437,11 @@ mod tests {
         // K failed jobs yield N−K good results plus typed failures.
         let batch = Batch::new(
             "mixed",
-            vec![tiny_spec(Benchmark::Hs), broken_spec(), tiny_spec(Benchmark::Km)],
+            vec![
+                tiny_spec(Benchmark::Hs),
+                broken_spec(),
+                tiny_spec(Benchmark::Km),
+            ],
         );
         let report = serve_batch(
             &batch,

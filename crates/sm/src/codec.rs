@@ -317,8 +317,20 @@ mod tests {
                 apres_table_accesses: 6,
             },
             per_pc: vec![
-                (Pc(0x10), PcStats { accesses: 9, hits: 4 }),
-                (Pc(0x20), PcStats { accesses: 1, hits: 0 }),
+                (
+                    Pc(0x10),
+                    PcStats {
+                        accesses: 9,
+                        hits: 4,
+                    },
+                ),
+                (
+                    Pc(0x20),
+                    PcStats {
+                        accesses: 1,
+                        hits: 0,
+                    },
+                ),
             ],
         }
     }
@@ -381,7 +393,10 @@ mod tests {
     fn real_run_round_trips() {
         // A tiny end-to-end simulation, through the codec and back.
         let kernel = gpu_kernel::Kernel::builder("probe")
-            .load(gpu_kernel::AddressPattern::warp_strided(0, 128, 128 * 16, 4), &[])
+            .load(
+                gpu_kernel::AddressPattern::warp_strided(0, 128, 128 * 16, 4),
+                &[],
+            )
             .alu(8, &[0])
             .iterations(4)
             .build();

@@ -9,7 +9,12 @@
 //! an [`Observer`], which reads the GPU after every cycle but cannot change
 //! it.
 
-#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::port::SmPort;
 use crate::sm::Sm;
@@ -284,8 +289,8 @@ impl Gpu {
         if self.now & 0xFF != 0 {
             return Ok(());
         }
-        let progress = self.sms.iter().map(|s| s.stats().instructions).sum::<u64>()
-            + self.mem.delivered();
+        let progress =
+            self.sms.iter().map(|s| s.stats().instructions).sum::<u64>() + self.mem.delivered();
         if progress != self.wd_last_count {
             self.wd_last_count = progress;
             self.wd_last_cycle = self.now;
@@ -454,7 +459,9 @@ mod tests {
 
     #[test]
     fn runs_to_completion() {
-        let res = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
+        let res = small_gpu(strided_kernel(4))
+            .run(2_000_000, &mut ())
+            .unwrap();
         assert!(!res.timed_out);
         // 16 warps × 2 instr × 4 iters.
         assert_eq!(res.sim.instructions, 16 * 2 * 4);
@@ -465,8 +472,12 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = small_gpu(strided_kernel(6)).run(2_000_000, &mut ()).unwrap();
-        let b = small_gpu(strided_kernel(6)).run(2_000_000, &mut ()).unwrap();
+        let a = small_gpu(strided_kernel(6))
+            .run(2_000_000, &mut ())
+            .unwrap();
+        let b = small_gpu(strided_kernel(6))
+            .run(2_000_000, &mut ())
+            .unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.sim, b.sim);
         assert_eq!(a.l1, b.l1);
@@ -493,7 +504,9 @@ mod tests {
     #[test]
     fn thrashing_kernel_misses() {
         // Strides far exceeding cache capacity with no reuse.
-        let res = small_gpu(strided_kernel(8)).run(2_000_000, &mut ()).unwrap();
+        let res = small_gpu(strided_kernel(8))
+            .run(2_000_000, &mut ())
+            .unwrap();
         assert!(
             res.l1.miss_rate() > 0.9,
             "miss rate {} too low",
@@ -507,13 +520,18 @@ mod tests {
     fn timeout_reported() {
         let res = small_gpu(strided_kernel(50)).run(100, &mut ()).unwrap();
         assert!(res.timed_out);
-        assert_eq!(res.termination, Termination::BudgetExhausted { budget: 100 });
+        assert_eq!(
+            res.termination,
+            Termination::BudgetExhausted { budget: 100 }
+        );
         assert_eq!(res.cycles, 100);
     }
 
     #[test]
     fn drained_run_reports_drained() {
-        let res = small_gpu(strided_kernel(2)).run(2_000_000, &mut ()).unwrap();
+        let res = small_gpu(strided_kernel(2))
+            .run(2_000_000, &mut ())
+            .unwrap();
         assert_eq!(res.termination, Termination::Drained);
         assert_eq!(res.faults.total(), 0);
     }
@@ -569,7 +587,10 @@ mod tests {
         gpu.arm_faults(&gpu_common::FaultPlan::seeded(7).dropping_dram_responses(1.0));
         gpu.set_watchdog(None);
         let res = gpu.run(50_000, &mut ()).unwrap();
-        assert_eq!(res.termination, Termination::BudgetExhausted { budget: 50_000 });
+        assert_eq!(
+            res.termination,
+            Termination::BudgetExhausted { budget: 50_000 }
+        );
         assert!(res.faults.dropped_responses > 0);
     }
 
@@ -604,14 +625,20 @@ mod tests {
 
     #[test]
     fn speedup_over() {
-        let a = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
-        let b = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
+        let a = small_gpu(strided_kernel(4))
+            .run(2_000_000, &mut ())
+            .unwrap();
+        let b = small_gpu(strided_kernel(4))
+            .run(2_000_000, &mut ())
+            .unwrap();
         assert!((a.speedup_over(&b) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn energy_events_populated() {
-        let res = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
+        let res = small_gpu(strided_kernel(4))
+            .run(2_000_000, &mut ())
+            .unwrap();
         assert!(res.energy.alu_ops > 0);
         assert!(res.energy.l1_accesses > 0);
         assert!(res.energy.l2_accesses > 0);
@@ -658,12 +685,9 @@ mod tests {
         let mut cfg = GpuConfig::small_test();
         cfg.core.waves_per_slot = 3;
         let k = strided_kernel(4);
-        let gpu = Gpu::new(
-            &cfg,
-            k,
-            &|_| Box::new(SimpleRoundRobin::default()),
-            &|_| Box::new(NullPrefetcher),
-        )
+        let gpu = Gpu::new(&cfg, k, &|_| Box::new(SimpleRoundRobin::default()), &|_| {
+            Box::new(NullPrefetcher)
+        })
         .unwrap();
         let res = gpu.run(2_000_000, &mut ()).unwrap();
         assert!(!res.timed_out);
@@ -686,7 +710,9 @@ mod tests {
         .unwrap()
         .run(2_000_000, &mut ())
         .unwrap();
-        let flat = small_gpu(strided_kernel(4)).run(2_000_000, &mut ()).unwrap();
+        let flat = small_gpu(strided_kernel(4))
+            .run(2_000_000, &mut ())
+            .unwrap();
         assert!(!skewed.timed_out);
         assert!(
             skewed.cycles > flat.cycles,
@@ -712,7 +738,9 @@ mod tests {
             }
         }
         let mut obs = Trace(Vec::new());
-        let res = small_gpu(strided_kernel(4)).run(2_000_000, &mut obs).unwrap();
+        let res = small_gpu(strided_kernel(4))
+            .run(2_000_000, &mut obs)
+            .unwrap();
         let trace = obs.0;
         assert!(!res.timed_out);
         assert!(!trace.is_empty());
@@ -726,7 +754,15 @@ mod tests {
         assert_eq!(issues, res.sim.instructions);
         let loads = trace
             .iter()
-            .filter(|e| matches!(e, TraceEvent::Issue { kind: IssueKind::Load, .. }))
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::Issue {
+                        kind: IssueKind::Load,
+                        ..
+                    }
+                )
+            })
             .count() as u64;
         assert_eq!(loads, res.sim.loads);
         // Each load produced exactly one head L1 access event.
@@ -763,12 +799,9 @@ mod tests {
             .alu(4, &[0])
             .iterations(3)
             .build();
-        let gpu = Gpu::new(
-            &cfg,
-            k,
-            &|_| Box::new(SimpleRoundRobin::default()),
-            &|_| Box::new(NullPrefetcher),
-        )
+        let gpu = Gpu::new(&cfg, k, &|_| Box::new(SimpleRoundRobin::default()), &|_| {
+            Box::new(NullPrefetcher)
+        })
         .unwrap();
         let res = gpu.run(2_000_000, &mut ()).unwrap();
         assert!(!res.timed_out);

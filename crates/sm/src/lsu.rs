@@ -219,7 +219,15 @@ impl Lsu {
         let is_head = op.sent == 0;
         let key = op_key(op);
         let req = if op.is_load {
-            MemRequest::load(line, self.sm, op.warp, op.pc, op.body_idx, op.iter, op.issue_cycle)
+            MemRequest::load(
+                line,
+                self.sm,
+                op.warp,
+                op.pc,
+                op.body_idx,
+                op.iter,
+                op.issue_cycle,
+            )
         } else {
             MemRequest::store(line, self.sm, op.warp, op.pc, op.issue_cycle)
         };

@@ -135,16 +135,12 @@ impl Benchmark {
     /// Table IV category.
     pub fn category(self) -> Category {
         match self {
-            Benchmark::Bfs
-            | Benchmark::Mum
-            | Benchmark::Nw
-            | Benchmark::Spmv
-            | Benchmark::Km => Category::CacheSensitive,
-            Benchmark::Lud
-            | Benchmark::Srad
-            | Benchmark::Pa
-            | Benchmark::Histo
-            | Benchmark::Bp => Category::CacheInsensitive,
+            Benchmark::Bfs | Benchmark::Mum | Benchmark::Nw | Benchmark::Spmv | Benchmark::Km => {
+                Category::CacheSensitive
+            }
+            Benchmark::Lud | Benchmark::Srad | Benchmark::Pa | Benchmark::Histo | Benchmark::Bp => {
+                Category::CacheInsensitive
+            }
             Benchmark::Pf | Benchmark::Cs | Benchmark::St | Benchmark::Hs | Benchmark::Sp => {
                 Category::ComputeIntensive
             }
@@ -217,7 +213,10 @@ fn bfs(iters: u64) -> Kernel {
         .at_pc(0x110)
         .load(AddressPattern::shared_stream(A3, 64).with_noise(0.22), &[])
         .at_pc(0x118)
-        .load(AddressPattern::shared_stream(A3 + 64 * MB, 64).with_noise(0.22), &[0])
+        .load(
+            AddressPattern::shared_stream(A3 + 64 * MB, 64).with_noise(0.22),
+            &[0],
+        )
         .at_pc(0xF0)
         .load_diverged(gather(A1, 2 * MB, 48 * KB, 0.60), &[1], 8)
         .at_pc(0x198)
@@ -251,10 +250,7 @@ fn mum(iters: u64) -> Kernel {
         .at_pc(0x7B8)
         .load(shared_walk(A0 + 32 * MB), &[1])
         .at_pc(0x460)
-        .load(
-            AddressPattern::shared_stream(A1, 96).with_noise(0.50),
-            &[2],
-        )
+        .load(AddressPattern::shared_stream(A1, 96).with_noise(0.50), &[2])
         .at_pc(0x8A0)
         .load_diverged(AddressPattern::irregular(A2, MB, 24 * KB, 0.88), &[3], 8)
         .alu(8, &[4])
@@ -268,15 +264,13 @@ fn mum(iters: u64) -> Kernel {
 /// (56–75% of accesses). Anti-diagonal wavefront sweeps.
 fn nw(iters: u64) -> Kernel {
     let stride = -1_966_080i64;
-    let pat = |base: u64| {
-        AddressPattern::WarpStrided {
-            base,
-            warp_stride: stride,
-            iter_stride: stride * 48,
-            lane_stride: 4,
-            wrap_bytes: Some(192 * MB),
-            noise: 0.32,
-        }
+    let pat = |base: u64| AddressPattern::WarpStrided {
+        base,
+        warp_stride: stride,
+        iter_stride: stride * 48,
+        lane_stride: 4,
+        wrap_bytes: Some(192 * MB),
+        noise: 0.32,
     };
     Kernel::builder("NW")
         .seed(0x2B2)
@@ -459,10 +453,7 @@ fn pa(iters: u64) -> Kernel {
             &[],
         )
         .at_pc(0x2230)
-        .load(
-            AddressPattern::shared_stream(A1, 64).with_noise(0.40),
-            &[0],
-        )
+        .load(AddressPattern::shared_stream(A1, 64).with_noise(0.40), &[0])
         .at_pc(0x2088)
         .load(
             AddressPattern::WarpStrided {
@@ -619,15 +610,17 @@ fn cs(iters: u64) -> Kernel {
 fn st(iters: u64) -> Kernel {
     let sweep = 128i64 * 48;
     let row = sweep * 2; // ±2 iterations apart
-    let plane = |off: i64| AddressPattern::WarpStrided {
-        base: A0,
-        warp_stride: 128,
-        iter_stride: sweep,
-        lane_stride: 4,
-        wrap_bytes: None,
-        noise: 0.05,
-    }
-    .shifted(off);
+    let plane = |off: i64| {
+        AddressPattern::WarpStrided {
+            base: A0,
+            warp_stride: 128,
+            iter_stride: sweep,
+            lane_stride: 4,
+            wrap_bytes: None,
+            noise: 0.05,
+        }
+        .shifted(off)
+    };
     Kernel::builder("ST")
         .seed(0x57E)
         .load(plane(0), &[])
@@ -774,7 +767,10 @@ mod tests {
         let loads = k.body().iter().filter(|i| i.op.is_load()).count();
         assert_eq!(loads, 1);
         assert_eq!(k.body()[0].pc.0, 0xE8);
-        assert_eq!(k.pattern(gpu_kernel::LoadSlot(0)).nominal_stride(), Some(4352));
+        assert_eq!(
+            k.pattern(gpu_kernel::LoadSlot(0)).nominal_stride(),
+            Some(4352)
+        );
     }
 
     #[test]

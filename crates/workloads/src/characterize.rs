@@ -192,8 +192,16 @@ mod tests {
             "%stride {} (paper: 78.2%)",
             p[0].pct_stride
         );
-        assert!(p[0].lines_per_ref < 0.1, "#L/#R {} (paper: 0.03)", p[0].lines_per_ref);
-        assert!(p[0].miss_rate > 0.8, "miss {} (paper: 0.99)", p[0].miss_rate);
+        assert!(
+            p[0].lines_per_ref < 0.1,
+            "#L/#R {} (paper: 0.03)",
+            p[0].lines_per_ref
+        );
+        assert!(
+            p[0].miss_rate > 0.8,
+            "miss {} (paper: 0.99)",
+            p[0].miss_rate
+        );
         assert!((p[0].pct_load - 1.0).abs() < 1e-9, "%load (paper: 100%)");
     }
 
@@ -229,8 +237,16 @@ mod tests {
     fn mum_high_locality() {
         let p = characterize(&Benchmark::Mum.kernel(), &cfg(), None);
         let main = &p[0]; // most-referenced load
-        assert!(main.miss_rate < 0.45, "miss {} (paper: 0.17)", main.miss_rate);
-        assert!(main.lines_per_ref < 0.2, "#L/#R {} (paper: 0.01)", main.lines_per_ref);
+        assert!(
+            main.miss_rate < 0.45,
+            "miss {} (paper: 0.17)",
+            main.miss_rate
+        );
+        assert!(
+            main.lines_per_ref < 0.2,
+            "#L/#R {} (paper: 0.01)",
+            main.lines_per_ref
+        );
     }
 
     #[test]
@@ -238,8 +254,16 @@ mod tests {
         let p = characterize(&Benchmark::Bfs.kernel(), &cfg(), None);
         // Irregular loads: low reuse fraction but nonzero, high miss rate.
         let main = &p[0];
-        assert!(main.miss_rate > 0.5, "miss {} (paper: 0.78)", main.miss_rate);
-        assert!(main.lines_per_ref < 0.6, "#L/#R {} (paper: 0.04)", main.lines_per_ref);
+        assert!(
+            main.miss_rate > 0.5,
+            "miss {} (paper: 0.78)",
+            main.miss_rate
+        );
+        assert!(
+            main.lines_per_ref < 0.6,
+            "#L/#R {} (paper: 0.04)",
+            main.lines_per_ref
+        );
     }
 
     #[test]

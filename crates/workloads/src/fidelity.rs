@@ -194,8 +194,8 @@ mod tests {
     #[test]
     fn miss_rates_land_in_band() {
         let report = fidelity_report(&GpuConfig::paper_baseline());
-        let mean_err: f64 = report.iter().map(FidelityRow::miss_rate_error).sum::<f64>()
-            / report.len() as f64;
+        let mean_err: f64 =
+            report.iter().map(FidelityRow::miss_rate_error).sum::<f64>() / report.len() as f64;
         assert!(mean_err < 0.25, "mean |Δmiss| = {mean_err:.3}");
     }
 }

@@ -22,4 +22,6 @@ pub mod fidelity;
 
 pub use benchmarks::{Benchmark, Category};
 pub use characterize::{characterize, LoadProfile};
-pub use fidelity::{fidelity_apps, fidelity_report, fidelity_report_from, FidelityRow, PAPER_TABLE_I};
+pub use fidelity::{
+    fidelity_apps, fidelity_report, fidelity_report_from, FidelityRow, PAPER_TABLE_I,
+};

@@ -20,14 +20,34 @@ fn main() -> apres::SimResult<()> {
         .unwrap_or(Benchmark::Lud);
 
     let variants: [(&str, SchedulerChoice, PrefetcherChoice); 5] = [
-        ("baseline (LRR)", SchedulerChoice::Lrr, PrefetcherChoice::None),
+        (
+            "baseline (LRR)",
+            SchedulerChoice::Lrr,
+            PrefetcherChoice::None,
+        ),
         ("LAWS only", SchedulerChoice::Laws, PrefetcherChoice::None),
-        ("LRR + SAP-style STR", SchedulerChoice::Lrr, PrefetcherChoice::Str),
-        ("LAWS + STR (no coop)", SchedulerChoice::Laws, PrefetcherChoice::Str),
-        ("APRES (LAWS + SAP)", SchedulerChoice::Laws, PrefetcherChoice::Sap),
+        (
+            "LRR + SAP-style STR",
+            SchedulerChoice::Lrr,
+            PrefetcherChoice::Str,
+        ),
+        (
+            "LAWS + STR (no coop)",
+            SchedulerChoice::Laws,
+            PrefetcherChoice::Str,
+        ),
+        (
+            "APRES (LAWS + SAP)",
+            SchedulerChoice::Laws,
+            PrefetcherChoice::Sap,
+        ),
     ];
 
-    println!("ablation on {} ({})\n", bench.label(), bench.category().label());
+    println!(
+        "ablation on {} ({})\n",
+        bench.label(),
+        bench.category().label()
+    );
     println!(
         "{:<22} {:>9} {:>7} {:>8} {:>8} {:>9} {:>10}",
         "variant", "cycles", "IPC", "L1 miss", "pf iss", "pf corr", "early-ev"

@@ -9,9 +9,7 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use apres::{
-    AddressPattern, GpuConfig, Kernel, PrefetcherChoice, SchedulerChoice, Simulation,
-};
+use apres::{AddressPattern, GpuConfig, Kernel, PrefetcherChoice, SchedulerChoice, Simulation};
 
 fn my_kernel() -> Kernel {
     Kernel::builder("blocked-sweep")
@@ -51,7 +49,10 @@ fn main() -> apres::SimResult<()> {
         SchedulerChoice::Laws,
     ];
 
-    println!("{:<10} {:>9} {:>7} {:>7} {:>9}", "scheduler", "cycles", "IPC", "L1 miss", "avg lat");
+    println!(
+        "{:<10} {:>9} {:>7} {:>7} {:>9}",
+        "scheduler", "cycles", "IPC", "L1 miss", "avg lat"
+    );
     let mut results = Vec::new();
     for s in schedulers {
         let r = Simulation::new(my_kernel())
@@ -70,10 +71,7 @@ fn main() -> apres::SimResult<()> {
         results.push((s, r));
     }
     // And the full APRES stack for comparison.
-    let apres = Simulation::new(my_kernel())
-        .config(cfg)
-        .apres()
-        .run()?;
+    let apres = Simulation::new(my_kernel()).config(cfg).apres().run()?;
     println!(
         "{:<10} {:>9} {:>7.3} {:>6.1}% {:>8.0}c   ({} prefetches, {:.0}% accurate)",
         "APRES",

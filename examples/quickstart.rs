@@ -35,7 +35,10 @@ fn main() -> apres::SimResult<()> {
     for r in [&baseline, &apres] {
         println!(
             "\n{} + {}: {} cycles, IPC {:.3}",
-            r.scheduler, r.prefetcher, r.cycles, r.ipc()
+            r.scheduler,
+            r.prefetcher,
+            r.cycles,
+            r.ipc()
         );
         println!(
             "  L1: {:.1}% hits ({:.1}% hit-after-hit), {:.1}% cold, {:.1}% cap+conf",

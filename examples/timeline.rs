@@ -88,7 +88,10 @@ fn main() -> apres::SimResult<()> {
         })
         .unwrap_or(Benchmark::Km);
 
-    println!("per-{INTERVAL}-cycle samples on {} (4 SMs)\n", bench.label());
+    println!(
+        "per-{INTERVAL}-cycle samples on {} (4 SMs)\n",
+        bench.label()
+    );
     for (name, apres) in [("baseline", false), ("APRES", true)] {
         let samples = run_sampled(bench, apres)?;
         let ipc: Vec<f64> = samples.iter().map(|s| s.ipc).collect();

@@ -25,7 +25,12 @@ impl Observer for Recorder {
 
 fn show(ev: &TraceEvent) -> String {
     match *ev {
-        TraceEvent::Issue { cycle, warp, pc, kind } => {
+        TraceEvent::Issue {
+            cycle,
+            warp,
+            pc,
+            kind,
+        } => {
             let k = match kind {
                 IssueKind::Alu => "alu ",
                 IssueKind::Load => "LD  ",
@@ -34,17 +39,31 @@ fn show(ev: &TraceEvent) -> String {
             };
             format!("{cycle:>7}  issue  {warp:<4} {k} {pc}")
         }
-        TraceEvent::L1Access { cycle, warp, pc, line, hit } => format!(
+        TraceEvent::L1Access {
+            cycle,
+            warp,
+            pc,
+            line,
+            hit,
+        } => format!(
             "{cycle:>7}  L1     {warp:<4} {} {pc} {line}",
             if hit { "HIT " } else { "MISS" }
         ),
-        TraceEvent::Prefetch { cycle, target, line } => {
+        TraceEvent::Prefetch {
+            cycle,
+            target,
+            line,
+        } => {
             format!("{cycle:>7}  PREFETCH -> {target:<4} {line}")
         }
         TraceEvent::Fill { cycle, line, woken } => {
             format!("{cycle:>7}  fill   {line} wakes {woken}")
         }
-        TraceEvent::BarrierRelease { cycle, body_idx, released } => {
+        TraceEvent::BarrierRelease {
+            cycle,
+            body_idx,
+            released,
+        } => {
             format!("{cycle:>7}  barrier[{body_idx}] releases {released}")
         }
     }

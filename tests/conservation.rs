@@ -3,7 +3,9 @@
 
 // Integration tests may use the ergonomic panicking forms freely.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use apres::{Benchmark, GpuConfig, PrefetcherChoice, RunResult, SchedulerChoice, Simulation, Termination};
+use apres::{
+    Benchmark, GpuConfig, PrefetcherChoice, RunResult, SchedulerChoice, Simulation, Termination,
+};
 
 fn run(b: Benchmark, s: SchedulerChoice, p: PrefetcherChoice) -> RunResult {
     let mut cfg = GpuConfig::paper_baseline();
@@ -68,7 +70,11 @@ fn invariants_hold_across_policies() {
         SchedulerChoice::Mascar,
         SchedulerChoice::Laws,
     ] {
-        for p in [PrefetcherChoice::None, PrefetcherChoice::Str, PrefetcherChoice::Sap] {
+        for p in [
+            PrefetcherChoice::None,
+            PrefetcherChoice::Str,
+            PrefetcherChoice::Sap,
+        ] {
             let r = run(Benchmark::Srad, s, p);
             check_invariants(&r, &format!("{s:?}+{p:?}"));
         }

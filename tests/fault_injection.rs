@@ -17,9 +17,7 @@
 use apres::common::check::{run_cases, Gen};
 use apres::common::fault::fuzz_config;
 use apres::common::StallReason;
-use apres::{
-    Benchmark, FaultPlan, GpuConfig, Kernel, SimError, Simulation, Termination,
-};
+use apres::{Benchmark, FaultPlan, GpuConfig, Kernel, SimError, Simulation, Termination};
 
 fn cfg() -> GpuConfig {
     let mut c = GpuConfig::small_test();

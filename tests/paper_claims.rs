@@ -69,7 +69,11 @@ fn huge_l1_removes_capacity_misses_on_km() {
         cc(&big),
         cc(&small)
     );
-    assert!(big.speedup_over(&small) > 1.2, "{:.3}", big.speedup_over(&small));
+    assert!(
+        big.speedup_over(&small) > 1.2,
+        "{:.3}",
+        big.speedup_over(&small)
+    );
 }
 
 /// Section V-C: APRES achieves a higher hit-after-hit ratio than the
@@ -125,7 +129,12 @@ fn sap_cooperation_on_lud() {
 /// baseline (within ±20% on every benchmark).
 #[test]
 fn apres_traffic_stays_bounded() {
-    for b in [Benchmark::Lud, Benchmark::Srad, Benchmark::Km, Benchmark::Cs] {
+    for b in [
+        Benchmark::Lud,
+        Benchmark::Srad,
+        Benchmark::Km,
+        Benchmark::Cs,
+    ] {
         let base = run(b, SchedulerChoice::Lrr, PrefetcherChoice::None);
         let apres = run(b, SchedulerChoice::Laws, PrefetcherChoice::Sap);
         let ratio = apres.mem.bytes_to_sm as f64 / base.mem.bytes_to_sm.max(1) as f64;
@@ -153,8 +162,7 @@ fn apres_energy_overhead_small() {
     let norm = model.normalized(&apres, &base, 4);
     assert!(norm < 1.2, "normalized energy {norm:.3}");
     assert!(
-        (apres.energy.dram_accesses as f64)
-            < 1.2 * base.energy.dram_accesses.max(1) as f64,
+        (apres.energy.dram_accesses as f64) < 1.2 * base.energy.dram_accesses.max(1) as f64,
         "DRAM activity exploded: {} vs {}",
         apres.energy.dram_accesses,
         base.energy.dram_accesses

@@ -34,9 +34,12 @@ fn pattern(g: &mut Gen) -> AddressPattern {
                 noise: g.prob() / 2.0,
             }
         }
-        _ => {
-            AddressPattern::irregular(base, g.range(16, 511) * 1024, g.range(1, 63) * 1024, g.prob())
-        }
+        _ => AddressPattern::irregular(
+            base,
+            g.range(16, 511) * 1024,
+            g.range(1, 63) * 1024,
+            g.prob(),
+        ),
     }
 }
 
