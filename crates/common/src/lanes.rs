@@ -3,7 +3,8 @@
 //! One warp memory instruction yields at most one byte address and one
 //! coalesced line request per lane. [`LaneList`] holds such a list inline,
 //! so the simulator builds one per memory instruction without touching the
-//! heap (DESIGN.md §13).
+//! heap (DESIGN.md §13). A larger capacity holds other per-warp lists, such
+//! as a group of an SM's warps.
 
 use std::fmt;
 use std::ops::Deref;
@@ -14,33 +15,38 @@ use std::ops::Deref;
 /// `core.warp_size`.
 pub const MAX_REQUESTS_PER_WARP: usize = 32;
 
-/// An inline list of at most [`MAX_REQUESTS_PER_WARP`] items; it reads as
-/// a slice.
+/// The most warps one SM holds, and so the longest list of an SM's warps
+/// ([`crate::config::GpuConfig::validate`] rejects a larger
+/// `core.warps_per_sm`).
+pub const MAX_WARPS_PER_SM: usize = 64;
+
+/// An inline list of at most `N` items, by default one per lane
+/// ([`MAX_REQUESTS_PER_WARP`]); it reads as a slice.
 ///
 /// # Example
 ///
 /// ```
 /// use gpu_common::{LaneList, LineAddr};
 ///
-/// let mut lines = LaneList::new();
+/// let mut lines: LaneList<LineAddr> = LaneList::new();
 /// lines.push(LineAddr(7));
 /// lines.push(LineAddr(9));
 /// assert_eq!(*lines, [LineAddr(7), LineAddr(9)]);
-/// let lanes = LaneList::from_fn(32, |lane| lane * 4);
+/// let lanes: LaneList<usize> = LaneList::from_fn(32, |lane| lane * 4);
 /// assert_eq!((lanes.len(), lanes[31]), (32, 124));
 /// ```
 #[derive(Clone, Copy)]
-pub struct LaneList<T> {
+pub struct LaneList<T, const N: usize = MAX_REQUESTS_PER_WARP> {
     len: usize,
-    items: [T; MAX_REQUESTS_PER_WARP],
+    items: [T; N],
 }
 
-impl<T: Copy + Default> LaneList<T> {
+impl<T: Copy + Default, const N: usize> LaneList<T, N> {
     /// An empty list.
     pub fn new() -> Self {
         LaneList {
             len: 0,
-            items: [T::default(); MAX_REQUESTS_PER_WARP],
+            items: [T::default(); N],
         }
     }
 
@@ -48,12 +54,9 @@ impl<T: Copy + Default> LaneList<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `len` exceeds [`MAX_REQUESTS_PER_WARP`].
+    /// Panics if `len` exceeds `N`.
     pub fn from_fn(len: usize, f: impl FnMut(usize) -> T) -> Self {
-        assert!(
-            len <= MAX_REQUESTS_PER_WARP,
-            "a lane list holds at most {MAX_REQUESTS_PER_WARP} items"
-        );
+        assert!(len <= N, "a lane list holds at most {N} items");
         let mut list = Self::new();
         for (slot, item) in list.items[..len].iter_mut().zip((0..len).map(f)) {
             *slot = item;
@@ -66,24 +69,21 @@ impl<T: Copy + Default> LaneList<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the list already holds [`MAX_REQUESTS_PER_WARP`] items.
+    /// Panics if the list already holds `N` items.
     pub fn push(&mut self, item: T) {
-        assert!(
-            self.len < MAX_REQUESTS_PER_WARP,
-            "a lane list holds at most {MAX_REQUESTS_PER_WARP} items"
-        );
+        assert!(self.len < N, "a lane list holds at most {N} items");
         self.items[self.len] = item;
         self.len += 1;
     }
 }
 
-impl<T: Copy + Default> Default for LaneList<T> {
+impl<T: Copy + Default, const N: usize> Default for LaneList<T, N> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> Deref for LaneList<T> {
+impl<T, const N: usize> Deref for LaneList<T, N> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
@@ -91,21 +91,23 @@ impl<T> Deref for LaneList<T> {
     }
 }
 
-impl<T: PartialEq> PartialEq for LaneList<T> {
+impl<T: PartialEq, const N: usize> PartialEq for LaneList<T, N> {
     fn eq(&self, other: &Self) -> bool {
         **self == **other
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for LaneList<T> {
+impl<T: Eq, const N: usize> Eq for LaneList<T, N> {}
+
+impl<T: fmt::Debug, const N: usize> fmt::Debug for LaneList<T, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
-impl<T> IntoIterator for LaneList<T> {
+impl<T, const N: usize> IntoIterator for LaneList<T, N> {
     type Item = T;
-    type IntoIter = std::iter::Take<std::array::IntoIter<T, MAX_REQUESTS_PER_WARP>>;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.items.into_iter().take(self.len)
@@ -118,7 +120,7 @@ mod tests {
 
     #[test]
     fn reads_as_the_pushed_prefix() {
-        let mut l = LaneList::new();
+        let mut l: LaneList<u32> = LaneList::new();
         assert!(l.is_empty());
         l.push(3u32);
         l.push(1);
@@ -129,7 +131,7 @@ mod tests {
 
     #[test]
     fn equality_ignores_unused_slots() {
-        let mut a = LaneList::from_fn(3, |i| i as u8 + 1);
+        let mut a: LaneList<u8> = LaneList::from_fn(3, |i| i as u8 + 1);
         let b = LaneList::from_fn(2, |i| i as u8 + 1);
         assert_ne!(a, b);
         a = LaneList::from_fn(2, |i| i as u8 + 1);
@@ -139,13 +141,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 32")]
     fn a_33rd_item_panics() {
-        let mut l = LaneList::from_fn(MAX_REQUESTS_PER_WARP, |_| 0u8);
+        let mut l: LaneList<u8> = LaneList::from_fn(MAX_REQUESTS_PER_WARP, |_| 0u8);
         l.push(1);
     }
 
     #[test]
     #[should_panic(expected = "at most 32")]
     fn from_fn_past_capacity_panics() {
-        LaneList::from_fn(MAX_REQUESTS_PER_WARP + 1, |_| 0u8);
+        let _: LaneList<u8> = LaneList::from_fn(MAX_REQUESTS_PER_WARP + 1, |_| 0u8);
+    }
+
+    #[test]
+    fn a_wider_list_holds_a_whole_sm_of_warps() {
+        let mut l: LaneList<u8, 64> = LaneList::from_fn(63, |i| i as u8);
+        l.push(63);
+        assert_eq!(l.into_iter().map(usize::from).sum::<usize>(), 63 * 64 / 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn a_65th_item_panics() {
+        let mut l: LaneList<u8, 64> = LaneList::from_fn(64, |_| 0u8);
+        l.push(1);
     }
 }

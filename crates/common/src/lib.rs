@@ -40,6 +40,6 @@ pub use error::{DeadlockDiagnosis, SimError, SimResult, StallReason, StalledWarp
 pub use fault::{FaultCounters, FaultPlan, FaultState, ServiceFaultPlan};
 pub use hash::{content_hash, content_hash_str, hash_hex, short_hex, ContentHasher};
 pub use ids::{Addr, Cycle, LineAddr, Pc, SmId, WarpId};
-pub use lanes::{LaneList, MAX_REQUESTS_PER_WARP};
+pub use lanes::{LaneList, MAX_REQUESTS_PER_WARP, MAX_WARPS_PER_SM};
 pub use rng::{derive_seed, SeedStream, Xoshiro256};
 pub use stats::Throughput;

@@ -8,7 +8,7 @@
 //! (the previous access also hit) and *hit-after-miss*.
 
 use gpu_common::LineAddr;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Classification of one demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +26,10 @@ pub enum AccessClass {
 /// Classifies the demand-access stream of one cache.
 #[derive(Debug, Clone, Default)]
 pub struct MissClassifier {
-    ever_filled: BTreeSet<LineAddr>,
+    /// Every line ever filled, as 64-line bit words keyed by `line >> 6`:
+    /// exact membership in a tree up to 64× smaller than one node per line
+    /// on dense streams (DESIGN.md §13).
+    ever_filled: BTreeMap<u64, u64>,
     last_was_hit: bool,
     any_access: bool,
 }
@@ -47,7 +50,7 @@ impl MissClassifier {
             } else {
                 AccessClass::HitAfterMiss
             }
-        } else if self.ever_filled.contains(&line) {
+        } else if self.was_filled(line) {
             AccessClass::CapacityConflictMiss
         } else {
             AccessClass::ColdMiss
@@ -60,7 +63,13 @@ impl MissClassifier {
     /// Records that `line` has been resident (call at fill time; prefetch
     /// fills count — a subsequent miss on the line is a true re-fetch).
     pub fn note_filled(&mut self, line: LineAddr) {
-        self.ever_filled.insert(line);
+        *self.ever_filled.entry(line.0 >> 6).or_default() |= 1 << (line.0 & 63);
+    }
+
+    fn was_filled(&self, line: LineAddr) -> bool {
+        self.ever_filled
+            .get(&(line.0 >> 6))
+            .is_some_and(|word| word >> (line.0 & 63) & 1 == 1)
     }
 }
 
@@ -141,6 +150,35 @@ mod tests {
                         cold + cc,
                         accesses.len() as u64 - hits
                     ));
+                }
+                Ok(())
+            });
+        }
+
+        #[test]
+        fn bit_words_match_a_line_set() {
+            run_cases(64, |_, g| {
+                let mut c = MissClassifier::new();
+                let mut reference = std::collections::BTreeSet::new();
+                // Dense and sparse runs at either end of the line space
+                // and in between, so words fill up, straddle and use bit 63.
+                let span = [64, 4096, 1 << 40][g.usize_range(0, 2)];
+                let base = [0, g.range(0, u64::MAX - span), u64::MAX - span][g.usize_range(0, 2)];
+                for _ in 0..g.usize_range(0, 299) {
+                    let line = LineAddr(base + g.range(0, span));
+                    let expect = if reference.contains(&line) {
+                        AccessClass::CapacityConflictMiss
+                    } else {
+                        AccessClass::ColdMiss
+                    };
+                    let got = c.classify(line, false);
+                    if got != expect {
+                        return Err(format!("{line:?}: {got:?}, a line set says {expect:?}"));
+                    }
+                    if g.chance(0.5) {
+                        c.note_filled(line);
+                        reference.insert(line);
+                    }
                 }
                 Ok(())
             });

@@ -19,8 +19,7 @@ use crate::request::{AccessKind, MemRequest};
 use gpu_common::config::{CacheConfig, DramConfig};
 use gpu_common::stats::CacheStats;
 use gpu_common::{Cycle, LineAddr};
-use std::cmp::{Ordering, Reverse};
-use std::collections::binary_heap::PeekMut;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// One L2 bank paired with its DRAM partition.
@@ -33,9 +32,14 @@ pub struct L2Bank {
     port_free: Cycle,
     /// Requests that could not get an MSHR; retried every cycle.
     retry: VecDeque<MemRequest>,
-    /// Responses/fills in flight: a min-heap on (ready cycle, seq), where
-    /// the unique seq breaks ties FIFO.
-    pending: BinaryHeap<Pending>,
+    /// Hit responses in flight, in ready order: each is due `hit_latency`
+    /// after its port slot, and port slots strictly increase.
+    hits: VecDeque<PendingHit>,
+    /// DRAM fills in flight: a min-heap on `(ready, seq, line)`, because
+    /// FR-FCFS row hits return ahead of earlier row misses.
+    fills: BinaryHeap<Reverse<(Cycle, u64, LineAddr)>>,
+    /// Schedule order of every hit and fill; `(ready, seq)` orders the two
+    /// queues' events as one (DESIGN.md §13).
     seq: u64,
     stats: CacheStats,
     /// Lines transferred from DRAM into this bank.
@@ -44,39 +48,12 @@ pub struct L2Bank {
     pub dram_line_writes: u64,
 }
 
-#[derive(Debug, Clone)]
-enum PendingKind {
-    /// A hit response for one request.
-    Hit(MemRequest),
-    /// DRAM returned `line`; complete the MSHR entry.
-    DramFill(LineAddr),
-}
-
-/// One scheduled event, ordered by `key` alone (unique, since `seq` is).
+/// A hit response due at `ready`.
 #[derive(Debug)]
-struct Pending {
-    key: Reverse<(Cycle, u64)>,
-    kind: PendingKind,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl Eq for Pending {}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key.cmp(&other.key)
-    }
+struct PendingHit {
+    ready: Cycle,
+    seq: u64,
+    req: MemRequest,
 }
 
 impl L2Bank {
@@ -96,7 +73,8 @@ impl L2Bank {
             dram: DramPartition::with_policy(dram.latency, dram.service_interval, dram.row_policy),
             port_free: 0,
             retry: VecDeque::new(),
-            pending: BinaryHeap::new(),
+            hits: VecDeque::new(),
+            fills: BinaryHeap::new(),
             seq: 0,
             stats: CacheStats::default(),
             dram_line_fills: 0,
@@ -104,12 +82,9 @@ impl L2Bank {
         }
     }
 
-    fn schedule(&mut self, at: Cycle, kind: PendingKind) {
+    fn next_seq(&mut self) -> u64 {
         self.seq += 1;
-        self.pending.push(Pending {
-            key: Reverse((at, self.seq)),
-            kind,
-        });
+        self.seq
     }
 
     /// Accepts one request from the interconnect at cycle `now`.
@@ -127,7 +102,13 @@ impl L2Bank {
         self.stats.accesses += 1;
         if self.tags.touch(req.line) {
             self.stats.hits += 1;
-            self.schedule(service + hit_latency, PendingKind::Hit(req));
+            let ready = service + hit_latency;
+            debug_assert!(
+                self.hits.back().is_none_or(|h| h.ready < ready),
+                "hit responses must be due in schedule order"
+            );
+            let seq = self.next_seq();
+            self.hits.push_back(PendingHit { ready, seq, req });
             return;
         }
         match self.mshrs.register(req.clone()) {
@@ -157,27 +138,43 @@ impl L2Bank {
             if done.req.kind == AccessKind::Store {
                 // Posted write: nothing returns.
             } else {
-                self.schedule(done.ready_at, PendingKind::DramFill(done.req.line));
+                let seq = self.next_seq();
+                self.fills
+                    .push(Reverse((done.ready_at, seq, done.req.line)));
             }
         }
-        // Deliver everything that matured this cycle.
-        while let Some(top) = self.pending.peek_mut() {
-            if top.key.0 .0 > now {
-                break;
-            }
-            match PeekMut::pop(top).kind {
-                PendingKind::Hit(req) => out.push(req),
-                PendingKind::DramFill(line) => {
-                    self.dram_line_fills += 1;
-                    if self.tags.fill(line, false, now).is_some() {
-                        self.stats.evictions += 1;
-                    }
-                    if let Some(entry) = self.mshrs.complete(line) {
-                        out.push(entry.primary);
-                        out.extend(entry.merged);
-                    }
+        // Deliver everything that matured this cycle, merging the two
+        // queues in `(ready, seq)` order.
+        loop {
+            let due = |key: Option<(Cycle, u64)>| key.filter(|&(ready, _)| ready <= now);
+            let hit = due(self.hits.front().map(|h| (h.ready, h.seq)));
+            let fill = due(self
+                .fills
+                .peek()
+                .map(|&Reverse((ready, seq, _))| (ready, seq)));
+            match (hit, fill) {
+                (None, None) => break,
+                (Some(h), f) if f.is_none_or(|f| h < f) => {
+                    out.extend(self.hits.pop_front().map(|h| h.req));
                 }
+                _ => self.deliver_fill(now, out),
             }
+        }
+    }
+
+    /// Installs the earliest DRAM fill and answers every request its MSHR
+    /// entry holds.
+    fn deliver_fill(&mut self, now: Cycle, out: &mut Vec<MemRequest>) {
+        let Some(Reverse((_, _, line))) = self.fills.pop() else {
+            return;
+        };
+        self.dram_line_fills += 1;
+        if self.tags.fill(line, false, now).is_some() {
+            self.stats.evictions += 1;
+        }
+        if let Some(entry) = self.mshrs.complete(line) {
+            out.push(entry.primary);
+            out.extend(entry.merged);
         }
     }
 
@@ -198,7 +195,10 @@ impl L2Bank {
 
     /// `true` when no request is queued or in flight anywhere in the bank.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.retry.is_empty() && self.dram.is_idle()
+        self.hits.is_empty()
+            && self.fills.is_empty()
+            && self.retry.is_empty()
+            && self.dram.is_idle()
     }
 }
 
@@ -308,6 +308,108 @@ mod tests {
         let done = run_until(&mut bank, 0, 400);
         assert_eq!(done.len(), 5, "retried request eventually completes");
         assert!(bank.is_idle());
+    }
+
+    /// One scheduled bank event: a hit for the load with this id, or the
+    /// DRAM fill of this line.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Event {
+        Hit(u64),
+        Fill(u64),
+    }
+
+    #[test]
+    fn delivery_order_matches_one_heap_of_ready_and_seq() {
+        use gpu_common::check::run_cases;
+        use gpu_common::config::DramRowPolicy;
+        use std::collections::{BTreeMap, BTreeSet};
+        for policy in [DramRowPolicy::Uniform, DramRowPolicy::FrFcfsRowBuffer] {
+            let mut fills_overtaken = 0;
+            run_cases(32, |_, g| {
+                let (mut l2, mut dr) = cfgs();
+                l2.mshrs = g.usize_range(1, 4);
+                dr.row_policy = policy;
+                let hit_latency = g.range(1, 60);
+                let mut bank = L2Bank::new(&l2, &dr);
+                // The reference: every event the bank schedules, in one
+                // min-heap on (ready, seq) as the bank used to keep them.
+                let mut reference = BinaryHeap::new();
+                let mut events = BTreeMap::new();
+                let mut hit_ids = BTreeSet::new();
+                let mut latest_fill = 0;
+                let (mut out, mut id) = (Vec::new(), 0u64);
+                for now in 0..100_000 {
+                    if now >= 400 && bank.is_idle() {
+                        break;
+                    }
+                    while now < 400 && g.chance(0.3) {
+                        id += 1;
+                        let line = LineAddr(g.range(0, 40));
+                        let req = if g.chance(0.1) {
+                            MemRequest::store(line, SmId(0), WarpId(0), Pc(0), now)
+                        } else {
+                            MemRequest::load(line, SmId(0), WarpId(0), Pc(0), 0, id, now)
+                        };
+                        let seq = bank.seq;
+                        bank.access(req, now, hit_latency);
+                        if bank.seq != seq {
+                            let h = bank.hits.back().expect("access schedules only hits");
+                            reference.push(Reverse((h.ready, h.seq)));
+                            events.insert(h.seq, Event::Hit(id));
+                            hit_ids.insert(id);
+                        }
+                    }
+                    let seq = bank.seq;
+                    bank.tick(now, &mut out);
+                    let mut expected = Vec::new();
+                    while let Some(&Reverse((ready, seq))) = reference.peek() {
+                        if ready > now {
+                            break;
+                        }
+                        reference.pop();
+                        expected.push(events[&seq]);
+                    }
+                    // A fill delivers its whole MSHR entry back to back.
+                    let mut delivered = Vec::new();
+                    for r in out.drain(..) {
+                        let ev = if hit_ids.contains(&r.iter) {
+                            Event::Hit(r.iter)
+                        } else {
+                            Event::Fill(r.line.0)
+                        };
+                        if delivered.last() != Some(&ev) {
+                            delivered.push(ev);
+                        }
+                    }
+                    if delivered != expected {
+                        return Err(format!(
+                            "cycle {now}: {delivered:?}, reference {expected:?}"
+                        ));
+                    }
+                    if bank.seq != seq {
+                        let &Reverse((ready, seq, line)) = bank
+                            .fills
+                            .iter()
+                            .find(|f| f.0 .1 == bank.seq)
+                            .expect("tick schedules only fills");
+                        if ready < latest_fill {
+                            fills_overtaken += 1;
+                        }
+                        latest_fill = latest_fill.max(ready);
+                        reference.push(Reverse((ready, seq)));
+                        events.insert(seq, Event::Fill(line.0));
+                    }
+                }
+                if !bank.is_idle() || !reference.is_empty() {
+                    return Err("events left undelivered".into());
+                }
+                Ok(())
+            });
+            // FR-FCFS row hits must overtake earlier fills, or the fill
+            // heap's order went untested.
+            let expect_overtaking = policy == DramRowPolicy::FrFcfsRowBuffer;
+            assert_eq!(fills_overtaken > 0, expect_overtaking, "{policy:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 # Developer entry points. `just check` is the pre-merge gate.
 
-# Build + exhibit bytes + test + lint + docs + determinism +
+# Build + exhibit bytes + test + formatting + lint + docs + determinism +
 # fault-tolerance smoke + performance regression gate, exactly what CI runs.
-check: build golden test clippy lint-kernels doc bench-smoke serve-smoke perf-gate
+check: build golden test fmt clippy lint-kernels doc bench-smoke serve-smoke perf-gate
 
 build:
     cargo build --release --workspace --bins --examples
@@ -17,6 +17,11 @@ test:
 # `unsafe` is denied (DESIGN.md §12). Any warning fails the gate.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# Every workspace source file must be rustfmt-clean (perfbench/ is its own
+# workspace and is not checked).
+fmt:
+    cargo fmt --all -- --check
 
 # Static kernel-IR lint over every bundled workload (structure, def-use,
 # Table-I cross-check, SAP oracle). Warnings fail the gate, mirroring
@@ -35,6 +40,13 @@ doc:
 # byte (needs `just build` first).
 golden:
     bash scripts/golden.sh
+
+# The same check at Table III scale: every results/json/ artifact,
+# regenerated at --jobs 2 through one fresh result cache, must equal the
+# checked-in file byte for byte (30–50 s on two cores, so not part of
+# `check`; needs `just build` first).
+golden-paper:
+    bash scripts/golden.sh --paper
 
 # Determinism gate of the parallel sweep harness: every bench binary that
 # `golden` does not cover must print byte-identical output at the minimal

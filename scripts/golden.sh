@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # `just golden` — the exhibit bytes are the spec.
 #
+# usage: scripts/golden.sh [--paper]
+#
 # Regenerates every fast-scale exhibit (`--fast`) through one fresh shared
 # result cache, writes `== <name> ==` followed by each binary's stdout into
 # one file, and byte-compares it with the checked-in
@@ -12,6 +14,12 @@
 # change that means to must regenerate both copies in the same commit, so
 # the diff is reviewed.
 #
+# `--paper` (`just golden-paper`) checks the Table III scale instead: every
+# artifact of `results/json/` is regenerated at `--jobs 2` through one
+# fresh shared cache and `diff -r`'d against the checked-in directory. It
+# takes 30–50 s on two cores, so `just check` leaves it out; the last line
+# gives its wall-clock and the cache's count of unique simulations.
+#
 # Needs the release binaries (`just build`; `check` orders them correctly).
 set -u
 cd "$(dirname "$0")/.."
@@ -19,6 +27,39 @@ BIN=target/release
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 fail=0
+
+# paper_pass: every results/json/ artifact at Table III scale.
+paper_pass() {
+  local dir="$work/paper"
+  mkdir -p "$dir/cache" "$dir/json"
+  for name in table1 fig2 fig3 fig4 fig10 fig11 fig12 fig13 fig14 fig15 \
+    fidelity sweep; do
+    if ! "$BIN/$name" --jobs 2 --cache "$dir/cache" --json "$dir/json" \
+      > /dev/null 2>&1; then
+      echo "FAIL $name: exited non-zero"
+      fail=1
+    fi
+  done
+  if diff -r results/json "$dir/json" > "$dir/json.diff"; then
+    echo "ok   results/json/ (Table III scale, --jobs 2)"
+  else
+    echo "FAIL results/json/ differs:"
+    head -20 "$dir/json.diff"
+    fail=1
+  fi
+  unique_sims=$(find "$dir/cache" -name '*.json' | wc -l)
+}
+
+if [ "${1:-}" = "--paper" ]; then
+  paper_pass
+  if [ $fail -ne 0 ]; then
+    echo "golden-paper: FAILED"
+    exit 1
+  fi
+  echo "golden-paper: every results/json/ artifact byte-identical" \
+    "($unique_sims unique simulations, ${SECONDS}s)"
+  exit 0
+fi
 
 # golden_pass JOBS: one regeneration at `--jobs JOBS`, checked against
 # results/.
