@@ -7,8 +7,8 @@
 //! is a cold miss. Section V-C additionally splits hits into *hit-after-hit*
 //! (the previous access also hit) and *hit-after-miss*.
 
+use crate::mshr::home_slot;
 use gpu_common::LineAddr;
-use std::collections::BTreeMap;
 
 /// Classification of one demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,10 +26,7 @@ pub enum AccessClass {
 /// Classifies the demand-access stream of one cache.
 #[derive(Debug, Clone, Default)]
 pub struct MissClassifier {
-    /// Every line ever filled, as 64-line bit words keyed by `line >> 6`:
-    /// exact membership in a tree up to 64× smaller than one node per line
-    /// on dense streams (DESIGN.md §13).
-    ever_filled: BTreeMap<u64, u64>,
+    ever_filled: LineSet,
     last_was_hit: bool,
     any_access: bool,
 }
@@ -50,7 +47,7 @@ impl MissClassifier {
             } else {
                 AccessClass::HitAfterMiss
             }
-        } else if self.was_filled(line) {
+        } else if self.ever_filled.contains(line) {
             AccessClass::CapacityConflictMiss
         } else {
             AccessClass::ColdMiss
@@ -63,13 +60,113 @@ impl MissClassifier {
     /// Records that `line` has been resident (call at fill time; prefetch
     /// fills count — a subsequent miss on the line is a true re-fetch).
     pub fn note_filled(&mut self, line: LineAddr) {
-        *self.ever_filled.entry(line.0 >> 6).or_default() |= 1 << (line.0 & 63);
+        self.ever_filled.insert(line);
+    }
+}
+
+/// The key of a free slot. Group keys are `line >> 3 < 2^61`, so no group
+/// has it.
+const VACANT: u64 = u64::MAX;
+
+/// log2 of the slot count of the first table: 256 slots (2.3 KB) hold up
+/// to 224 groups before the first doubling, so a small footprint costs
+/// one allocation.
+const MIN_BITS: u32 = 8;
+
+/// Every line ever filled: an open-addressing table of 8-line groups keyed
+/// by `line >> 3`, each with an 8-bit mask of its filled lines (DESIGN.md
+/// §13). Exact for every `u64` line; about 9 bytes per slot, at a load of
+/// at most 7/8.
+#[derive(Debug, Clone, Default)]
+struct LineSet {
+    /// The table's `n` group keys (or [`VACANT`]), then their masks packed
+    /// eight to a word: slot `i`'s mask is byte `i % 8` of word
+    /// `n + i / 8`. Keys and masks share this one buffer, so a growth is
+    /// one allocation. Empty until the first insert.
+    buf: Vec<u64>,
+    /// log2 of the slot count `n` (0 while `buf` is empty).
+    bits: u32,
+    /// Groups stored.
+    groups: usize,
+}
+
+impl LineSet {
+    fn slots(&self) -> usize {
+        if self.buf.is_empty() {
+            0
+        } else {
+            1 << self.bits
+        }
     }
 
-    fn was_filled(&self, line: LineAddr) -> bool {
-        self.ever_filled
-            .get(&(line.0 >> 6))
-            .is_some_and(|word| word >> (line.0 & 63) & 1 == 1)
+    /// The slot holding group `key`, or the vacant slot where its probe
+    /// ends. The table must not be empty.
+    fn probe(&self, key: u64) -> usize {
+        let mask = (1 << self.bits) - 1;
+        let mut i = home_slot(key, self.bits);
+        while self.buf[i] != key && self.buf[i] != VACANT {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The mask word of slot `i` and the bit of `line` within it.
+    fn mask_bit(&self, i: usize, line: u64) -> (usize, u64) {
+        (
+            self.slots() + i / 8,
+            1 << ((i % 8) * 8 + (line & 7) as usize),
+        )
+    }
+
+    fn contains(&self, line: LineAddr) -> bool {
+        if self.buf.is_empty() {
+            return false;
+        }
+        let i = self.probe(line.0 >> 3);
+        let (word, bit) = self.mask_bit(i, line.0);
+        self.buf[i] != VACANT && self.buf[word] & bit != 0
+    }
+
+    fn insert(&mut self, line: LineAddr) {
+        let key = line.0 >> 3;
+        if self.buf.is_empty() {
+            self.grow();
+        }
+        let mut i = self.probe(key);
+        if self.buf[i] == VACANT {
+            if 8 * (self.groups + 1) > 7 * self.slots() {
+                self.grow();
+                i = self.probe(key);
+            }
+            self.buf[i] = key;
+            self.groups += 1;
+        }
+        let (word, bit) = self.mask_bit(i, line.0);
+        self.buf[word] |= bit;
+    }
+
+    /// Doubles the table (or builds the first one) and rehashes every
+    /// group with its mask.
+    fn grow(&mut self) {
+        let old_slots = self.slots();
+        let old = std::mem::take(&mut self.buf);
+        self.bits = if old.is_empty() {
+            MIN_BITS
+        } else {
+            self.bits + 1
+        };
+        let n = 1 << self.bits;
+        self.buf = vec![VACANT; n + n / 8];
+        self.buf[n..].fill(0);
+        for (i, &key) in old.iter().take(old_slots).enumerate() {
+            if key == VACANT {
+                continue;
+            }
+            let mask = old[old_slots + i / 8] >> ((i % 8) * 8) & 0xFF;
+            let j = self.probe(key);
+            self.buf[j] = key;
+            self.buf[n + j / 8] |= mask << ((j % 8) * 8);
+        }
     }
 }
 
@@ -156,15 +253,18 @@ mod tests {
         }
 
         #[test]
-        fn bit_words_match_a_line_set() {
-            run_cases(64, |_, g| {
+        fn matches_a_line_set_across_growth() {
+            use std::collections::BTreeSet;
+            let mut growths = 0;
+            run_cases(48, |_, g| {
                 let mut c = MissClassifier::new();
-                let mut reference = std::collections::BTreeSet::new();
-                // Dense and sparse runs at either end of the line space
-                // and in between, so words fill up, straddle and use bit 63.
+                let mut reference = BTreeSet::new();
+                // Dense runs, where groups fill up, and sparse ones, where
+                // every line is a group of its own, at either end of the
+                // line space and in between.
                 let span = [64, 4096, 1 << 40][g.usize_range(0, 2)];
                 let base = [0, g.range(0, u64::MAX - span), u64::MAX - span][g.usize_range(0, 2)];
-                for _ in 0..g.usize_range(0, 299) {
+                for _ in 0..g.usize_range(0, 6000) {
                     let line = LineAddr(base + g.range(0, span));
                     let expect = if reference.contains(&line) {
                         AccessClass::CapacityConflictMiss
@@ -176,12 +276,33 @@ mod tests {
                         return Err(format!("{line:?}: {got:?}, a line set says {expect:?}"));
                     }
                     if g.chance(0.5) {
+                        let bits = c.ever_filled.bits;
                         c.note_filled(line);
                         reference.insert(line);
+                        if c.ever_filled.bits != bits {
+                            // Every line filled so far survives the rehash.
+                            growths += 1;
+                            if let Some(lost) =
+                                reference.iter().find(|&&l| !c.ever_filled.contains(l))
+                            {
+                                return Err(format!("{lost:?} lost growing to {bits} bits"));
+                            }
+                        }
                     }
+                }
+                let set = &c.ever_filled;
+                let groups = reference.iter().map(|l| l.0 >> 3).collect::<BTreeSet<_>>();
+                if set.groups != groups.len() || 8 * set.groups > 7 * set.slots() {
+                    return Err(format!(
+                        "{} groups in {} slots, a line set has {}",
+                        set.groups,
+                        set.slots(),
+                        groups.len()
+                    ));
                 }
                 Ok(())
             });
+            assert!(growths > 100, "only {growths} growths tested");
         }
 
         #[test]

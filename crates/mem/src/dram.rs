@@ -14,7 +14,7 @@
 //! queue head when nothing in the window hits (first-ready,
 //! first-come-first-served — the standard GDDR controller policy).
 
-use crate::request::MemRequest;
+use crate::request::LineRequest;
 use gpu_common::config::DramRowPolicy;
 use gpu_common::Cycle;
 use std::collections::VecDeque;
@@ -35,7 +35,7 @@ const FRFCFS_WINDOW: usize = 16;
 /// buffers.
 #[derive(Debug, Clone)]
 pub struct DramPartition {
-    queue: VecDeque<MemRequest>,
+    queue: VecDeque<LineRequest>,
     latency: Cycle,
     service_interval: Cycle,
     policy: DramRowPolicy,
@@ -55,7 +55,7 @@ pub struct DramPartition {
 #[derive(Debug, Clone)]
 pub struct DramCompletion {
     /// The original request.
-    pub req: MemRequest,
+    pub req: LineRequest,
     /// Cycle the data is available at the L2 bank.
     pub ready_at: Cycle,
 }
@@ -92,7 +92,7 @@ impl DramPartition {
     }
 
     /// Enqueues a request.
-    pub fn push(&mut self, req: MemRequest) {
+    pub fn push(&mut self, req: LineRequest) {
         self.queue.push_back(req);
         self.max_depth = self.max_depth.max(self.queue.len());
     }
@@ -170,10 +170,11 @@ impl DramPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_common::{LineAddr, Pc, SmId, WarpId};
+    use crate::request::AccessKind;
+    use gpu_common::{LineAddr, SmId};
 
-    fn req(line: u64) -> MemRequest {
-        MemRequest::load(LineAddr(line), SmId(0), WarpId(0), Pc(0), 0, 0, 0)
+    fn req(line: u64) -> LineRequest {
+        LineRequest::new(LineAddr(line), SmId(0), AccessKind::Load)
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::cache::TagStore;
 use crate::classify::{AccessClass, MissClassifier};
 use crate::mshr::{MshrEntry, MshrFile, MshrOutcome};
 use crate::prefetch_meta::EarlyEvictionTracker;
-use crate::request::{AccessKind, MemRequest};
+use crate::request::{AccessKind, LineRequest, MemRequest, OffCore};
 use gpu_common::config::CacheConfig;
 use gpu_common::fault::{FaultCounters, FaultState};
 use gpu_common::stats::{CacheStats, PrefetchStats};
@@ -114,7 +114,9 @@ pub struct L1Cache {
     /// Lines whose in-flight fill must not be installed (bypassed loads).
     /// Ordered set: tiny, rarely touched, and deterministic by construction.
     no_fill: BTreeSet<LineAddr>,
-    outgoing: VecDeque<MemRequest>,
+    /// Misses, stores and prefetches waiting to go downstream, in their
+    /// off-core form.
+    outgoing: VecDeque<LineRequest>,
     /// Injected-fault state (MSHR exhaustion bursts), when under test.
     fault: Option<FaultState>,
 }
@@ -166,7 +168,7 @@ impl L1Cache {
         match req.kind {
             AccessKind::Store => {
                 // Write-through, no-allocate: forward and forget.
-                self.outgoing.push_back(req);
+                self.outgoing.push_back(req.off_core());
                 L1AccessOutcome::StoreForwarded
             }
             AccessKind::Prefetch => self.access_prefetch(req, now),
@@ -200,10 +202,11 @@ impl L1Cache {
             self.pstats.dropped_no_resource += 1;
             return L1AccessOutcome::PrefetchDropped;
         }
-        match self.mshrs.register(req.clone()) {
+        let fwd = req.off_core();
+        match self.mshrs.register(req) {
             MshrOutcome::Allocated => {
                 self.pstats.issued += 1;
-                self.outgoing.push_back(req);
+                self.outgoing.push_back(fwd);
                 L1AccessOutcome::PrefetchIssued
             }
             // Unreachable while `contains()` above holds; degrade to a
@@ -255,9 +258,9 @@ impl L1Cache {
                 cause: RejectCause::InjectedBurst,
             };
         }
-        // Keep a copy for the downstream queue: on Allocated the request
-        // itself moves into the MSHR entry.
-        let fwd = req.clone();
+        // The downstream queue gets the off-core form: on Allocated the
+        // request itself moves into the MSHR entry.
+        let fwd = req.off_core();
         // Try the MSHRs before committing statistics, because a rejected
         // access retries and must not be double counted.
         match self.mshrs.register(req) {
@@ -357,7 +360,7 @@ impl L1Cache {
     }
 
     /// Pops the oldest miss/store/prefetch waiting to go downstream.
-    pub fn pop_outgoing(&mut self) -> Option<MemRequest> {
+    pub fn pop_outgoing(&mut self) -> Option<LineRequest> {
         self.outgoing.pop_front()
     }
 
@@ -539,6 +542,48 @@ mod tests {
         assert_eq!(l1.access(load(0, 0, 2), 2), L1AccessOutcome::Miss);
         assert_eq!(l1.stats().capacity_conflict_misses, 1);
         assert_eq!(l1.stats().cold_misses, 3);
+    }
+
+    #[test]
+    fn outgoing_requests_are_the_off_core_forms_of_their_accesses() {
+        use gpu_common::check::run_cases;
+        run_cases(32, |_, g| {
+            let mut l1 = L1Cache::new(&cfg());
+            let sm = SmId(g.range(1, 14) as u32);
+            for now in 0..300 {
+                let line = LineAddr(g.range(0, 24));
+                let warp = WarpId(g.range(0, 47) as u32);
+                let req = match g.range(0, 2) {
+                    0 => MemRequest::load(line, sm, warp, Pc(0x10), 1, now, now),
+                    1 => MemRequest::store(line, sm, warp, Pc(0x20), now),
+                    _ => MemRequest::prefetch(
+                        line,
+                        RequestSource::SapPrefetcher,
+                        sm,
+                        warp,
+                        Pc(0),
+                        now,
+                    ),
+                };
+                let want = LineRequest::new(req.line, req.sm, req.kind);
+                let outcome = l1.access(req, now);
+                let forwarded = matches!(
+                    outcome,
+                    L1AccessOutcome::Miss
+                        | L1AccessOutcome::StoreForwarded
+                        | L1AccessOutcome::PrefetchIssued
+                );
+                let got = l1.pop_outgoing();
+                if got != forwarded.then_some(want) || l1.outgoing_len() != 0 {
+                    return Err(format!("{outcome:?} of {want:?} sent {got:?}"));
+                }
+                let lowest = l1.inflight_mshrs().next().map(|e| e.line);
+                if let Some(line) = lowest.filter(|_| g.chance(0.3)) {
+                    l1.fill(line, now);
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::cache::TagStore;
 use crate::dram::DramPartition;
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::request::{AccessKind, MemRequest};
+use crate::request::{AccessKind, LineRequest};
 use gpu_common::config::{CacheConfig, DramConfig};
 use gpu_common::stats::CacheStats;
 use gpu_common::{Cycle, LineAddr};
@@ -26,12 +26,12 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Debug)]
 pub struct L2Bank {
     tags: TagStore,
-    mshrs: MshrFile,
+    mshrs: MshrFile<LineRequest>,
     dram: DramPartition,
     /// Next cycle the bank's tag/data port is free (1 request/cycle).
     port_free: Cycle,
     /// Requests that could not get an MSHR; retried every cycle.
-    retry: VecDeque<MemRequest>,
+    retry: VecDeque<LineRequest>,
     /// Hit responses in flight, in ready order: each is due `hit_latency`
     /// after its port slot, and port slots strictly increase.
     hits: VecDeque<PendingHit>,
@@ -53,7 +53,7 @@ pub struct L2Bank {
 struct PendingHit {
     ready: Cycle,
     seq: u64,
-    req: MemRequest,
+    req: LineRequest,
 }
 
 impl L2Bank {
@@ -88,7 +88,7 @@ impl L2Bank {
     }
 
     /// Accepts one request from the interconnect at cycle `now`.
-    pub fn access(&mut self, req: MemRequest, now: Cycle, hit_latency: Cycle) {
+    pub fn access(&mut self, req: LineRequest, now: Cycle, hit_latency: Cycle) {
         // One request occupies the bank port per cycle; bursts queue.
         let service = self.port_free.max(now);
         self.port_free = service + 1;
@@ -111,7 +111,7 @@ impl L2Bank {
             self.hits.push_back(PendingHit { ready, seq, req });
             return;
         }
-        match self.mshrs.register(req.clone()) {
+        match self.mshrs.register(req) {
             MshrOutcome::Allocated => {
                 self.stats.cold_misses += 1; // cold/cap-conf split not needed at L2
                 self.dram.push(req);
@@ -128,7 +128,7 @@ impl L2Bank {
 
     /// Advances one cycle, appending the responses ready to travel back to
     /// SMs to `out`.
-    pub fn tick(&mut self, now: Cycle, out: &mut Vec<MemRequest>) {
+    pub fn tick(&mut self, now: Cycle, out: &mut Vec<LineRequest>) {
         // Retry MSHR-starved requests first (one per cycle keeps it fair).
         if let Some(req) = self.retry.pop_front() {
             self.access_retry(req, now);
@@ -164,7 +164,7 @@ impl L2Bank {
 
     /// Installs the earliest DRAM fill and answers every request its MSHR
     /// entry holds.
-    fn deliver_fill(&mut self, now: Cycle, out: &mut Vec<MemRequest>) {
+    fn deliver_fill(&mut self, now: Cycle, out: &mut Vec<LineRequest>) {
         let Some(Reverse((_, _, line))) = self.fills.pop() else {
             return;
         };
@@ -178,10 +178,10 @@ impl L2Bank {
         }
     }
 
-    fn access_retry(&mut self, req: MemRequest, _now: Cycle) {
+    fn access_retry(&mut self, req: LineRequest, _now: Cycle) {
         // Retried requests re-enter through the MSHR path only (the tag probe
         // happens again on the next regular access path if needed).
-        match self.mshrs.register(req.clone()) {
+        match self.mshrs.register(req) {
             MshrOutcome::Allocated => self.dram.push(req),
             MshrOutcome::Merged { .. } => self.stats.mshr_merges += 1,
             MshrOutcome::Rejected => self.retry.push_back(req),
@@ -206,7 +206,7 @@ impl L2Bank {
 mod tests {
     use super::*;
     use gpu_common::config::Replacement;
-    use gpu_common::{Pc, SmId, WarpId};
+    use gpu_common::SmId;
 
     fn cfgs() -> (CacheConfig, DramConfig) {
         (
@@ -231,11 +231,11 @@ mod tests {
         )
     }
 
-    fn load(line: u64, sm: u32) -> MemRequest {
-        MemRequest::load(LineAddr(line), SmId(sm), WarpId(0), Pc(0), 0, 0, 0)
+    fn load(line: u64, sm: u32) -> LineRequest {
+        LineRequest::new(LineAddr(line), SmId(sm), AccessKind::Load)
     }
 
-    fn run_until(bank: &mut L2Bank, from: Cycle, to: Cycle) -> Vec<(Cycle, MemRequest)> {
+    fn run_until(bank: &mut L2Bank, from: Cycle, to: Cycle) -> Vec<(Cycle, LineRequest)> {
         let mut out = Vec::new();
         let mut ready = Vec::new();
         for now in from..to {
@@ -289,7 +289,7 @@ mod tests {
     fn store_streams_to_dram_without_response() {
         let (l2, dr) = cfgs();
         let mut bank = L2Bank::new(&l2, &dr);
-        let st = MemRequest::store(LineAddr(1), SmId(0), WarpId(0), Pc(0), 0);
+        let st = LineRequest::new(LineAddr(1), SmId(0), AccessKind::Store);
         bank.access(st, 0, 20);
         let done = run_until(&mut bank, 0, 200);
         assert!(done.is_empty());
@@ -310,19 +310,11 @@ mod tests {
         assert!(bank.is_idle());
     }
 
-    /// One scheduled bank event: a hit for the load with this id, or the
-    /// DRAM fill of this line.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Event {
-        Hit(u64),
-        Fill(u64),
-    }
-
     #[test]
     fn delivery_order_matches_one_heap_of_ready_and_seq() {
         use gpu_common::check::run_cases;
         use gpu_common::config::DramRowPolicy;
-        use std::collections::{BTreeMap, BTreeSet};
+        use std::collections::BTreeMap;
         for policy in [DramRowPolicy::Uniform, DramRowPolicy::FrFcfsRowBuffer] {
             let mut fills_overtaken = 0;
             run_cases(32, |_, g| {
@@ -332,31 +324,29 @@ mod tests {
                 let hit_latency = g.range(1, 60);
                 let mut bank = L2Bank::new(&l2, &dr);
                 // The reference: every event the bank schedules, in one
-                // min-heap on (ready, seq) as the bank used to keep them.
+                // min-heap on (ready, seq) as the bank used to keep them,
+                // each named by the line it answers.
                 let mut reference = BinaryHeap::new();
-                let mut events = BTreeMap::new();
-                let mut hit_ids = BTreeSet::new();
+                let mut lines = BTreeMap::new();
                 let mut latest_fill = 0;
-                let (mut out, mut id) = (Vec::new(), 0u64);
+                let mut out = Vec::new();
                 for now in 0..100_000 {
                     if now >= 400 && bank.is_idle() {
                         break;
                     }
                     while now < 400 && g.chance(0.3) {
-                        id += 1;
-                        let line = LineAddr(g.range(0, 40));
-                        let req = if g.chance(0.1) {
-                            MemRequest::store(line, SmId(0), WarpId(0), Pc(0), now)
+                        let kind = if g.chance(0.1) {
+                            AccessKind::Store
                         } else {
-                            MemRequest::load(line, SmId(0), WarpId(0), Pc(0), 0, id, now)
+                            AccessKind::Load
                         };
+                        let req = LineRequest::new(LineAddr(g.range(0, 40)), SmId(0), kind);
                         let seq = bank.seq;
                         bank.access(req, now, hit_latency);
                         if bank.seq != seq {
                             let h = bank.hits.back().expect("access schedules only hits");
                             reference.push(Reverse((h.ready, h.seq)));
-                            events.insert(h.seq, Event::Hit(id));
-                            hit_ids.insert(id);
+                            lines.insert(h.seq, h.req.line);
                         }
                     }
                     let seq = bank.seq;
@@ -367,20 +357,13 @@ mod tests {
                             break;
                         }
                         reference.pop();
-                        expected.push(events[&seq]);
+                        expected.push(lines[&seq]);
                     }
-                    // A fill delivers its whole MSHR entry back to back.
-                    let mut delivered = Vec::new();
-                    for r in out.drain(..) {
-                        let ev = if hit_ids.contains(&r.iter) {
-                            Event::Hit(r.iter)
-                        } else {
-                            Event::Fill(r.line.0)
-                        };
-                        if delivered.last() != Some(&ev) {
-                            delivered.push(ev);
-                        }
-                    }
+                    // A fill answers its whole MSHR entry back to back, so
+                    // both sides compare as runs of one line.
+                    let mut delivered: Vec<LineAddr> = out.drain(..).map(|r| r.line).collect();
+                    delivered.dedup();
+                    expected.dedup();
                     if delivered != expected {
                         return Err(format!(
                             "cycle {now}: {delivered:?}, reference {expected:?}"
@@ -397,7 +380,7 @@ mod tests {
                         }
                         latest_fill = latest_fill.max(ready);
                         reference.push(Reverse((ready, seq)));
-                        events.insert(seq, Event::Fill(line.0));
+                        lines.insert(seq, line);
                     }
                 }
                 if !bank.is_idle() || !reference.is_empty() {

@@ -19,8 +19,10 @@
 //! GPU design point): stores generate L2 traffic but never perturb L1 state.
 //!
 //! Hot-path containers follow the flat-vs-ordered policy of DESIGN.md §13:
-//! flat arrays / vectors on per-cycle lookup paths, ordered containers only
-//! where iteration order is emitted or models an event queue.
+//! flat arrays / vectors, or open-addressing tables over them with a fixed
+//! hash, on per-cycle lookup paths, ordered containers only where
+//! iteration order is emitted or models an event queue. Past the L1, a
+//! request travels as its 16-byte [`LineRequest`] form.
 
 #![forbid(clippy::disallowed_methods, clippy::disallowed_types, unsafe_code)]
 #![deny(missing_docs)]
@@ -40,4 +42,4 @@ pub mod request;
 
 pub use l1::{L1AccessOutcome, L1Cache, RejectCause};
 pub use memsys::MemorySystem;
-pub use request::{AccessKind, MemRequest, RequestSource};
+pub use request::{AccessKind, LineRequest, MemRequest, RequestSource};

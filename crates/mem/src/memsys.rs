@@ -21,7 +21,7 @@
 
 use crate::l2::L2Bank;
 use crate::noc::DelayPipe;
-use crate::request::{AccessKind, MemRequest};
+use crate::request::{AccessKind, LineRequest};
 use gpu_common::config::GpuConfig;
 use gpu_common::fault::{FaultCounters, FaultState};
 use gpu_common::stats::MemStats;
@@ -33,12 +33,16 @@ use std::collections::BTreeMap;
 pub struct MemorySystem {
     cfg: GpuConfig,
     /// Per-SM request pipes toward the L2.
-    to_l2: Vec<DelayPipe<MemRequest>>,
+    to_l2: Vec<DelayPipe<LineRequest>>,
     /// Per-SM response pipes back from the L2.
-    from_l2: Vec<DelayPipe<MemRequest>>,
+    from_l2: Vec<DelayPipe<LineRequest>>,
     banks: Vec<L2Bank>,
+    /// log2 of `l1.line_bytes` and of `dram.interleave_bytes`, both powers
+    /// of two ([`GpuConfig::validate`]).
+    line_shift: u32,
+    interleave_shift: u32,
     /// One bank's responses of the current tick (reused every cycle).
-    responses: Vec<MemRequest>,
+    responses: Vec<LineRequest>,
     stats: MemStats,
     /// Non-store requests accepted off-core (conservation ledger, debit).
     submitted: u64,
@@ -47,7 +51,7 @@ pub struct MemorySystem {
     /// Injected-fault state (response drops/delays, NoC request drops).
     fault: Option<FaultState>,
     /// Responses held back by an injected delay, keyed by release cycle.
-    delayed: BTreeMap<(Cycle, u64), MemRequest>,
+    delayed: BTreeMap<(Cycle, u64), LineRequest>,
     delayed_seq: u64,
 }
 
@@ -70,6 +74,8 @@ impl MemorySystem {
             banks: (0..cfg.dram.partitions)
                 .map(|_| L2Bank::new(&cfg.l2, &cfg.dram))
                 .collect(),
+            line_shift: cfg.l1.line_bytes.trailing_zeros(),
+            interleave_shift: cfg.dram.interleave_bytes.trailing_zeros(),
             responses: Vec::new(),
             stats: MemStats::default(),
             submitted: 0,
@@ -95,16 +101,18 @@ impl MemorySystem {
     }
 
     /// Which bank/partition a line maps to (interleaved by
-    /// `dram.interleave_bytes`).
+    /// `dram.interleave_bytes`): the line's byte address, wrapped to 64
+    /// bits, divided by the interleave, modulo the partition count. Both
+    /// sizes are powers of two, so the product and quotient are shifts.
     pub fn partition_of(&self, line: LineAddr) -> usize {
-        let chunk = line.base(self.cfg.l1.line_bytes).0 / self.cfg.dram.interleave_bytes;
+        let chunk = (line.0 << self.line_shift) >> self.interleave_shift;
         (chunk % self.cfg.dram.partitions as u64) as usize
     }
 
     /// Submits an L1 miss / store / prefetch from `sm` at cycle `now`.
     /// Out-of-range SMs are rejected silently (cannot happen through the
     /// simulation facade, which sizes the pipes from the same config).
-    pub fn submit(&mut self, sm: usize, req: MemRequest, now: Cycle) {
+    pub fn submit(&mut self, sm: usize, req: LineRequest, now: Cycle) {
         let Some(pipe) = self.to_l2.get_mut(sm) else {
             debug_assert!(false, "submit from out-of-range sm {sm}");
             return;
@@ -124,7 +132,7 @@ impl MemorySystem {
 
     /// Delivers one response toward its SM, applying injected response
     /// faults (drop or delay).
-    fn deliver(&mut self, req: MemRequest, now: Cycle) {
+    fn deliver(&mut self, req: LineRequest, now: Cycle) {
         if let Some(f) = &mut self.fault {
             if f.drop_response() {
                 return;
@@ -191,7 +199,7 @@ impl MemorySystem {
     /// The pipe drains in place. The cycle loop calls this after
     /// [`MemorySystem::tick`] to hand fills to per-SM inboxes; a fill must
     /// not be applied before its ready cycle.
-    pub fn take_fills(&mut self, sm: usize) -> impl Iterator<Item = (Cycle, MemRequest)> + '_ {
+    pub fn take_fills(&mut self, sm: usize) -> impl Iterator<Item = (Cycle, LineRequest)> + '_ {
         self.from_l2
             .get_mut(sm)
             .into_iter()
@@ -299,19 +307,19 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_common::{FaultPlan, Pc, SmId, WarpId};
+    use gpu_common::{FaultPlan, SmId};
 
     fn small_cfg() -> GpuConfig {
         GpuConfig::small_test()
     }
 
-    fn load(line: u64, sm: u32) -> MemRequest {
-        MemRequest::load(LineAddr(line), SmId(sm), WarpId(0), Pc(0), 0, 0, 0)
+    fn load(line: u64, sm: u32) -> LineRequest {
+        LineRequest::new(LineAddr(line), SmId(sm), AccessKind::Load)
     }
 
     /// Ticks from `from` until a fill for `sm` is handed over; returns it
     /// with its ready cycle (when it completes NoC traversal).
-    fn first_fill(ms: &mut MemorySystem, sm: usize, from: Cycle) -> Option<(Cycle, MemRequest)> {
+    fn first_fill(ms: &mut MemorySystem, sm: usize, from: Cycle) -> Option<(Cycle, LineRequest)> {
         (from..3000).find_map(|now| {
             ms.tick(now);
             ms.take_fills(sm).next()
@@ -375,6 +383,46 @@ mod tests {
     }
 
     #[test]
+    fn partition_shifts_equal_wrapping_multiply_and_divide() {
+        use gpu_common::check::run_cases;
+        let mut valid = 0;
+        run_cases(64, |_, g| {
+            let mut cfg = small_cfg();
+            let line_bytes = 1u64 << g.range(0, 63);
+            cfg.l1.line_bytes = line_bytes;
+            cfg.l2.line_bytes = line_bytes;
+            cfg.l1.capacity_bytes = line_bytes.saturating_mul(cfg.l1.ways as u64);
+            cfg.dram.interleave_bytes = 1 << g.range(0, 63);
+            cfg.dram.partitions = g.usize_range(1, 8);
+            cfg.l2.capacity_bytes =
+                line_bytes.saturating_mul((cfg.l2.ways * cfg.dram.partitions) as u64);
+            let Ok(ms) = MemorySystem::new(&cfg) else {
+                return Ok(()); // a geometry `validate` refuses
+            };
+            valid += 1;
+            for _ in 0..64 {
+                let line = match g.range(0, 2) {
+                    0 => g.range(0, 1 << 16),
+                    1 => u64::MAX - g.range(0, 1 << 16),
+                    _ => g.u64(),
+                };
+                let chunk = line.wrapping_mul(line_bytes) / cfg.dram.interleave_bytes;
+                let want = (chunk % cfg.dram.partitions as u64) as usize;
+                let got = ms.partition_of(LineAddr(line));
+                if got != want {
+                    return Err(format!(
+                        "line {line:#x}, {line_bytes} B lines, {} B interleave, {} partitions: \
+                         {got} != {want}",
+                        cfg.dram.interleave_bytes, cfg.dram.partitions
+                    ));
+                }
+            }
+            Ok(())
+        });
+        assert!(valid >= 32, "only {valid} of 64 geometries were valid");
+    }
+
+    #[test]
     fn fills_routed_to_correct_sm() {
         let mut cfg = small_cfg();
         cfg.core.num_sms = 2;
@@ -411,7 +459,7 @@ mod tests {
     fn store_generates_dram_write_traffic() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
-        let st = MemRequest::store(LineAddr(1), SmId(0), WarpId(0), Pc(0), 0);
+        let st = LineRequest::new(LineAddr(1), SmId(0), AccessKind::Store);
         ms.submit(0, st, 0);
         for now in 0..600 {
             ms.tick(now);

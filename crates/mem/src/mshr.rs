@@ -14,28 +14,30 @@
     clippy::unimplemented
 )]
 
-use crate::request::{AccessKind, MemRequest};
+use crate::request::{AccessKind, LineRequest, MemRequest, OffCore};
 use gpu_common::LineAddr;
 
-/// One in-flight miss.
+/// One in-flight miss, holding the requests waiting on it: the L1 keeps
+/// whole [`MemRequest`]s, to wake the right loads; an L2 bank keeps
+/// [`LineRequest`]s, to answer the right SMs.
 #[derive(Debug, Clone)]
-pub struct MshrEntry {
+pub struct MshrEntry<R = MemRequest> {
     /// The missing line.
     pub line: LineAddr,
     /// The request that allocated the entry.
-    pub primary: MemRequest,
+    pub primary: R,
     /// Requests merged after allocation.
-    pub merged: Vec<MemRequest>,
+    pub merged: Vec<R>,
     /// `true` while only prefetch requests want the line (no demand merged).
     pub prefetch_only: bool,
 }
 
-impl MshrEntry {
+impl<R: OffCore> MshrEntry<R> {
     /// All demand loads waiting on the line (primary + merged).
-    pub fn demand_loads(&self) -> impl Iterator<Item = &MemRequest> {
+    pub fn demand_loads(&self) -> impl Iterator<Item = &R> {
         std::iter::once(&self.primary)
             .chain(self.merged.iter())
-            .filter(|r| r.kind == AccessKind::Load)
+            .filter(|r| r.off_core().kind == AccessKind::Load)
     }
 
     /// Total requests attached to this entry.
@@ -58,6 +60,24 @@ pub enum MshrOutcome {
     Rejected,
 }
 
+/// One slot of the line index: a line and its entry's position, or
+/// [`VACANT`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: LineAddr,
+    at: usize,
+}
+
+/// The position of a free index slot.
+const VACANT: usize = usize::MAX;
+
+/// The home slot of `key` in an open-addressing table of `2^bits` slots
+/// (`1 <= bits <= 64`): the top `bits` bits of `key × 2^64/φ`. The hash is
+/// fixed, so every process lays a table out and probes it the same way.
+pub(crate) fn home_slot(key: u64, bits: u32) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+}
+
 /// A bounded MSHR file with per-entry merge slots.
 ///
 /// # Example
@@ -73,24 +93,29 @@ pub enum MshrOutcome {
 /// assert!(matches!(m.register(r), MshrOutcome::Merged { .. }));
 /// ```
 #[derive(Debug, Clone)]
-pub struct MshrFile {
-    // Unordered flat vectors, not a map: the file sits on the per-access
-    // hot path and holds at most `capacity` entries (Table III: 64 per L1,
-    // 128 per L2 bank). Lookup scans `lines`, a compact copy of each
-    // entry's line kept at the same index; allocation pushes and
-    // completion swap-removes, so no entry is ever shifted (DESIGN.md
-    // §13). Only `iter()` promises an order — line order, sorted on that
-    // cold diagnostics path — and it never depends on a per-process
-    // RandomState (`clippy.toml` bans HashMap, DESIGN.md §12).
-    lines: Vec<LineAddr>,
-    entries: Vec<MshrEntry>,
+pub struct MshrFile<R = MemRequest> {
+    // Unordered entries under an open-addressing line index, not a map:
+    // the file sits on the per-access hot path and holds at most
+    // `capacity` entries (Table III: 64 per L1, 128 per L2 bank). `slots`
+    // has at least twice as many slots as the file has registers, so a
+    // linear probe from the line's fixed multiplicative hash ends within
+    // a few slots. Allocation pushes; completion swap-removes and points
+    // the moved entry's slot at its new position, so no entry is ever
+    // shifted (DESIGN.md §13). Only `iter()` promises an order — line
+    // order, sorted on that cold diagnostics path — and nothing depends
+    // on a per-process RandomState (`clippy.toml` bans HashMap,
+    // DESIGN.md §12).
+    slots: Vec<Slot>,
+    /// log2 of the slot count.
+    bits: u32,
+    entries: Vec<MshrEntry<R>>,
     capacity: usize,
     merge_slots: usize,
     /// Entries completed so far (see [`MshrFile::releases`]).
     releases: u64,
 }
 
-impl MshrFile {
+impl<R: OffCore> MshrFile<R> {
     /// Creates a file with `capacity` entries and `merge_slots` merges each.
     ///
     /// Zero sizes are rejected by [`gpu_common::config::CacheConfig::validate`]
@@ -98,8 +123,16 @@ impl MshrFile {
     /// reject every request.
     pub fn new(capacity: usize, merge_slots: usize) -> Self {
         debug_assert!(capacity > 0 && merge_slots > 0);
+        let slots = (2 * capacity).next_power_of_two().max(2);
         MshrFile {
-            lines: Vec::with_capacity(capacity),
+            slots: vec![
+                Slot {
+                    line: LineAddr(0),
+                    at: VACANT,
+                };
+                slots
+            ],
+            bits: slots.trailing_zeros(),
             entries: Vec::with_capacity(capacity),
             capacity,
             merge_slots,
@@ -107,21 +140,54 @@ impl MshrFile {
         }
     }
 
-    /// Index of `line`'s entry. Compares four lines per step, so a scan of
-    /// a full file that finds nothing takes a quarter of the branches.
-    fn find(&self, line: LineAddr) -> Option<usize> {
-        let mut quads = self.lines.chunks_exact(4);
-        let mut base = 0;
-        for q in &mut quads {
-            if (q[0] == line) | (q[1] == line) | (q[2] == line) | (q[3] == line) {
+    /// The index slot holding `line` and its entry's position, or the
+    /// vacant slot where `line`'s probe ends.
+    fn probe(&self, line: LineAddr) -> (usize, Option<usize>) {
+        let mask = self.slots.len() - 1;
+        let mut i = home_slot(line.0, self.bits);
+        loop {
+            let slot = self.slots[i];
+            if slot.at == VACANT {
+                return (i, None);
+            }
+            if slot.line == line {
+                return (i, Some(slot.at));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// [`MshrFile::probe`], checked in debug builds against a scan of the
+    /// entries.
+    fn lookup(&self, line: LineAddr) -> (usize, Option<usize>) {
+        let found = self.probe(line);
+        debug_assert_eq!(
+            found.1,
+            self.entries.iter().position(|e| e.line == line),
+            "MSHR index diverged from a scan for {line:?}"
+        );
+        found
+    }
+
+    /// Frees index slot `hole`, moving later slots of its probe run back
+    /// so that every remaining line stays reachable from its hash.
+    fn vacate(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let slot = self.slots[i];
+            if slot.at == VACANT {
                 break;
             }
-            base += 4;
+            let home = home_slot(slot.line.0, self.bits);
+            // The slot may move back unless its home lies in (hole, i].
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = slot;
+                hole = i;
+            }
         }
-        self.lines[base..]
-            .iter()
-            .position(|&l| l == line)
-            .map(|i| base + i)
+        self.slots[hole].at = VACANT;
     }
 
     /// Entries currently in flight.
@@ -146,19 +212,19 @@ impl MshrFile {
 
     /// `true` if a miss on `line` is in flight.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.find(line).is_some()
+        self.lookup(line).1.is_some()
     }
 
     /// In-flight entry for `line`, if any.
-    pub fn entry(&self, line: LineAddr) -> Option<&MshrEntry> {
-        self.find(line).map(|i| &self.entries[i])
+    pub fn entry(&self, line: LineAddr) -> Option<&MshrEntry<R>> {
+        self.lookup(line).1.map(|i| &self.entries[i])
     }
 
     /// `true` when [`MshrFile::register`] would refuse a request for `line`:
     /// no register is free, or `line`'s entry has no merge slot left. Does
     /// not change the file.
     pub fn would_reject(&self, line: LineAddr) -> bool {
-        match self.find(line) {
+        match self.lookup(line).1 {
             Some(i) => self.entries[i].merged.len() >= self.merge_slots,
             None => self.is_full(),
         }
@@ -173,31 +239,34 @@ impl MshrFile {
 
     /// Registers a missing request: merges into an in-flight entry when one
     /// exists, otherwise allocates (if a register is free).
-    pub fn register(&mut self, req: MemRequest) -> MshrOutcome {
-        match self.find(req.line) {
-            Some(i) => {
+    pub fn register(&mut self, req: R) -> MshrOutcome {
+        let LineRequest { line, kind, .. } = req.off_core();
+        match self.lookup(line) {
+            (_, Some(i)) => {
                 let entry = &mut self.entries[i];
                 if entry.merged.len() >= self.merge_slots {
                     return MshrOutcome::Rejected;
                 }
-                let into_prefetch = entry.prefetch_only && req.kind.is_demand();
-                if req.kind.is_demand() {
+                let into_prefetch = entry.prefetch_only && kind.is_demand();
+                if kind.is_demand() {
                     entry.prefetch_only = false;
                 }
                 entry.merged.push(req);
                 MshrOutcome::Merged { into_prefetch }
             }
-            None => {
+            (slot, None) => {
                 if self.is_full() {
                     return MshrOutcome::Rejected;
                 }
-                let prefetch_only = req.kind == AccessKind::Prefetch;
-                self.lines.push(req.line);
+                self.slots[slot] = Slot {
+                    line,
+                    at: self.entries.len(),
+                };
                 self.entries.push(MshrEntry {
-                    line: req.line,
+                    line,
                     primary: req,
                     merged: Vec::new(),
-                    prefetch_only,
+                    prefetch_only: kind == AccessKind::Prefetch,
                 });
                 MshrOutcome::Allocated
             }
@@ -206,17 +275,24 @@ impl MshrFile {
 
     /// Completes the miss on `line`, releasing the register and returning
     /// the entry with all merged requests.
-    pub fn complete(&mut self, line: LineAddr) -> Option<MshrEntry> {
-        let i = self.find(line)?;
+    pub fn complete(&mut self, line: LineAddr) -> Option<MshrEntry<R>> {
+        let (slot, at) = self.lookup(line);
+        let i = at?;
         self.releases += 1;
-        self.lines.swap_remove(i);
-        Some(self.entries.swap_remove(i))
+        self.vacate(slot);
+        let entry = self.entries.swap_remove(i);
+        if let Some(moved) = self.entries.get(i) {
+            // The last entry took position `i`; its slot must follow.
+            let (slot, _) = self.probe(moved.line);
+            self.slots[slot].at = i;
+        }
+        Some(entry)
     }
 
     /// Iterates over in-flight entries in line order (diagnostics; sorts
     /// on every call).
-    pub fn iter(&self) -> impl Iterator<Item = &MshrEntry> {
-        let mut sorted: Vec<&MshrEntry> = self.entries.iter().collect();
+    pub fn iter(&self) -> impl Iterator<Item = &MshrEntry<R>> {
+        let mut sorted: Vec<&MshrEntry<R>> = self.entries.iter().collect();
         sorted.sort_unstable_by_key(|e| e.line);
         sorted.into_iter()
     }
@@ -361,76 +437,148 @@ mod tests {
         use super::*;
         use gpu_common::check::run_cases;
 
-        /// An entry as `(line, prefetch_only, warps of its requests)`.
+        use gpu_common::check::Gen;
+
+        /// An entry as `(line, prefetch_only, ids of its requests)`.
         type Seen = (u64, bool, Vec<u32>);
 
-        fn seen(e: &MshrEntry) -> Seen {
-            let warps = std::iter::once(&e.primary)
+        /// A request type under test: how to build one with an id, and
+        /// how to read the id back.
+        trait Tagged: OffCore + Sized {
+            fn make(line: u64, prefetch: bool, id: u32) -> Self;
+            fn id(&self) -> u32;
+        }
+
+        impl Tagged for MemRequest {
+            fn make(line: u64, prefetch: bool, id: u32) -> Self {
+                if prefetch {
+                    super::prefetch(line, id)
+                } else {
+                    super::load(line, id)
+                }
+            }
+            fn id(&self) -> u32 {
+                self.warp.0
+            }
+        }
+
+        impl Tagged for LineRequest {
+            fn make(line: u64, prefetch: bool, id: u32) -> Self {
+                let kind = if prefetch {
+                    AccessKind::Prefetch
+                } else {
+                    AccessKind::Load
+                };
+                LineRequest::new(LineAddr(line), SmId(id), kind)
+            }
+            fn id(&self) -> u32 {
+                self.sm.0
+            }
+        }
+
+        fn seen<R: Tagged>(e: &MshrEntry<R>) -> Seen {
+            let ids = std::iter::once(&e.primary)
                 .chain(&e.merged)
-                .map(|r| r.warp.0)
+                .map(Tagged::id)
                 .collect();
-            (e.line.0, e.prefetch_only, warps)
+            (e.line.0, e.prefetch_only, ids)
+        }
+
+        /// The geometries under test: one to three registers, and the
+        /// L1's and an L2 bank's of Table III.
+        fn geometry(g: &mut Gen) -> (usize, usize) {
+            match g.range(0, 3) {
+                0 | 1 => (g.usize_range(1, 3), g.usize_range(1, 3)),
+                2 => (64, 8),
+                _ => (128, 8),
+            }
+        }
+
+        /// A line near a small base, so lines repeat and the file fills,
+        /// or one far away, so the index hashes all of a `u64`.
+        fn line(g: &mut Gen, capacity: usize, far: &[u64]) -> u64 {
+            if g.chance(0.2) {
+                *g.choose(far)
+            } else {
+                g.range(0, 2 * capacity as u64 + 8)
+            }
+        }
+
+        /// Drives an `MshrFile<R>` and the reference — the file as a
+        /// line-sorted vector of entries, searched by bisection and
+        /// shifted on every insert and remove — with the same requests.
+        fn matches_model<R: Tagged>(g: &mut Gen) -> Result<(), String> {
+            let (capacity, slots) = geometry(g);
+            let mut far: Vec<u64> = (0..8).map(|_| u64::MAX - g.range(0, 1 << 20)).collect();
+            far.extend((0..8).map(|_| g.u64()));
+            let mut m: MshrFile<R> = MshrFile::new(capacity, slots);
+            let mut model: Vec<Seen> = Vec::new();
+            let mut releases = 0u64;
+            for i in 0..g.usize_range(0, 8 * capacity + 200) {
+                let line = line(g, capacity, &far);
+                let id = i as u32;
+                let step = if g.chance(0.3) {
+                    let want = model.binary_search_by_key(&line, |e| e.0).ok().map(|at| {
+                        releases += 1;
+                        model.remove(at)
+                    });
+                    let got = m.complete(LineAddr(line)).as_ref().map(seen);
+                    (got != want).then(|| format!("complete: {got:?}, model {want:?}"))
+                } else {
+                    let prefetch = g.chance(0.3);
+                    let want = match model.binary_search_by_key(&line, |e| e.0) {
+                        Ok(at) if model[at].2.len() > slots => MshrOutcome::Rejected,
+                        Ok(at) => {
+                            let into_prefetch = model[at].1 && !prefetch;
+                            model[at].1 &= prefetch;
+                            model[at].2.push(id);
+                            MshrOutcome::Merged { into_prefetch }
+                        }
+                        Err(_) if model.len() >= capacity => MshrOutcome::Rejected,
+                        Err(at) => {
+                            model.insert(at, (line, prefetch, vec![id]));
+                            MshrOutcome::Allocated
+                        }
+                    };
+                    let would_reject = m.would_reject(LineAddr(line));
+                    let got = m.register(R::make(line, prefetch, id));
+                    (got != want || would_reject != (want == MshrOutcome::Rejected)).then(|| {
+                        format!("register: {got:?} (would_reject {would_reject}), model {want:?}")
+                    })
+                };
+                if let Some(msg) = step {
+                    return Err(format!(
+                        "{capacity}/{slots}, step {i}, line {line:#x}: {msg}"
+                    ));
+                }
+                if m.releases() != releases {
+                    return Err(format!("releases {} != model {releases}", m.releases()));
+                }
+                if m.len() != model.len() || m.is_full() != (model.len() >= capacity) {
+                    return Err(format!("{} entries, model {}", m.len(), model.len()));
+                }
+                if let Some(e) = model.get(i % model.len().max(1)) {
+                    let found = m.entry(LineAddr(e.0)).map(seen);
+                    if found.as_ref() != Some(e) || !m.contains(LineAddr(e.0)) {
+                        return Err(format!("entry {:#x}: {found:?}, model {e:?}", e.0));
+                    }
+                }
+                let listed: Vec<Seen> = m.iter().map(seen).collect();
+                if listed != model {
+                    return Err(format!("iter {listed:?} != model {model:?}"));
+                }
+                let ratio = model.len() as f64 / capacity as f64;
+                if m.occupancy_ratio() != ratio {
+                    return Err(format!("occupancy {} != {ratio}", m.occupancy_ratio()));
+                }
+            }
+            Ok(())
         }
 
         #[test]
         fn matches_a_line_sorted_model() {
-            // The reference is the file as a line-sorted vector of entries,
-            // searched by bisection and shifted on every insert and remove.
-            run_cases(64, |_, g| {
-                let (capacity, slots) = (g.usize_range(1, 6), g.usize_range(1, 3));
-                let mut m = MshrFile::new(capacity, slots);
-                let mut model: Vec<Seen> = Vec::new();
-                let mut releases = 0u64;
-                for i in 0..g.usize_range(0, 199) {
-                    let line = g.range(0, 11);
-                    let warp = i as u32;
-                    let step = if g.chance(0.3) {
-                        let want = model.binary_search_by_key(&line, |e| e.0).ok().map(|at| {
-                            releases += 1;
-                            model.remove(at)
-                        });
-                        let got = m.complete(LineAddr(line)).as_ref().map(seen);
-                        (got != want).then(|| format!("complete: {got:?}, model {want:?}"))
-                    } else {
-                        let req = if g.chance(0.3) {
-                            prefetch(line, warp)
-                        } else {
-                            load(line, warp)
-                        };
-                        let demand = req.kind.is_demand();
-                        let want = match model.binary_search_by_key(&line, |e| e.0) {
-                            Ok(at) if model[at].2.len() > slots => MshrOutcome::Rejected,
-                            Ok(at) => {
-                                let into_prefetch = model[at].1 && demand;
-                                model[at].1 &= !demand;
-                                model[at].2.push(warp);
-                                MshrOutcome::Merged { into_prefetch }
-                            }
-                            Err(_) if model.len() >= capacity => MshrOutcome::Rejected,
-                            Err(at) => {
-                                model.insert(at, (line, !demand, vec![warp]));
-                                MshrOutcome::Allocated
-                            }
-                        };
-                        let would_reject = m.would_reject(LineAddr(line));
-                        let got = m.register(req);
-                        (got != want || would_reject != (want == MshrOutcome::Rejected)).then(|| {
-                            format!("register: {got:?} (would_reject {would_reject}), model {want:?}")
-                        })
-                    };
-                    if let Some(msg) = step {
-                        return Err(format!("step {i}, line {line}: {msg}"));
-                    }
-                    if m.releases() != releases {
-                        return Err(format!("releases {} != model {releases}", m.releases()));
-                    }
-                    let listed: Vec<Seen> = m.iter().map(seen).collect();
-                    if listed != model {
-                        return Err(format!("iter {listed:?} != model {model:?}"));
-                    }
-                }
-                Ok(())
-            });
+            run_cases(64, |_, g| matches_model::<MemRequest>(g));
+            run_cases(64, |_, g| matches_model::<LineRequest>(g));
         }
 
         #[test]

@@ -34,7 +34,7 @@ pub enum RequestSource {
     SapPrefetcher,
 }
 
-/// A line-granular memory request.
+/// A line-granular memory request as the L1 sees it.
 ///
 /// `warp`/`pc`/`body_idx`/`iter` identify the consuming instruction so the
 /// pipeline can wake the right warp when the line fills; prefetches carry the
@@ -125,6 +125,47 @@ impl MemRequest {
     }
 }
 
+/// A line request past the L1: the NoC, the L2 banks and DRAM read only
+/// its line, its kind and the SM a response returns to. 16 bytes and
+/// `Copy`, it is what every off-core queue holds; the consuming
+/// instruction's identity stays in the L1's MSHR entry (DESIGN.md §14).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineRequest {
+    /// Cache line requested.
+    pub line: LineAddr,
+    /// SM the request came from, and the one its response returns to.
+    pub sm: SmId,
+    /// Demand load / demand store / prefetch.
+    pub kind: AccessKind,
+}
+
+impl LineRequest {
+    /// A request for `line` from `sm`.
+    pub fn new(line: LineAddr, sm: SmId, kind: AccessKind) -> Self {
+        LineRequest { line, sm, kind }
+    }
+}
+
+/// A request with an off-core form; what an MSHR file can hold.
+pub trait OffCore {
+    /// The request as it travels past the L1: its line, SM and kind.
+    fn off_core(&self) -> LineRequest;
+}
+
+impl OffCore for MemRequest {
+    #[inline]
+    fn off_core(&self) -> LineRequest {
+        LineRequest::new(self.line, self.sm, self.kind)
+    }
+}
+
+impl OffCore for LineRequest {
+    #[inline]
+    fn off_core(&self) -> LineRequest {
+        *self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,5 +198,16 @@ mod tests {
         );
         assert_eq!(p.kind, AccessKind::Prefetch);
         assert_eq!(p.warp, WarpId(5));
+    }
+
+    #[test]
+    fn off_core_form_is_sixteen_bytes_of_line_sm_and_kind() {
+        assert_eq!(std::mem::size_of::<LineRequest>(), 16);
+        let l = MemRequest::load(LineAddr(3), SmId(2), WarpId(1), Pc(0x10), 2, 7, 100);
+        assert_eq!(
+            l.off_core(),
+            LineRequest::new(LineAddr(3), SmId(2), AccessKind::Load)
+        );
+        assert_eq!(l.off_core().off_core(), l.off_core());
     }
 }

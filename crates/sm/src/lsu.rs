@@ -91,11 +91,12 @@ pub struct Lsu {
     queue: VecDeque<MemOp>,
     store_queue: VecDeque<MemOp>,
     capacity: usize,
-    /// In-flight dynamic loads. Flat vector, not a map: this sits on the
-    /// per-cycle hot path, holds at most `capacity` (≈16) entries, is only
-    /// ever probed by key (never iterated in an emitted order), and a
-    /// linear scan over a contiguous few-entry vector beats tree traversal
-    /// (see DESIGN.md §13 on the flat-vs-ordered container policy).
+    /// In-flight dynamic loads, in issue order. Flat vector, not a map:
+    /// this sits on the per-cycle hot path and holds a few entries; the
+    /// head load's entry is found by position (`Lsu::head_pos`) and a
+    /// fill's loads by a linear scan, which beats tree traversal over a
+    /// contiguous few-entry vector (see DESIGN.md §13 on the
+    /// flat-vs-ordered container policy).
     outstanding: Vec<(OpKey, OpState)>,
     /// The L1's MSHR release count when the MSHR file refused the head
     /// load; the head is refused again until the count moves.
@@ -217,7 +218,6 @@ impl Lsu {
             return activity;
         }
         let is_head = op.sent == 0;
-        let key = op_key(op);
         let req = if op.is_load {
             MemRequest::load(
                 line,
@@ -242,15 +242,17 @@ impl Lsu {
                 return activity; // retry same line next cycle
             }
             L1AccessOutcome::Hit { ready_at } => {
-                self.resolve_line(key, true, ready_at, done);
+                if let Some(at) = self.head_pos() {
+                    self.resolve_at(at, true, ready_at, done);
+                }
                 Some(L1Outcome::Hit)
             }
             L1AccessOutcome::Miss => {
-                self.note_fill_pending(key);
+                self.note_fill_pending();
                 Some(L1Outcome::Miss)
             }
             L1AccessOutcome::Merged { into_prefetch } => {
-                self.note_fill_pending(key);
+                self.note_fill_pending();
                 Some(L1Outcome::Merged { into_prefetch })
             }
             L1AccessOutcome::StoreForwarded => None,
@@ -282,23 +284,38 @@ impl Lsu {
         activity
     }
 
-    fn note_fill_pending(&mut self, key: OpKey) {
-        if let Some((_, st)) = self.outstanding.iter_mut().find(|(k, _)| *k == key) {
+    /// Position in `outstanding` of the head load's entry. The queued
+    /// loads are the newest outstanding ones, in queue order: an entry is
+    /// pushed with its load and removed only after all its lines were
+    /// sent, and removal keeps the order.
+    fn head_pos(&self) -> Option<usize> {
+        let at = self.outstanding.len().checked_sub(self.queue.len())?;
+        debug_assert_eq!(
+            self.outstanding.get(at).map(|(k, _)| *k),
+            self.queue.front().map(op_key),
+            "the head load's entry is not the oldest queued one"
+        );
+        Some(at)
+    }
+
+    /// Marks a line of the head load as waiting on a fill.
+    fn note_fill_pending(&mut self) {
+        if let Some(at) = self.head_pos() {
+            let st = &mut self.outstanding[at].1;
             st.lines_left -= 1;
             st.fills_pending += 1;
         }
     }
 
-    fn resolve_line(
+    /// Resolves one line of the outstanding load at `pos`: a hit on a line
+    /// not sent before, or a fill; completes the load with its last line.
+    fn resolve_at(
         &mut self,
-        key: OpKey,
+        pos: usize,
         from_hit: bool,
         ready: Cycle,
         done: &mut Vec<LoadCompletion>,
     ) {
-        let Some(pos) = self.outstanding.iter().position(|(k, _)| *k == key) else {
-            return;
-        };
         let st = &mut self.outstanding[pos].1;
         if from_hit {
             st.lines_left -= 1;
@@ -327,7 +344,9 @@ impl Lsu {
                 body_idx: req.body_idx,
                 iter: req.iter,
             };
-            self.resolve_line(key, false, now, done);
+            if let Some(pos) = self.outstanding.iter().position(|(k, _)| *k == key) {
+                self.resolve_at(pos, false, now, done);
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! responses into the inboxes with their NoC-ready cycles intact.
 
 use gpu_common::Cycle;
-use gpu_mem::request::MemRequest;
+use gpu_mem::request::LineRequest;
 use std::collections::VecDeque;
 
 /// Per-SM message queues decoupling the SM core from the shared memory
@@ -18,10 +18,10 @@ use std::collections::VecDeque;
 pub struct SmPort {
     /// Matured responses en route to the SM, `(ready_cycle, fill)` in FIFO
     /// order with non-decreasing ready cycles (the NoC preserves order).
-    inbox: VecDeque<(Cycle, MemRequest)>,
+    inbox: VecDeque<(Cycle, LineRequest)>,
     /// Outgoing requests not yet handed to the memory system,
     /// `(submit_cycle, request)` in submission order.
-    outbox: Vec<(Cycle, MemRequest)>,
+    outbox: Vec<(Cycle, LineRequest)>,
     /// Sum of completed-load round-trip latencies since the last flush.
     latency_total: Cycle,
     /// Number of completed loads since the last flush.
@@ -39,7 +39,7 @@ impl SmPort {
     /// Pops the oldest fill if its NoC traversal has completed by `now`
     /// (the ready cycles [`gpu_mem::memsys::MemorySystem::take_fills`]
     /// stamped).
-    pub fn pop_fill(&mut self, now: Cycle) -> Option<MemRequest> {
+    pub fn pop_fill(&mut self, now: Cycle) -> Option<LineRequest> {
         match self.inbox.front() {
             Some(&(ready, _)) if ready <= now => self.inbox.pop_front().map(|(_, req)| req),
             _ => None,
@@ -47,7 +47,7 @@ impl SmPort {
     }
 
     /// Queues an outgoing request submitted by the SM at cycle `now`.
-    pub fn submit(&mut self, req: MemRequest, now: Cycle) {
+    pub fn submit(&mut self, req: LineRequest, now: Cycle) {
         debug_assert!(
             self.outbox.last().is_none_or(|&(c, _)| c <= now),
             "submissions must be in cycle order"
@@ -66,7 +66,7 @@ impl SmPort {
 
     /// Re-homes one in-flight response into the inbox, preserving the
     /// ready cycle it was assigned inside the memory system.
-    pub fn deliver(&mut self, ready: Cycle, req: MemRequest) {
+    pub fn deliver(&mut self, ready: Cycle, req: LineRequest) {
         debug_assert!(
             self.inbox.back().is_none_or(|&(r, _)| r <= ready),
             "deliveries must keep ready cycles non-decreasing"
@@ -76,7 +76,7 @@ impl SmPort {
 
     /// Drains the whole outbox for routing (submission order, cycle stamps
     /// non-decreasing). The outbox keeps its capacity for the next cycle.
-    pub fn take_outbox(&mut self) -> std::vec::Drain<'_, (Cycle, MemRequest)> {
+    pub fn take_outbox(&mut self) -> std::vec::Drain<'_, (Cycle, LineRequest)> {
         self.outbox.drain(..)
     }
 
@@ -98,10 +98,11 @@ impl SmPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_common::{LineAddr, Pc, SmId, WarpId};
+    use gpu_common::{LineAddr, SmId};
+    use gpu_mem::request::AccessKind;
 
-    fn req(line: u64) -> MemRequest {
-        MemRequest::load(LineAddr(line), SmId(0), WarpId(0), Pc(0), 0, 0, 0)
+    fn req(line: u64) -> LineRequest {
+        LineRequest::new(LineAddr(line), SmId(0), AccessKind::Load)
     }
 
     #[test]

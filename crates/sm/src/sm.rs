@@ -280,11 +280,13 @@ impl Sm {
         while let Some(req) = port.pop_fill(now) {
             self.energy.l1_accesses += 1;
             let fill = self.l1.fill(req.line, now);
-            self.record(TraceEvent::Fill {
-                cycle: now,
-                line: req.line,
-                woken: fill.as_ref().map_or(0, |f| f.demand_loads().count() as u32),
-            });
+            if self.record_events {
+                self.record(TraceEvent::Fill {
+                    cycle: now,
+                    line: req.line,
+                    woken: fill.as_ref().map_or(0, |f| f.demand_loads().count() as u32),
+                });
+            }
             if let Some(fill) = fill {
                 let mut done = std::mem::take(&mut self.completions);
                 self.lsu.on_fill(&fill, now, &mut done);

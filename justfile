@@ -1,11 +1,18 @@
 # Developer entry points. `just check` is the pre-merge gate.
 
-# Build + exhibit bytes + test + formatting + lint + docs + determinism +
-# fault-tolerance smoke + performance regression gate, exactly what CI runs.
-check: build golden test fmt clippy lint-kernels doc bench-smoke serve-smoke perf-gate
+# Build + benchmark build + exhibit bytes + test + formatting + lint + docs +
+# determinism + fault-tolerance smoke + performance regression gate, exactly
+# what CI runs.
+check: build perfbench golden test fmt clippy lint-kernels doc bench-smoke serve-smoke perf-gate
 
 build:
     cargo build --release --workspace --bins --examples
+
+# The benchmark (perfbench/, its own workspace) rebuilds the cycle loop
+# from the simulator's public API, so a change to that API must keep it
+# compiling and its tests passing.
+perfbench:
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml && cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 test:
     cargo test --workspace

@@ -4,9 +4,10 @@
 //! deterministic fault-for-fault as well.
 
 use apres::common::check::{run_cases, Gen};
+use apres::common::config::DramRowPolicy;
 use apres::{
     AddressPattern, FaultPlan, GpuConfig, Kernel, PrefetcherChoice, RunResult, SchedulerChoice,
-    Simulation,
+    SimError, Simulation,
 };
 
 /// One random address pattern with bounded footprints.
@@ -46,8 +47,13 @@ fn pattern(g: &mut Gen) -> AddressPattern {
 /// A random 2–6 instruction kernel: loads with generated patterns, a
 /// dependent ALU chain, an optional store.
 fn kernel(g: &mut Gen) -> Kernel {
+    kernel_of(g, 5)
+}
+
+/// [`kernel`] with 1 to `max_iterations` loop iterations.
+fn kernel_of(g: &mut Gen, max_iterations: u64) -> Kernel {
     let n = g.usize_range(1, 2);
-    let iterations = g.range(1, 5);
+    let iterations = g.range(1, max_iterations);
     let seed = g.range(0, 998);
     let with_store = g.chance(0.5);
     let mut b = Kernel::builder("prop").seed(seed);
@@ -201,5 +207,74 @@ fn same_fault_seed_gives_byte_identical_outcome() {
             return Err(format!("fault runs diverged under plan {plan:?}"));
         }
         Ok(())
+    });
+}
+
+/// A random configuration that [`GpuConfig::validate`] accepts: 1–4 SMs,
+/// 1–8 L1 MSHRs with 1–2 merge slots, 1–4 L2 MSHRs per bank, 1–3
+/// partitions, NoC latency 0–8, issue width 1–4, either DRAM row policy.
+/// Draws that `validate` refuses (an L2 that does not split into
+/// power-of-two banks) are drawn again.
+fn valid_config(g: &mut Gen) -> GpuConfig {
+    loop {
+        let mut cfg = GpuConfig::small_test();
+        cfg.core.num_sms = g.usize_range(1, 4);
+        cfg.core.warps_per_sm = g.usize_range(1, 8);
+        cfg.core.issue_width = g.usize_range(1, 4);
+        cfg.l1.mshrs = g.usize_range(1, 8);
+        cfg.l1.mshr_merge_slots = g.usize_range(1, 2);
+        cfg.l2.mshrs = g.usize_range(1, 4);
+        cfg.l2.capacity_bytes = *g.choose(&[48, 64, 96]) * 1024;
+        cfg.dram.partitions = g.usize_range(1, 3);
+        cfg.dram.row_policy = *g.choose(&[DramRowPolicy::Uniform, DramRowPolicy::FrFcfsRowBuffer]);
+        cfg.noc.latency = g.range(0, 8);
+        if cfg.validate().is_ok() {
+            return cfg;
+        }
+    }
+}
+
+/// Runs a random one-iteration kernel on `cfg` twice: each run must drain
+/// with its invariants intact or fail with a typed error, never panic,
+/// and the second run must return exactly what the first did. A typed
+/// error must not be a broken conservation ledger: every drained run's
+/// requests balance.
+fn drains_or_fails_typed_twice(g: &mut Gen, cfg: GpuConfig) -> Result<(), String> {
+    let kernel = kernel_of(g, 1);
+    let (s, p) = *g.choose(&[
+        (SchedulerChoice::Lrr, PrefetcherChoice::None),
+        (SchedulerChoice::Laws, PrefetcherChoice::Sap),
+        (SchedulerChoice::Gto, PrefetcherChoice::Str),
+    ]);
+    let run = || {
+        std::panic::catch_unwind(|| {
+            Simulation::new(kernel.clone())
+                .config(cfg.clone())
+                .scheduler(s)
+                .prefetcher(p)
+                .max_cycles(4_000_000)
+                .run()
+        })
+        .map_err(|_| format!("{s:?}+{p:?} panicked on {cfg:?}"))
+    };
+    let first = run()?;
+    match &first {
+        Ok(r) => check(r, &format!("{s:?}+{p:?} on {cfg:?}"))?,
+        Err(e @ SimError::InvariantViolation { .. }) => {
+            return Err(format!("{s:?}+{p:?} on {cfg:?}: {e}"));
+        }
+        Err(e) => eprintln!("typed error [{}] on {cfg:?}: {e}", e.class()),
+    }
+    if run()? != first {
+        return Err(format!("{s:?}+{p:?} on {cfg:?}: a second run differs"));
+    }
+    Ok(())
+}
+
+#[test]
+fn random_valid_configs_drain_or_fail_typed() {
+    run_cases(48, |_, g| {
+        let cfg = valid_config(g);
+        drains_or_fails_typed_twice(g, cfg)
     });
 }
