@@ -73,11 +73,6 @@ impl Gen {
     pub fn prob(&mut self) -> f64 {
         self.rng.next_below(100) as f64 / 100.0
     }
-
-    /// Access to the underlying generator (e.g. to seed a nested component).
-    pub fn rng(&mut self) -> &mut Xoshiro256 {
-        &mut self.rng
-    }
 }
 
 /// Derives the per-case seed for `case` under `MASTER_SEED`.

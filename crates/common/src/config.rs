@@ -482,6 +482,10 @@ mod tests {
         let mut cfg = GpuConfig::paper_baseline();
         cfg.l2.line_bytes = 256;
         assert!(cfg.validate().is_err());
+
+        let mut cfg = GpuConfig::paper_baseline();
+        cfg.dram.partitions = 0;
+        assert_eq!(rejected_field(&cfg), "dram.partitions");
     }
 
     fn rejected_field(cfg: &GpuConfig) -> &'static str {

@@ -37,7 +37,7 @@ pub use clock::{Clock, VirtualClock, WallClock};
 pub use config::GpuConfig;
 pub use diag::{Diagnostic, Report, Severity};
 pub use error::{DeadlockDiagnosis, SimError, SimResult, StallReason, StalledWarp};
-pub use fault::{FaultCounters, FaultPlan, FaultState, ServiceFaultPlan};
+pub use fault::ServiceFaultPlan;
 pub use hash::{content_hash, content_hash_str, hash_hex, short_hex, ContentHasher};
 pub use ids::{Addr, Cycle, LineAddr, Pc, SmId, WarpId};
 pub use lanes::{LaneList, MAX_REQUESTS_PER_WARP, MAX_WARPS_PER_SM};

@@ -104,7 +104,7 @@ mod tests {
             cycles,
             timed_out: false,
             termination: gpu_sm::Termination::Drained,
-            faults: gpu_common::FaultCounters::default(),
+            faults: gpu_common::fault::FaultCounters::default(),
             sim: SimStats {
                 cycles,
                 ..Default::default()

@@ -19,7 +19,6 @@
 //! LAWS for head-of-queue promotion.
 
 use gpu_common::config::ApresConfig;
-use gpu_common::fault::{FaultCounters, FaultState};
 use gpu_common::{Addr, Pc, WarpId};
 use gpu_mem::request::RequestSource;
 use gpu_sm::traits::{DemandAccess, PrefetchRequest, Prefetcher};
@@ -48,8 +47,6 @@ pub struct Sap {
     drq: VecDeque<Addr>,
     tick: u64,
     table_accesses: u64,
-    /// Injected-fault state (prediction corruption), when under test.
-    fault: Option<FaultState>,
 }
 
 impl Sap {
@@ -65,7 +62,6 @@ impl Sap {
             drq: VecDeque::new(),
             tick: 0,
             table_accesses: 0,
-            fault: None,
         }
     }
 
@@ -154,19 +150,14 @@ impl Prefetcher for Sap {
                 // WQ size and the per-miss budget).
                 let budget = self.max_prefetches.min(self.wq_capacity);
                 self.table_accesses += group.len().min(budget) as u64; // WQ writes
-                let fault = &mut self.fault;
                 group
                     .iter()
                     .filter(|w| **w != acc.warp)
                     .take(budget)
                     .map(|&w| {
                         let delta = i64::from(w.0) - i64::from(acc.warp.0);
-                        let mut addr = acc.addr.offset(delta * s);
-                        if let Some(f) = fault.as_mut() {
-                            addr = f.corrupt_prediction(addr);
-                        }
                         PrefetchRequest {
-                            addr,
+                            addr: acc.addr.offset(delta * s),
                             target_warp: w,
                             source: RequestSource::SapPrefetcher,
                         }
@@ -189,17 +180,6 @@ impl Prefetcher for Sap {
 
     fn table_accesses(&self) -> u64 {
         self.table_accesses
-    }
-
-    fn set_fault_state(&mut self, fault: FaultState) {
-        self.fault = Some(fault);
-    }
-
-    fn fault_counters(&self) -> FaultCounters {
-        self.fault
-            .as_ref()
-            .map(FaultState::counters)
-            .unwrap_or_default()
     }
 }
 
@@ -327,26 +307,6 @@ mod tests {
         let group = warps(&[3, 4, 5, 6, 7]);
         let out = sap.on_group_miss(&acc(0x10, 2, 256), &group);
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn corrupted_predictions_are_offset_and_counted() {
-        use gpu_common::FaultPlan;
-        use gpu_sm::traits::Prefetcher as _;
-        let mut clean = Sap::with_defaults();
-        let mut bad = Sap::with_defaults();
-        bad.set_fault_state(FaultPlan::seeded(5).corrupting_sap(1.0).state(0));
-        for sap in [&mut clean, &mut bad] {
-            sap.on_group_miss(&acc(0x10, 0, 0), &[]);
-            sap.on_group_miss(&acc(0x10, 1, 128), &[]);
-        }
-        let good = clean.on_group_miss(&acc(0x10, 2, 256), &warps(&[3]));
-        let corrupt = bad.on_group_miss(&acc(0x10, 2, 256), &warps(&[3]));
-        assert_eq!(good.len(), 1);
-        assert_eq!(corrupt.len(), 1);
-        assert_ne!(good[0].addr, corrupt[0].addr, "prediction not corrupted");
-        assert_eq!(bad.fault_counters().corrupted_predictions, 1);
-        assert_eq!(clean.fault_counters().corrupted_predictions, 0);
     }
 
     #[test]

@@ -23,13 +23,12 @@
 use crate::laws::Laws;
 use crate::sap::Sap;
 use gpu_common::config::GpuConfig;
-use gpu_common::fault::FaultPlan;
 use gpu_common::{Cycle, SimResult};
 use gpu_kernel::Kernel;
 use gpu_prefetch::PrefetchEngine;
 use gpu_sched::SchedPolicy;
 use gpu_sm::traits::{NullPrefetcher, Prefetcher, WarpScheduler};
-use gpu_sm::{Gpu, RunResult, DEFAULT_WATCHDOG_WINDOW};
+use gpu_sm::{Gpu, RunResult};
 
 /// Default cycle budget; generous for every bundled workload. Runs that hit
 /// it end with [`gpu_sm::Termination::BudgetExhausted`] rather than being
@@ -145,8 +144,6 @@ pub struct Simulation {
     scheduler: SchedulerChoice,
     prefetcher: PrefetcherChoice,
     max_cycles: Cycle,
-    watchdog: Option<Cycle>,
-    fault_plan: Option<FaultPlan>,
     seed_override: Option<u64>,
 }
 
@@ -160,8 +157,6 @@ impl Simulation {
             scheduler: SchedulerChoice::Lrr,
             prefetcher: PrefetcherChoice::None,
             max_cycles: DEFAULT_MAX_CYCLES,
-            watchdog: Some(DEFAULT_WATCHDOG_WINDOW),
-            fault_plan: None,
             seed_override: None,
         }
     }
@@ -194,25 +189,6 @@ impl Simulation {
     /// Sets the simulation cycle budget.
     pub fn max_cycles(mut self, cycles: Cycle) -> Self {
         self.max_cycles = cycles;
-        self
-    }
-
-    /// Overrides the forward-progress watchdog window.
-    pub fn watchdog(mut self, window: Cycle) -> Self {
-        self.watchdog = Some(window);
-        self
-    }
-
-    /// Disables the forward-progress watchdog.
-    pub fn no_watchdog(mut self) -> Self {
-        self.watchdog = None;
-        self
-    }
-
-    /// Arms deterministic fault injection for this run (testing the
-    /// simulator's own resilience; see [`gpu_common::fault`]).
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 
@@ -251,7 +227,7 @@ impl Simulation {
 
     /// Builds the GPU this run would drive, without running a cycle: the
     /// kernel is verified, the configuration validated, and each SM gets
-    /// its own policy instances, the watchdog and the fault plan.
+    /// its own policy instances.
     /// [`Simulation::run`] is `build()` followed by [`Gpu::run`]; call them
     /// apart to watch the run through a [`gpu_sm::Observer`]. The cycle
     /// budget is `Gpu::run`'s argument.
@@ -271,17 +247,12 @@ impl Simulation {
         if let Some(err) = report.to_sim_error(kernel.name()) {
             return Err(err);
         }
-        let mut gpu = Gpu::new(
+        Gpu::new(
             &self.cfg,
             kernel,
             &|_| self.scheduler.make(&self.cfg),
             &|_| self.prefetcher.make(&self.cfg),
-        )?;
-        gpu.set_watchdog(self.watchdog);
-        if let Some(plan) = &self.fault_plan {
-            gpu.arm_faults(plan);
-        }
-        Ok(gpu)
+        )
     }
 
     /// Runs the simulation to completion (or the cycle budget).
@@ -460,37 +431,6 @@ mod tests {
             matches!(err, SimError::KernelValidation { ref diagnostics, .. } if !diagnostics.is_empty())
         );
         assert!(err.to_string().contains("deadlock"), "{err}");
-    }
-
-    #[test]
-    fn fault_plan_reaches_sap() {
-        use gpu_common::FaultPlan;
-        let r = Simulation::new(strided_kernel())
-            .config(gpu_common::GpuConfig::small_test())
-            .apres()
-            .max_cycles(3_000_000)
-            .fault_plan(FaultPlan::seeded(9).corrupting_sap(1.0))
-            .run()
-            .unwrap();
-        assert!(!r.timed_out);
-        assert!(
-            r.faults.corrupted_predictions > 0,
-            "SAP corruption never fired: {:?}",
-            r.faults
-        );
-    }
-
-    #[test]
-    fn dropped_responses_become_watchdog_timeout() {
-        use gpu_common::{FaultPlan, SimError};
-        let err = Simulation::new(strided_kernel())
-            .config(gpu_common::GpuConfig::small_test())
-            .max_cycles(3_000_000)
-            .watchdog(2_000)
-            .fault_plan(FaultPlan::seeded(4).dropping_dram_responses(1.0))
-            .run()
-            .expect_err("must deadlock");
-        assert!(matches!(err, SimError::WatchdogTimeout { .. }), "{err:?}");
     }
 
     #[test]

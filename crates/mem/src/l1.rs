@@ -25,7 +25,6 @@ use crate::mshr::{MshrEntry, MshrFile, MshrOutcome};
 use crate::prefetch_meta::EarlyEvictionTracker;
 use crate::request::{AccessKind, LineRequest, MemRequest, OffCore};
 use gpu_common::config::CacheConfig;
-use gpu_common::fault::{FaultCounters, FaultState};
 use gpu_common::stats::{CacheStats, PrefetchStats};
 use gpu_common::{Cycle, LineAddr, Pc};
 use std::collections::{BTreeSet, VecDeque};
@@ -49,28 +48,16 @@ pub enum L1AccessOutcome {
         /// The in-flight entry was prefetch-only before this merge.
         into_prefetch: bool,
     },
-    /// Refused; the LSU must retry.
-    Rejected {
-        /// What refused the load.
-        cause: RejectCause,
-    },
+    /// Refused: no free MSHR, or no merge slot left on the line's entry.
+    /// The LSU must retry; the same load is refused again until an MSHR is
+    /// released ([`L1Cache::mshr_releases`] changes).
+    Rejected,
     /// Store accepted (write-through; no completion event).
     StoreForwarded,
     /// Prefetch dropped (duplicate or no resources).
     PrefetchDropped,
     /// Prefetch accepted and forwarded downstream.
     PrefetchIssued,
-}
-
-/// Why the L1 refused a demand load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectCause {
-    /// No free MSHR, or no merge slot left on the line's entry. The same
-    /// load is refused again until an MSHR is released
-    /// ([`L1Cache::mshr_releases`] changes).
-    Mshrs,
-    /// An injected MSHR-exhaustion burst.
-    InjectedBurst,
 }
 
 /// Per-static-load demand counters (runtime Table I columns).
@@ -117,8 +104,6 @@ pub struct L1Cache {
     /// Misses, stores and prefetches waiting to go downstream, in their
     /// off-core form.
     outgoing: VecDeque<LineRequest>,
-    /// Injected-fault state (MSHR exhaustion bursts), when under test.
-    fault: Option<FaultState>,
 }
 
 impl L1Cache {
@@ -135,22 +120,8 @@ impl L1Cache {
             bypass: cfg.bypass.then(BypassPredictor::new),
             no_fill: BTreeSet::new(),
             outgoing: VecDeque::new(),
-            fault: None,
             cfg: cfg.clone(),
         }
-    }
-
-    /// Arms fault injection on this cache (MSHR-exhaustion bursts).
-    pub fn set_fault_state(&mut self, fault: FaultState) {
-        self.fault = Some(fault);
-    }
-
-    /// Faults injected so far (zero when injection is not armed).
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.fault
-            .as_ref()
-            .map(FaultState::counters)
-            .unwrap_or_default()
     }
 
     /// In-flight MSHR entries (deadlock diagnostics).
@@ -171,7 +142,7 @@ impl L1Cache {
                 self.outgoing.push_back(req.off_core());
                 L1AccessOutcome::StoreForwarded
             }
-            AccessKind::Prefetch => self.access_prefetch(req, now),
+            AccessKind::Prefetch => self.access_prefetch(req),
             AccessKind::Load => self.access_load(req, now),
         }
     }
@@ -188,18 +159,9 @@ impl L1Cache {
         &mut self.per_pc[i].1
     }
 
-    /// `true` while an injected MSHR-exhaustion burst refuses allocations.
-    fn mshr_fault_active(&mut self, now: Cycle) -> bool {
-        self.fault.as_mut().is_some_and(|f| f.mshr_blocked(now))
-    }
-
-    fn access_prefetch(&mut self, req: MemRequest, now: Cycle) -> L1AccessOutcome {
+    fn access_prefetch(&mut self, req: MemRequest) -> L1AccessOutcome {
         if self.tags.probe(req.line) || self.mshrs.contains(req.line) {
             self.pstats.dropped_duplicate += 1;
-            return L1AccessOutcome::PrefetchDropped;
-        }
-        if self.mshr_fault_active(now) {
-            self.pstats.dropped_no_resource += 1;
             return L1AccessOutcome::PrefetchDropped;
         }
         let fwd = req.off_core();
@@ -252,12 +214,6 @@ impl L1Cache {
         // Not resident: consult the bypass predictor — a bypassed load's
         // fill will not be installed, so it cannot thrash the cache.
         let bypassed = self.bypass.as_mut().is_some_and(|b| b.should_bypass(pc));
-        if self.mshr_fault_active(now) {
-            self.stats.reservation_fails += 1;
-            return L1AccessOutcome::Rejected {
-                cause: RejectCause::InjectedBurst,
-            };
-        }
         // The downstream queue gets the off-core form: on Allocated the
         // request itself moves into the MSHR entry.
         let fwd = req.off_core();
@@ -283,9 +239,7 @@ impl L1Cache {
             }
             MshrOutcome::Rejected => {
                 self.stats.reservation_fails += 1;
-                L1AccessOutcome::Rejected {
-                    cause: RejectCause::Mshrs,
-                }
+                L1AccessOutcome::Rejected
             }
             MshrOutcome::Allocated => {
                 if bypassed {
@@ -305,27 +259,25 @@ impl L1Cache {
         }
     }
 
-    /// Repeats a demand load from `pc` that was refused with
-    /// [`RejectCause::Mshrs`], while [`L1Cache::mshr_releases`] is unchanged
-    /// since. The load is refused again and this applies exactly the state
-    /// changes that refusal makes — the tag store's replacement clock, the
-    /// bypass predictor's `record` and `should_bypass`, the injected-burst
-    /// check with its refusal count, `reservation_fails` — without building
-    /// or probing a request. Sound because the line cannot have become
-    /// resident (every install is an MSHR completion) and the MSHR file
-    /// cannot have gained room (see [`MshrFile::releases`]).
-    pub fn retry_rejected_load(&mut self, pc: Pc, now: Cycle) {
+    /// Repeats a demand load from `pc` that was refused
+    /// ([`L1AccessOutcome::Rejected`]), while [`L1Cache::mshr_releases`] is
+    /// unchanged since. The load is refused again and this applies exactly
+    /// the state changes that refusal makes — the tag store's replacement
+    /// clock, the bypass predictor's `record` and `should_bypass`,
+    /// `reservation_fails` — without building or probing a request. Sound
+    /// because the line cannot have become resident (every install is an
+    /// MSHR completion) and the MSHR file cannot have gained room (see
+    /// [`MshrFile::releases`]).
+    pub fn retry_rejected_load(&mut self, pc: Pc) {
         self.tags.note_miss();
         if let Some(b) = &mut self.bypass {
             b.record(pc, false);
             b.should_bypass(pc);
         }
-        // Counts a refusal when a burst is on; refused either way.
-        self.mshr_fault_active(now);
         self.stats.reservation_fails += 1;
     }
 
-    /// MSHR entries completed so far (see [`RejectCause::Mshrs`]).
+    /// MSHR entries completed so far (see [`L1AccessOutcome::Rejected`]).
     pub fn mshr_releases(&self) -> u64 {
         self.mshrs.releases()
     }
@@ -490,39 +442,27 @@ mod tests {
             assert_eq!(l1.access(load(i, 0, 0), 0), L1AccessOutcome::Miss);
         }
         let before = l1.stats().accesses;
-        assert_eq!(
-            l1.access(load(9, 0, 0), 0),
-            L1AccessOutcome::Rejected {
-                cause: RejectCause::Mshrs
-            }
-        );
+        assert_eq!(l1.access(load(9, 0, 0), 0), L1AccessOutcome::Rejected);
         assert_eq!(l1.stats().accesses, before);
         assert_eq!(l1.stats().reservation_fails, 1);
     }
 
     #[test]
     fn retrying_a_refused_load_matches_a_full_refused_access() {
-        use gpu_common::FaultPlan;
         let mut c = cfg();
         c.bypass = true;
         let mut full = L1Cache::new(&c);
-        // Bursts on cycles 0–2 of every 10 refuse some retries by fault.
-        full.set_fault_state(FaultPlan::seeded(1).exhausting_mshrs(10, 3).state(0));
         for i in 0..4 {
             assert_eq!(full.access(load(i, 0, 5), 5), L1AccessOutcome::Miss);
         }
         let mut fast = full.clone();
         for now in 6..40 {
-            assert!(matches!(
-                full.access(load(9, 0, now), now),
-                L1AccessOutcome::Rejected { .. }
-            ));
+            assert_eq!(full.access(load(9, 0, now), now), L1AccessOutcome::Rejected);
             assert!(!fast.probe(LineAddr(9)) && fast.mshr_would_reject(LineAddr(9)));
-            fast.retry_rejected_load(Pc(0x10), now);
+            fast.retry_rejected_load(Pc(0x10));
         }
-        // Same tag-store clock, bypass table, fault counters and statistics.
+        // Same tag-store clock, bypass table and statistics.
         assert_eq!(format!("{full:?}"), format!("{fast:?}"));
-        assert_eq!(full.fault_counters().mshr_refusals, 9);
         assert_eq!(full.stats().reservation_fails, 34);
         assert_eq!(full.mshr_releases(), 0);
         full.fill(LineAddr(0), 50);
@@ -712,32 +652,5 @@ mod tests {
         l1.access(load(1, 0, 0), 0);
         assert!(l1.fill(LineAddr(1), 10).is_some());
         assert!(l1.fill(LineAddr(1), 11).is_none());
-    }
-
-    #[test]
-    fn injected_mshr_burst_rejects_then_recovers() {
-        use gpu_common::FaultPlan;
-        let mut l1 = L1Cache::new(&cfg());
-        l1.set_fault_state(FaultPlan::seeded(1).exhausting_mshrs(100, 10).state(0));
-        // Inside the burst window: demand loads are rejected (LSU retries),
-        // prefetches dropped — never a panic.
-        assert_eq!(
-            l1.access(load(1, 0, 5), 5),
-            L1AccessOutcome::Rejected {
-                cause: RejectCause::InjectedBurst
-            }
-        );
-        assert_eq!(
-            l1.access(prefetch(2, 0), 5),
-            L1AccessOutcome::PrefetchDropped
-        );
-        assert_eq!(l1.stats().reservation_fails, 1);
-        assert_eq!(l1.fault_counters().mshr_refusals, 2);
-        // Past the window the same accesses succeed.
-        assert_eq!(l1.access(load(1, 0, 50), 50), L1AccessOutcome::Miss);
-        assert_eq!(
-            l1.access(prefetch(2, 0), 50),
-            L1AccessOutcome::PrefetchIssued
-        );
     }
 }

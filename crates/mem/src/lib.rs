@@ -40,6 +40,6 @@ pub mod noc;
 pub mod prefetch_meta;
 pub mod request;
 
-pub use l1::{L1AccessOutcome, L1Cache, RejectCause};
+pub use l1::{L1AccessOutcome, L1Cache};
 pub use memsys::MemorySystem;
 pub use request::{AccessKind, LineRequest, MemRequest, RequestSource};

@@ -8,9 +8,9 @@
 //! The system keeps a request-conservation ledger: every non-store request
 //! accepted by [`MemorySystem::submit`] must eventually come back as exactly
 //! one response (stores are posted and never respond). [`MemorySystem::audit`]
-//! checks the ledger — accounting for any injected faults — and a mismatch at
-//! drain is an [`SimError::InvariantViolation`], i.e. a leak in the NoC, the
-//! L2 MSHRs, or DRAM queues.
+//! checks the ledger, and a mismatch at drain is an
+//! [`SimError::InvariantViolation`], i.e. a leak in the NoC, the L2 MSHRs, or
+//! DRAM queues.
 
 #![deny(
     clippy::panic,
@@ -23,10 +23,9 @@ use crate::l2::L2Bank;
 use crate::noc::DelayPipe;
 use crate::request::{AccessKind, LineRequest};
 use gpu_common::config::GpuConfig;
-use gpu_common::fault::{FaultCounters, FaultState};
+use gpu_common::fault::FaultCounters;
 use gpu_common::stats::MemStats;
 use gpu_common::{Cycle, LineAddr, SimError, SimResult};
-use std::collections::BTreeMap;
 
 /// Interconnect + shared L2 + DRAM, shared by every SM.
 #[derive(Debug)]
@@ -48,11 +47,6 @@ pub struct MemorySystem {
     submitted: u64,
     /// Responses delivered back toward SMs (conservation ledger, credit).
     delivered: u64,
-    /// Injected-fault state (response drops/delays, NoC request drops).
-    fault: Option<FaultState>,
-    /// Responses held back by an injected delay, keyed by release cycle.
-    delayed: BTreeMap<(Cycle, u64), LineRequest>,
-    delayed_seq: u64,
 }
 
 impl MemorySystem {
@@ -80,24 +74,14 @@ impl MemorySystem {
             stats: MemStats::default(),
             submitted: 0,
             delivered: 0,
-            fault: None,
-            delayed: BTreeMap::new(),
-            delayed_seq: 0,
             cfg: cfg.clone(),
         })
     }
 
-    /// Arms fault injection (response drops/delays, NoC request drops).
-    pub fn set_fault_state(&mut self, fault: FaultState) {
-        self.fault = Some(fault);
-    }
-
-    /// Faults injected so far (zero when injection is not armed).
+    /// Always zero: the memory system injects no faults. Kept only
+    /// because the benchmark's traced loop still reads it.
     pub fn fault_counters(&self) -> FaultCounters {
-        self.fault
-            .as_ref()
-            .map(FaultState::counters)
-            .unwrap_or_default()
+        FaultCounters::default()
     }
 
     /// Which bank/partition a line maps to (interleaved by
@@ -120,30 +104,11 @@ impl MemorySystem {
         if req.kind != AccessKind::Store {
             self.submitted += 1;
         }
-        // An injected NoC fault may eat the request after it was ledgered:
-        // the audit then attributes the imbalance to the fault counters.
-        if let Some(f) = &mut self.fault {
-            if req.kind != AccessKind::Store && f.drop_request() {
-                return;
-            }
-        }
         pipe.push(req, now);
     }
 
-    /// Delivers one response toward its SM, applying injected response
-    /// faults (drop or delay).
+    /// Delivers one response toward its SM.
     fn deliver(&mut self, req: LineRequest, now: Cycle) {
-        if let Some(f) = &mut self.fault {
-            if f.drop_response() {
-                return;
-            }
-            let delay = f.response_delay();
-            if delay > 0 {
-                self.delayed_seq += 1;
-                self.delayed.insert((now + delay, self.delayed_seq), req);
-                return;
-            }
-        }
         self.stats.bytes_to_sm += self.cfg.l1.line_bytes;
         let sm = req.sm.index();
         self.delivered += 1;
@@ -154,21 +119,6 @@ impl MemorySystem {
 
     /// Advances the interconnect, banks, and DRAM by one cycle.
     pub fn tick(&mut self, now: Cycle) {
-        // Release responses whose injected delay has elapsed. They re-enter
-        // the response pipe at `now`, so ready-cycle monotonicity holds.
-        while let Some((&(release, _), _)) = self.delayed.first_key_value() {
-            if release > now {
-                break;
-            }
-            let Some((_, req)) = self.delayed.pop_first() else {
-                break;
-            };
-            self.stats.bytes_to_sm += self.cfg.l1.line_bytes;
-            self.delivered += 1;
-            if let Some(pipe) = self.from_l2.get_mut(req.sm.index()) {
-                pipe.push(req, now);
-            }
-        }
         // SM → L2: each SM may inject `requests_per_cycle` per cycle.
         for sm in 0..self.to_l2.len() {
             for _ in 0..self.cfg.noc.requests_per_cycle {
@@ -234,17 +184,14 @@ impl MemorySystem {
     }
 
     /// Requests currently inside the off-core system according to the
-    /// conservation ledger (submitted − delivered − injected drops).
+    /// conservation ledger (submitted − delivered).
     pub fn in_flight(&self) -> u64 {
-        let f = self.fault_counters();
-        self.submitted
-            .saturating_sub(self.delivered)
-            .saturating_sub(f.dropped_requests + f.dropped_responses)
+        self.submitted.saturating_sub(self.delivered)
     }
 
     /// Checks request conservation: at drain ([`MemorySystem::is_idle`]),
     /// every accepted non-store request must have produced exactly one
-    /// response, minus any injected request/response drops.
+    /// response.
     ///
     /// # Errors
     ///
@@ -255,14 +202,12 @@ impl MemorySystem {
         if !self.is_idle() {
             return Ok(());
         }
-        let f = self.fault_counters();
-        let accounted = self.delivered + f.dropped_requests + f.dropped_responses;
-        if accounted != self.submitted {
+        if self.delivered != self.submitted {
             return Err(SimError::invariant(
                 "request-conservation",
                 format!(
-                    "submitted {} != delivered {} + dropped requests {} + dropped responses {} at drain",
-                    self.submitted, self.delivered, f.dropped_requests, f.dropped_responses
+                    "submitted {} != delivered {} at drain",
+                    self.submitted, self.delivered
                 ),
                 now,
             ));
@@ -300,14 +245,13 @@ impl MemorySystem {
         self.to_l2.iter().all(DelayPipe::is_empty)
             && self.from_l2.iter().all(DelayPipe::is_empty)
             && self.banks.iter().all(L2Bank::is_idle)
-            && self.delayed.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_common::{FaultPlan, SmId};
+    use gpu_common::SmId;
 
     fn small_cfg() -> GpuConfig {
         GpuConfig::small_test()
@@ -474,54 +418,28 @@ mod tests {
     }
 
     #[test]
-    fn dropped_response_never_arrives_but_audit_balances() {
+    fn audit_reports_an_unbalanced_ledger_at_drain() {
         let cfg = small_cfg();
         let mut ms = MemorySystem::new(&cfg).unwrap();
-        ms.set_fault_state(FaultPlan::seeded(1).dropping_dram_responses(1.0).state(0));
         ms.submit(0, load(1, 0), 0);
-        for now in 0..2000 {
-            ms.tick(now);
-            assert!(ms.take_fills(0).next().is_none(), "response was dropped");
-        }
-        assert!(ms.is_idle());
-        assert_eq!(ms.fault_counters().dropped_responses, 1);
-        assert_eq!(ms.in_flight(), 0, "drop is accounted, not leaked");
-        assert!(
-            ms.audit(2000).is_ok(),
-            "audit attributes the gap to the fault"
-        );
-    }
-
-    #[test]
-    fn delayed_response_arrives_late() {
-        let cfg = small_cfg();
-        let mut ms = MemorySystem::new(&cfg).unwrap();
-        ms.set_fault_state(
-            FaultPlan::seeded(2)
-                .delaying_dram_responses(1.0, 500)
-                .state(0),
-        );
-        ms.submit(0, load(1, 0), 0);
-        let (at, _) = first_fill(&mut ms, 0, 0).expect("delayed fill still arrives");
-        assert!(at > 900, "delay added on top of the base trip: {at}");
-        assert_eq!(ms.fault_counters().delayed_responses, 1);
+        first_fill(&mut ms, 0, 0).expect("fill arrived");
         assert!(ms.is_idle());
         assert!(ms.audit(3000).is_ok());
-    }
-
-    #[test]
-    fn dropped_noc_request_is_accounted() {
-        let cfg = small_cfg();
-        let mut ms = MemorySystem::new(&cfg).unwrap();
-        ms.set_fault_state(FaultPlan::seeded(3).dropping_noc_requests(1.0).state(0));
-        ms.submit(0, load(1, 0), 0);
-        for now in 0..1000 {
-            ms.tick(now);
-            assert!(ms.take_fills(0).next().is_none());
-        }
-        assert_eq!(ms.fault_counters().dropped_requests, 1);
-        assert_eq!(ms.submitted(), 1);
-        assert_eq!(ms.in_flight(), 0);
-        assert!(ms.audit(1000).is_ok());
+        // A request that never comes back: the audit only judges a drained
+        // system, so the imbalance is made after the drain.
+        ms.submitted += 1;
+        assert_eq!(ms.in_flight(), 1);
+        let err = ms.audit(3000).unwrap_err();
+        assert_eq!(err.class(), "invariant-violation");
+        assert!(
+            matches!(
+                err,
+                SimError::InvariantViolation {
+                    invariant: "request-conservation",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 }

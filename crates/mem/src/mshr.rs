@@ -39,11 +39,6 @@ impl<R: OffCore> MshrEntry<R> {
             .chain(self.merged.iter())
             .filter(|r| r.off_core().kind == AccessKind::Load)
     }
-
-    /// Total requests attached to this entry.
-    pub fn occupancy(&self) -> usize {
-        1 + self.merged.len()
-    }
 }
 
 /// Result of attempting to register a miss.
@@ -215,11 +210,6 @@ impl<R: OffCore> MshrFile<R> {
         self.lookup(line).1.is_some()
     }
 
-    /// In-flight entry for `line`, if any.
-    pub fn entry(&self, line: LineAddr) -> Option<&MshrEntry<R>> {
-        self.lookup(line).1.map(|i| &self.entries[i])
-    }
-
     /// `true` when [`MshrFile::register`] would refuse a request for `line`:
     /// no register is free, or `line`'s entry has no merge slot left. Does
     /// not change the file.
@@ -331,7 +321,7 @@ mod tests {
         );
         assert_eq!(m.len(), 1);
         let entry = m.complete(LineAddr(1)).unwrap();
-        assert_eq!(entry.occupancy(), 2);
+        assert_eq!(entry.merged.len(), 1);
         assert_eq!(entry.demand_loads().count(), 2);
         assert!(m.is_empty());
         assert!(m.complete(LineAddr(1)).is_none());
@@ -375,18 +365,25 @@ mod tests {
         assert_eq!(m.register(load(3, 0)), MshrOutcome::Allocated);
     }
 
+    /// The `prefetch_only` flag of a file's single entry.
+    fn prefetch_only(m: &MshrFile<MemRequest>) -> bool {
+        let entries: Vec<_> = m.iter().collect();
+        assert_eq!(entries.len(), 1);
+        entries[0].prefetch_only
+    }
+
     #[test]
     fn demand_merging_into_prefetch_flagged() {
         let mut m = MshrFile::new(4, 4);
         assert_eq!(m.register(prefetch(7, 3)), MshrOutcome::Allocated);
-        assert!(m.entry(LineAddr(7)).unwrap().prefetch_only);
+        assert!(prefetch_only(&m));
         assert_eq!(
             m.register(load(7, 3)),
             MshrOutcome::Merged {
                 into_prefetch: true
             }
         );
-        assert!(!m.entry(LineAddr(7)).unwrap().prefetch_only);
+        assert!(!prefetch_only(&m));
         // A second demand merge is no longer "into prefetch".
         assert_eq!(
             m.register(load(7, 4)),
@@ -406,7 +403,7 @@ mod tests {
                 into_prefetch: false
             }
         );
-        assert!(!m.entry(LineAddr(7)).unwrap().prefetch_only);
+        assert!(!prefetch_only(&m));
     }
 
     #[test]
@@ -558,9 +555,8 @@ mod tests {
                     return Err(format!("{} entries, model {}", m.len(), model.len()));
                 }
                 if let Some(e) = model.get(i % model.len().max(1)) {
-                    let found = m.entry(LineAddr(e.0)).map(seen);
-                    if found.as_ref() != Some(e) || !m.contains(LineAddr(e.0)) {
-                        return Err(format!("entry {:#x}: {found:?}, model {e:?}", e.0));
+                    if !m.contains(LineAddr(e.0)) {
+                        return Err(format!("line {:#x} missing, model {e:?}", e.0));
                     }
                 }
                 let listed: Vec<Seen> = m.iter().map(seen).collect();
@@ -600,7 +596,7 @@ mod tests {
                 }
                 // Conservation: every accepted request is either still in an
                 // entry or was drained by a completion.
-                let in_flight: usize = m.iter().map(|e| e.occupancy()).sum();
+                let in_flight: usize = m.iter().map(|e| 1 + e.merged.len()).sum();
                 if in_flight > accepted {
                     return Err(format!("in flight {in_flight} > accepted {accepted}"));
                 }

@@ -11,7 +11,7 @@
 
 use crate::traits::{L1Event, L1Outcome};
 use gpu_common::{Addr, Cycle, LaneList, LineAddr, Pc, SmId, WarpId};
-use gpu_mem::l1::{L1AccessOutcome, L1Cache, RejectCause};
+use gpu_mem::l1::{L1AccessOutcome, L1Cache};
 use gpu_mem::mshr::MshrEntry;
 use gpu_mem::request::MemRequest;
 use std::collections::VecDeque;
@@ -213,7 +213,7 @@ impl Lsu {
                 !l1.probe(line) && l1.mshr_would_reject(line),
                 "memoised MSHR refusal of line {line:?} no longer holds"
             );
-            l1.retry_rejected_load(op.pc, now);
+            l1.retry_rejected_load(op.pc);
             activity.stalled = true;
             return activity;
         }
@@ -234,10 +234,8 @@ impl Lsu {
         let outcome = l1.access(req, now);
         self.refused_at = None;
         let l1_outcome = match outcome {
-            L1AccessOutcome::Rejected { cause } => {
-                if cause == RejectCause::Mshrs {
-                    self.refused_at = Some(l1.mshr_releases());
-                }
+            L1AccessOutcome::Rejected => {
+                self.refused_at = Some(l1.mshr_releases());
                 activity.stalled = true;
                 return activity; // retry same line next cycle
             }

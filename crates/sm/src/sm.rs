@@ -20,7 +20,7 @@ use crate::traits::{
     DemandAccess, PrefetchRequest, Prefetcher, ReadyWarp, SchedCtx, WarpScheduler,
 };
 use gpu_common::config::GpuConfig;
-use gpu_common::fault::{FaultCounters, FaultPlan};
+use gpu_common::fault::FaultCounters;
 use gpu_common::stats::{CacheStats, EnergyEvents, PrefetchStats, SimStats};
 use gpu_common::{Cycle, LineAddr, Pc, SmId, StallReason, StalledWarp, WarpId};
 use gpu_kernel::{Kernel, Op, PatternSampler, WarpProgram, WarpProgress};
@@ -655,21 +655,10 @@ impl Sm {
         self.warps.iter().filter(|w| w.is_finished()).count()
     }
 
-    /// Arms deterministic fault injection on this SM's L1 (MSHR-exhaustion
-    /// bursts) and prefetcher (prediction corruption). Each structure gets
-    /// its own stream so outcomes are independent of SM count elsewhere.
-    pub fn arm_faults(&mut self, plan: &FaultPlan) {
-        self.l1
-            .set_fault_state(plan.state(1 + u64::from(self.id.0)));
-        self.prefetcher
-            .set_fault_state(plan.state(0x5A0 + u64::from(self.id.0)));
-    }
-
-    /// Injected-fault counters accumulated by this SM (L1 + prefetcher).
+    /// Always zero: an SM injects no faults. Kept only because the
+    /// benchmark's traced loop still reads it.
     pub fn fault_counters(&self) -> FaultCounters {
-        let mut c = self.l1.fault_counters();
-        c.add(&self.prefetcher.fault_counters());
-        c
+        FaultCounters::default()
     }
 
     /// Names every unretired warp and what it is waiting on. Feeds the

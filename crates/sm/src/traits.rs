@@ -175,11 +175,14 @@ pub trait Prefetcher {
         0
     }
 
-    /// Arms deterministic fault injection (prediction corruption). Engines
-    /// without an injectable surface ignore the call.
-    fn set_fault_state(&mut self, _fault: FaultState) {}
+    /// Cannot be called: [`FaultState`] has no values. Kept only because
+    /// the benchmark's traced prefetcher forwards it.
+    fn set_fault_state(&mut self, fault: FaultState) {
+        match fault {}
+    }
 
-    /// Injected-fault counters accumulated by this engine.
+    /// Always zero: no engine injects faults. Kept only because the
+    /// benchmark's traced prefetcher forwards it.
     fn fault_counters(&self) -> FaultCounters {
         FaultCounters::default()
     }

@@ -56,7 +56,6 @@ pub use apres_core::sim::{PrefetcherChoice, SchedulerChoice, Simulation};
 pub use apres_core::{Laws, Sap};
 pub use gpu_analysis::{analyze, KernelReport, OracleReport, StrideClass};
 pub use gpu_common::error::{DeadlockDiagnosis, SimError, SimResult};
-pub use gpu_common::fault::{FaultCounters, FaultPlan};
 pub use gpu_common::{Addr, Cycle, GpuConfig, LineAddr, Pc, SmId, WarpId};
 pub use gpu_common::{Diagnostic, Report, Severity};
 pub use gpu_kernel::{AddressPattern, Kernel};

@@ -6,8 +6,8 @@ use apres::common::config::DramRowPolicy;
 use apres::common::hash::{hash_hex, ContentHasher};
 use apres::sm::codec::encode;
 use apres::{
-    AddressPattern, Benchmark, FaultPlan, Gpu, GpuConfig, Observer, PrefetcherChoice,
-    SchedulerChoice, Simulation, TraceEvent,
+    AddressPattern, Benchmark, Gpu, GpuConfig, Observer, PrefetcherChoice, SchedulerChoice,
+    Simulation, TraceEvent,
 };
 
 fn cfg() -> GpuConfig {
@@ -119,8 +119,7 @@ impl Observer for ReadEverything {
                 + sm.cache_stats().accesses
                 + per_pc
                 + sm.prefetch_stats().issued
-                + sm.energy_events().l1_accesses
-                + sm.fault_counters().total();
+                + sm.energy_events().l1_accesses;
         }
     }
 }
@@ -128,49 +127,37 @@ impl Observer for ReadEverything {
 #[test]
 fn observing_a_run_never_changes_its_result() {
     const BUDGET: u64 = 3_000_000;
-    let plans = [
-        None,
-        Some(FaultPlan::seeded(3).delaying_dram_responses(0.5, 400)),
-    ];
     for bench in [Benchmark::Km, Benchmark::Bfs] {
-        for plan in &plans {
-            let mut sim = Simulation::new(bench.kernel_scaled(4))
-                .config(GpuConfig::small_test())
-                .apres()
-                .max_cycles(BUDGET);
-            if let Some(plan) = plan {
-                sim = sim.fault_plan(plan.clone());
-            }
-            let plain = sim.run().expect("plain run");
-            let mut observer = ReadEverything::default();
-            let observed = sim
-                .build()
-                .expect("build")
-                .run(BUDGET, &mut observer)
-                .expect("observed run");
-            let case = format!("{} with fault plan {plan:?}", bench.label());
-            assert_eq!(observed, plain, "{case}");
-            assert!(plain.termination.is_drained(), "{case}");
-            assert_eq!(observer.cycles, plain.cycles, "{case}");
-            assert!(!observer.events.is_empty(), "{case}");
-            assert!(observer.counter_sum > 0, "{case}");
-            assert_eq!(plain.faults.delayed_responses > 0, plan.is_some(), "{case}");
-        }
+        let sim = Simulation::new(bench.kernel_scaled(4))
+            .config(GpuConfig::small_test())
+            .apres()
+            .max_cycles(BUDGET);
+        let plain = sim.run().expect("plain run");
+        let mut observer = ReadEverything::default();
+        let observed = sim
+            .build()
+            .expect("build")
+            .run(BUDGET, &mut observer)
+            .expect("observed run");
+        let case = bench.label();
+        assert_eq!(observed, plain, "{case}");
+        assert!(plain.termination.is_drained(), "{case}");
+        assert_eq!(observer.cycles, plain.cycles, "{case}");
+        assert!(!observer.events.is_empty(), "{case}");
+        assert!(observer.counter_sum > 0, "{case}");
     }
 }
 
 /// A configuration that stresses one of the ways a memoised stall cycle
 /// could go stale: MSHR refusals (one MSHR with one merge slot), bypass
-/// predictor updates, injected MSHR-exhaustion bursts, launch skew, dual
-/// issue, block-wave replacement and barriers. The last three pin orders
+/// predictor updates, launch skew, dual issue, block-wave replacement and
+/// barriers. The last three pin orders
 /// the bookkeeping containers must keep: DRAM fills that return out of
 /// order (FR-FCFS row hits), L2 MSHR retries, and a full 64-warp ready
 /// mask.
-fn stall_case(case: &str) -> (GpuConfig, apres::Kernel, Option<FaultPlan>) {
+fn stall_case(case: &str) -> (GpuConfig, apres::Kernel) {
     let mut cfg = GpuConfig::small_test();
     let mut kernel = Benchmark::Km.kernel_scaled(3);
-    let bursts = FaultPlan::seeded(5).exhausting_mshrs(64, 16);
-    let mut plan = None;
     match case {
         "one-mshr" => {
             // One MSHR serialises every miss: one iteration already runs
@@ -180,11 +167,6 @@ fn stall_case(case: &str) -> (GpuConfig, apres::Kernel, Option<FaultPlan>) {
             cfg.l1.mshr_merge_slots = 1;
         }
         "bypass" => cfg.l1.bypass = true,
-        "mshr-bursts" => plan = Some(bursts),
-        "mshr-bursts+bypass" => {
-            cfg.l1.bypass = true;
-            plan = Some(bursts);
-        }
         "launch-skew" => cfg.core.launch_skew = 16,
         "dual-issue" => cfg.core.issue_width = 2,
         "waves" => cfg.core.waves_per_slot = 2,
@@ -202,7 +184,7 @@ fn stall_case(case: &str) -> (GpuConfig, apres::Kernel, Option<FaultPlan>) {
         "64-warps" => cfg.core.warps_per_sm = 64,
         other => panic!("unknown case {other}"),
     }
-    (cfg, kernel, plan)
+    (cfg, kernel)
 }
 
 #[test]
@@ -210,11 +192,9 @@ fn stall_memos_reproduce_pinned_results() {
     // Hash of the codec encodings of the case's runs under LRR, LAWS+SAP
     // and CCWS+STR, pinned from the simulator before it memoised stalled
     // issue slots and MSHR refusals.
-    const PINNED: [(&str, &str); 11] = [
+    const PINNED: [(&str, &str); 9] = [
         ("one-mshr", "44b07e7d6529d46952d2efdb8c72bd87"),
         ("bypass", "83fd4d577aca972494d4fb3ee42c800a"),
-        ("mshr-bursts", "00735156a14c445b43bbd4e56762d1b1"),
-        ("mshr-bursts+bypass", "90e62479ffda56571f17ac8d92e1ad5d"),
         ("launch-skew", "0f09aed7da0567d6e9b3cac353107a1c"),
         ("dual-issue", "18f9d168c37d7b0e9b0dfb13aa6aac4c"),
         ("waves", "89d813c3e813150801457311a489a666"),
@@ -229,17 +209,15 @@ fn stall_memos_reproduce_pinned_results() {
         (SchedulerChoice::Ccws, PrefetcherChoice::Str),
     ];
     for (case, pinned) in PINNED {
-        let (cfg, kernel, plan) = stall_case(case);
+        let (cfg, kernel) = stall_case(case);
         let mut hasher = ContentHasher::new();
         for (s, p) in policies {
-            let mut sim = Simulation::new(kernel.clone())
+            let r = Simulation::new(kernel.clone())
                 .config(cfg.clone())
                 .scheduler(s)
-                .prefetcher(p);
-            if let Some(plan) = &plan {
-                sim = sim.fault_plan(plan.clone());
-            }
-            let r = sim.run().expect("stall case runs");
+                .prefetcher(p)
+                .run()
+                .expect("stall case runs");
             assert!(r.termination.is_drained(), "{case} {s:?}+{p:?}");
             hasher.update(encode(&r).to_compact().as_bytes());
         }
