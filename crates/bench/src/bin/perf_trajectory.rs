@@ -32,7 +32,7 @@
 
 use apres_bench::alloc::{allocations, Counting};
 use apres_bench::calibrate::{calibration_pass, Microbench};
-use apres_bench::{simulation_for, BenchArgs, Combo, Scale, StageTimer, APRES, BASELINE};
+use apres_bench::{simulation_for, BenchArgs, Combo, Scale, StageTimer, APRES, BASELINE, CCWS_STR};
 use gpu_common::json::{parse, Json};
 use gpu_workloads::Benchmark;
 
@@ -57,11 +57,13 @@ const fn entry(bench: Benchmark, combo: Combo, hi_lat: bool) -> Entry {
 }
 
 /// The pinned sub-suite: memory-bound Table-I kernels, one compute-bound
-/// control, one latency-stress point, and LUD under APRES, whose SAP
+/// control, one latency-stress point, LUD under APRES, whose SAP
 /// prefetches (about 5,300 at fast scale) time and count the prefetch
-/// path that SPMV under APRES never takes. Append only — renumbering
-/// entries would make trajectories incomparable.
-const SUITE: [Entry; 7] = [
+/// path that SPMV under APRES never takes, and BP under CCWS+STR, where
+/// about a sixth of CCWS's picks are throttled, so both of its pick paths
+/// run. Append only — renumbering entries would make trajectories
+/// incomparable.
+const SUITE: [Entry; 8] = [
     entry(Benchmark::Bfs, BASELINE, false),
     entry(Benchmark::Spmv, BASELINE, false),
     entry(Benchmark::Km, BASELINE, false),
@@ -69,6 +71,7 @@ const SUITE: [Entry; 7] = [
     entry(Benchmark::Hs, BASELINE, false),
     entry(Benchmark::Spmv, BASELINE, true),
     entry(Benchmark::Lud, APRES, false),
+    entry(Benchmark::Bp, CCWS_STR, false),
 ];
 
 /// Maximum tolerated rise of `tick_over_calibration` over the recorded

@@ -7,7 +7,7 @@
 //! as a group of an SM's warps.
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 
 /// The widest warp the simulator models, and so the most coalesced line
 /// requests one warp memory instruction can generate (one per lane when
@@ -65,6 +65,18 @@ impl<T: Copy + Default, const N: usize> LaneList<T, N> {
         list
     }
 
+    /// Keeps only the items `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(&self.items[i]) {
+                self.items[kept] = self.items[i];
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+
     /// Appends `item`.
     ///
     /// # Panics
@@ -88,6 +100,12 @@ impl<T, const N: usize> Deref for LaneList<T, N> {
 
     fn deref(&self) -> &[T] {
         &self.items[..self.len]
+    }
+}
+
+impl<T, const N: usize> DerefMut for LaneList<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..self.len]
     }
 }
 
@@ -127,6 +145,15 @@ mod tests {
         assert_eq!(*l, [3, 1]);
         assert_eq!(l.into_iter().collect::<Vec<_>>(), vec![3, 1]);
         assert_eq!(format!("{l:?}"), "[3, 1]");
+    }
+
+    #[test]
+    fn retain_keeps_order_and_items_can_be_rewritten() {
+        let mut l: LaneList<u32> = LaneList::from_fn(6, |i| i as u32);
+        l.retain(|&x| x % 2 == 1);
+        assert_eq!(*l, [1, 3, 5]);
+        l[0] = 7;
+        assert_eq!(*l, [7, 3, 5]);
     }
 
     #[test]

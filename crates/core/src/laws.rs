@@ -20,9 +20,12 @@
 //! into the prefetch MSHRs.
 
 use gpu_common::config::ApresConfig;
-use gpu_common::{Cycle, LaneList, Pc, WarpId};
+use gpu_common::{Cycle, LaneList, Pc, WarpId, MAX_WARPS_PER_SM};
 use gpu_sm::traits::{L1Event, ReadyWarp, SchedCtx, SchedFeedback, WarpScheduler};
 use std::collections::VecDeque;
+
+/// An inline list of an SM's warps.
+type WarpList = LaneList<WarpId, MAX_WARPS_PER_SM>;
 
 /// One Warp Group Table entry: the in-flight load instance it belongs to
 /// and the member bit-vector.
@@ -37,9 +40,13 @@ struct WgtEntry {
 #[derive(Debug, Clone)]
 pub struct Laws {
     /// Scheduling queue, head first.
-    queue: VecDeque<WarpId>,
+    queue: WarpList,
     /// Last load PC per warp (`None` until the warp issues its first load).
     llt: Vec<Option<Pc>>,
+    /// The LLT inverted, so its CAM search is one lookup: per PC, the mask
+    /// of warps whose last load it is. Masks are never empty, so it holds
+    /// at most one PC per warp.
+    llt_index: LaneList<(Pc, u64), MAX_WARPS_PER_SM>,
     /// In-flight load groups (FIFO replacement, ≤ `wgt_entries`).
     wgt: VecDeque<WgtEntry>,
     wgt_entries: usize,
@@ -54,8 +61,9 @@ impl Laws {
     /// Creates a LAWS scheduler sized by `cfg` (Table II defaults).
     pub fn new(cfg: &ApresConfig) -> Self {
         Laws {
-            queue: VecDeque::new(),
+            queue: WarpList::new(),
             llt: Vec::new(),
+            llt_index: LaneList::new(),
             wgt: VecDeque::new(),
             wgt_entries: cfg.wgt_entries,
             demote_on_miss: cfg.demote_on_miss,
@@ -75,37 +83,55 @@ impl Laws {
         if self.initialized {
             return;
         }
-        self.queue = (0..warps_per_sm as u32).map(WarpId).collect();
+        self.queue = WarpList::from_fn(warps_per_sm, |i| WarpId(i as u32));
         self.llt = vec![None; warps_per_sm];
         self.initialized = true;
     }
 
     /// Current queue order, head first (diagnostics/tests).
     pub fn queue_order(&self) -> Vec<WarpId> {
-        self.queue.iter().copied().collect()
+        self.queue.to_vec()
     }
 
-    /// Moves `warps` (bitmask) to the queue head, preserving their relative
-    /// order.
+    /// Moves the warps of `mask` to the queue head in one stable pass:
+    /// each side keeps its order.
     fn move_to_head(&mut self, mask: u64) {
-        self.move_to_front(|w| in_mask(mask, w));
-    }
-
-    /// Moves `warps` (bitmask) to the queue tail, preserving order.
-    fn move_to_tail(&mut self, mask: u64) {
-        self.move_to_front(|w| !in_mask(mask, w));
-    }
-
-    /// Stable in-place partition: every warp `front` accepts moves ahead of
-    /// every other warp, each side keeping its order.
-    fn move_to_front(&mut self, front: impl Fn(WarpId) -> bool) {
-        let q = self.queue.make_contiguous();
+        let mut back = WarpList::new();
         let mut k = 0;
-        for i in 0..q.len() {
-            if front(q[i]) {
-                q[k..=i].rotate_right(1);
+        for i in 0..self.queue.len() {
+            let w = self.queue[i];
+            if in_mask(mask, w) {
+                self.queue[k] = w;
                 k += 1;
+            } else {
+                back.push(w);
             }
+        }
+        self.queue[k..].copy_from_slice(&back);
+    }
+
+    /// Moves the warps of `mask` to the queue tail, preserving order.
+    fn move_to_tail(&mut self, mask: u64) {
+        self.move_to_head(!mask);
+    }
+
+    /// Warps whose last load is at `pc` (the LLT's CAM search).
+    fn llt_warps(&self, pc: Pc) -> u64 {
+        self.llt_index.iter().find(|e| e.0 == pc).map_or(0, |e| e.1)
+    }
+
+    /// Points `warp`'s LLT entry at `pc`, and moves its bit in the index.
+    fn set_llt(&mut self, warp: WarpId, pc: Pc) {
+        let bit = 1u64 << (warp.0 % 64);
+        if let Some(old) = self.llt[warp.index()].replace(pc) {
+            if let Some(e) = self.llt_index.iter_mut().find(|e| e.0 == old) {
+                e.1 &= !bit;
+            }
+            self.llt_index.retain(|e| e.1 != 0);
+        }
+        match self.llt_index.iter_mut().find(|e| e.0 == pc) {
+            Some(e) => e.1 |= bit,
+            None => self.llt_index.push((pc, bit)),
         }
     }
 
@@ -164,24 +190,18 @@ impl WarpScheduler for Laws {
     fn on_load_issue(&mut self, warp: WarpId, pc: Pc, _now: Cycle) {
         debug_assert!(self.initialized, "pick() runs before any issue");
         self.table_accesses += 2; // LLT read + write
-        let llpc = self.llt[warp.index()];
+        let own = 1u64 << (warp.0 % 64);
         // Group every warp whose LLPC matches the issuer's previous LLPC.
-        let members = match llpc {
+        let members = match self.llt[warp.index()] {
             Some(prev) => {
                 self.table_accesses += 1; // LLT search (CAM)
-                Self::mask_of(
-                    self.llt
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| **p == Some(prev))
-                        .map(|(i, _)| WarpId(i as u32)),
-                ) | 1u64 << (warp.0 % 64)
+                self.llt_warps(prev) | own
             }
             // First load of this warp: a singleton group. The L1 result
             // still classifies the load's type for scheduling.
-            None => 1u64 << (warp.0 % 64),
+            None => own,
         };
-        self.llt[warp.index()] = Some(pc);
+        self.set_llt(warp, pc);
         // WGT holds only the loads in flight between issue and L1 access
         // (the paper sizes it to the 3 pipeline stages); FIFO-replace.
         if self.wgt.len() == self.wgt_entries {
@@ -218,7 +238,7 @@ impl WarpScheduler for Laws {
             // members to the prefetcher (SAP) first, in queue order (the
             // queue holds each of the SM's at most 64 warps once).
             let mut others = LaneList::new();
-            for &w in &self.queue {
+            for &w in self.queue.iter() {
                 if in_mask(entry.members, w) && w != ev.warp {
                     others.push(w);
                 }
@@ -254,7 +274,7 @@ impl WarpScheduler for Laws {
     fn on_warp_launched(&mut self, warp: WarpId) {
         // A fresh block enters with the lowest priority.
         if !self.queue.contains(&warp) {
-            self.queue.push_back(warp);
+            self.queue.push(warp);
         }
     }
 
@@ -266,6 +286,7 @@ impl WarpScheduler for Laws {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_common::rng::Xoshiro256;
     use gpu_common::{Addr, LineAddr};
     use gpu_sm::traits::L1Outcome;
 
@@ -274,8 +295,6 @@ mod tests {
             .map(|&i| ReadyWarp {
                 id: WarpId(i),
                 next_is_mem: false,
-                next_is_load: false,
-                next_pc: Pc(0x100),
             })
             .collect()
     }
@@ -474,5 +493,212 @@ mod tests {
         // Double launch does not duplicate.
         s.on_warp_launched(WarpId(0));
         assert_eq!(s.queue_order().iter().filter(|w| w.0 == 0).count(), 1);
+    }
+
+    /// LAWS as it was before the inline queue and the LLT index: a
+    /// rotate-based partition and an LLT scan. The reference model.
+    struct RefLaws {
+        queue: VecDeque<WarpId>,
+        llt: Vec<Option<Pc>>,
+        wgt: VecDeque<WgtEntry>,
+        cfg: ApresConfig,
+        head_rr: Option<u32>,
+    }
+
+    impl RefLaws {
+        fn new(cfg: &ApresConfig, warps_per_sm: usize) -> Self {
+            RefLaws {
+                queue: (0..warps_per_sm as u32).map(WarpId).collect(),
+                llt: vec![None; warps_per_sm],
+                wgt: VecDeque::new(),
+                cfg: cfg.clone(),
+                head_rr: None,
+            }
+        }
+
+        fn move_to_front(&mut self, front: impl Fn(WarpId) -> bool) {
+            let q = self.queue.make_contiguous();
+            let mut k = 0;
+            for i in 0..q.len() {
+                if front(q[i]) {
+                    q[k..=i].rotate_right(1);
+                    k += 1;
+                }
+            }
+        }
+
+        fn pick(&mut self, ready: &[ReadyWarp]) -> Option<WarpId> {
+            let is_ready = |w: &WarpId| ready.iter().any(|r| r.id == *w);
+            let window = self.cfg.head_window.min(self.queue.len());
+            let start = self.head_rr.map_or(0, |l| l.wrapping_add(1));
+            let head: Vec<WarpId> = self
+                .queue
+                .iter()
+                .take(window)
+                .copied()
+                .filter(is_ready)
+                .collect();
+            if let Some(&first) = head.first() {
+                let pick = head.iter().copied().find(|w| w.0 >= start).unwrap_or(first);
+                self.head_rr = Some(pick.0);
+                return Some(pick);
+            }
+            self.queue.iter().skip(window).copied().find(is_ready)
+        }
+
+        fn on_load_issue(&mut self, warp: WarpId, pc: Pc) {
+            let own = 1u64 << warp.0;
+            let members = match self.llt[warp.index()] {
+                Some(prev) => {
+                    Laws::mask_of(
+                        (0..self.llt.len())
+                            .filter(|&i| self.llt[i] == Some(prev))
+                            .map(|i| WarpId(i as u32)),
+                    ) | own
+                }
+                None => own,
+            };
+            self.llt[warp.index()] = Some(pc);
+            if self.wgt.len() == self.cfg.wgt_entries {
+                self.wgt.pop_front();
+            }
+            self.wgt.push_back(WgtEntry {
+                issuer: warp,
+                pc,
+                members,
+            });
+        }
+
+        fn on_l1_event(&mut self, ev: &L1Event) -> Vec<WarpId> {
+            let Some(pos) = self
+                .wgt
+                .iter()
+                .position(|e| e.issuer == ev.warp && e.pc == ev.pc)
+            else {
+                return Vec::new();
+            };
+            let members = self.wgt.remove(pos).unwrap().members;
+            if ev.outcome.counts_as_hit() {
+                self.move_to_front(|w| in_mask(members, w));
+                return Vec::new();
+            }
+            let others = self
+                .queue
+                .iter()
+                .copied()
+                .filter(|&w| in_mask(members, w) && w != ev.warp)
+                .collect();
+            if self.cfg.demote_on_miss {
+                self.move_to_front(|w| !in_mask(members, w));
+                self.move_to_front(|w| w != ev.warp);
+            }
+            others
+        }
+    }
+
+    /// Drives LAWS and the reference model with one random stream of
+    /// picks, load issues, L1 events, prefetch targets, finishes and
+    /// launches, comparing every pick, prefetch group, WGT group and queue
+    /// order.
+    fn replay_against_reference(seed: u64, cfg: &ApresConfig, warps_per_sm: usize, ops: usize) {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let c = SchedCtx {
+            now: 0,
+            mshr_occupancy: 0.0,
+            warps_per_sm,
+        };
+        let mut laws = Laws::new(cfg);
+        laws.pick(&ready(&[0]), &c);
+        let mut reference = RefLaws::new(cfg, warps_per_sm);
+        reference.pick(&ready(&[0]));
+        let pcs = [0x10, 0x20, 0x30, 0x40, 0x50];
+        let mut issued: Vec<(u32, u64)> = Vec::new();
+        let mut density = 0.5;
+        for op in 0..ops {
+            let warp = rng.next_below(warps_per_sm as u64) as u32;
+            match rng.next_below(20) {
+                0..=5 => {
+                    if op % 50 == 0 {
+                        density = 0.02 + 0.9 * rng.next_below(1000) as f64 / 1000.0;
+                    }
+                    let ids: Vec<u32> = (0..warps_per_sm as u32)
+                        .filter(|_| rng.chance(density))
+                        .collect();
+                    let r = ready(&ids);
+                    assert_eq!(laws.pick(&r, &c), reference.pick(&r), "op {op}");
+                }
+                6..=10 => {
+                    let pc = pcs[rng.next_below(pcs.len() as u64) as usize];
+                    laws.on_load_issue(WarpId(warp), Pc(pc), 0);
+                    reference.on_load_issue(WarpId(warp), Pc(pc));
+                    issued.push((warp, pc));
+                }
+                11..=15 => {
+                    // Mostly the L1 result of a recent load, sometimes one
+                    // whose group has aged out.
+                    let (w, pc) = match issued.len() {
+                        0 => (warp, pcs[0]),
+                        n => issued[n - 1 - rng.next_below(n.min(4) as u64) as usize],
+                    };
+                    let outcome = match rng.next_below(3) {
+                        0 => L1Outcome::Hit,
+                        1 => L1Outcome::Merged {
+                            into_prefetch: true,
+                        },
+                        _ => L1Outcome::Miss,
+                    };
+                    let ev = event(w, pc, outcome);
+                    let group = laws.on_l1_event(&ev).prefetch_group;
+                    assert_eq!(group.to_vec(), reference.on_l1_event(&ev), "op {op}");
+                }
+                16 | 17 => {
+                    let targets: Vec<WarpId> = (0..rng.next_below(5))
+                        .map(|_| WarpId(rng.next_below(warps_per_sm as u64) as u32))
+                        .collect();
+                    laws.on_prefetch_targets(&targets);
+                    let mask = Laws::mask_of(targets.iter().copied());
+                    reference.move_to_front(|w| in_mask(mask, w));
+                }
+                18 => {
+                    laws.on_warp_finished(WarpId(warp));
+                    reference.queue.retain(|w| w.0 != warp);
+                }
+                _ => {
+                    laws.on_warp_launched(WarpId(warp));
+                    if !reference.queue.contains(&WarpId(warp)) {
+                        reference.queue.push_back(WarpId(warp));
+                    }
+                }
+            }
+            assert_eq!(
+                laws.queue_order(),
+                Vec::from(reference.queue.clone()),
+                "op {op}"
+            );
+            let groups = |wgt: &VecDeque<WgtEntry>| -> Vec<(WarpId, Pc, u64)> {
+                wgt.iter().map(|e| (e.issuer, e.pc, e.members)).collect()
+            };
+            assert_eq!(groups(&laws.wgt), groups(&reference.wgt), "op {op}");
+        }
+    }
+
+    #[test]
+    fn inline_queue_and_llt_index_match_the_reference_model() {
+        let paper = ApresConfig::table_ii();
+        let keep_order = ApresConfig {
+            demote_on_miss: false,
+            ..Default::default()
+        };
+        let cases = [
+            (1, ApresConfig::default(), 8),
+            (2, ApresConfig::default(), 48),
+            (3, ApresConfig::default(), 64),
+            (4, paper.clone(), 48),
+            (5, paper, 16),
+            (6, keep_order, 32),
+        ];
+        for (seed, cfg, warps_per_sm) in cases {
+            replay_against_reference(seed, &cfg, warps_per_sm, 5_000);
+        }
     }
 }

@@ -93,7 +93,7 @@ impl SchedPolicy {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use gpu_common::{Pc, WarpId};
+    use gpu_common::WarpId;
     use gpu_sm::traits::{ReadyWarp, SchedCtx};
 
     /// Builds a ready list from warp ids, all with non-memory next ops.
@@ -102,8 +102,6 @@ pub(crate) mod testutil {
             .map(|&i| ReadyWarp {
                 id: WarpId(i),
                 next_is_mem: false,
-                next_is_load: false,
-                next_pc: Pc(0x100),
             })
             .collect()
     }
@@ -114,8 +112,6 @@ pub(crate) mod testutil {
             .map(|&(i, m)| ReadyWarp {
                 id: WarpId(i),
                 next_is_mem: m,
-                next_is_load: m,
-                next_pc: Pc(0x100),
             })
             .collect()
     }

@@ -161,21 +161,20 @@ impl Lsu {
             return;
         }
         assert!(self.has_room(), "LSU full");
-        if op.is_load {
-            self.outstanding.push((
-                OpKey {
-                    warp: op.warp,
-                    body_idx: op.body_idx,
-                    iter: op.iter,
-                },
-                OpState {
-                    lines_left: op.lines.len(),
-                    fills_pending: 0,
-                    latest_ready: 0,
-                    issue_cycle: op.issue_cycle,
-                },
-            ));
-        }
+        self.outstanding.push((
+            OpKey {
+                warp: op.warp,
+                body_idx: op.body_idx,
+                iter: op.iter,
+            },
+            OpState {
+                lines_left: op.lines.len(),
+                fills_pending: 0,
+                latest_ready: 0,
+                issue_cycle: op.issue_cycle,
+            },
+        ));
+        debug_assert!(op.is_load, "the load queue holds only loads");
         self.queue.push_back(op);
     }
 
@@ -218,19 +217,15 @@ impl Lsu {
             return activity;
         }
         let is_head = op.sent == 0;
-        let req = if op.is_load {
-            MemRequest::load(
-                line,
-                self.sm,
-                op.warp,
-                op.pc,
-                op.body_idx,
-                op.iter,
-                op.issue_cycle,
-            )
-        } else {
-            MemRequest::store(line, self.sm, op.warp, op.pc, op.issue_cycle)
-        };
+        let req = MemRequest::load(
+            line,
+            self.sm,
+            op.warp,
+            op.pc,
+            op.body_idx,
+            op.iter,
+            op.issue_cycle,
+        );
         let outcome = l1.access(req, now);
         self.refused_at = None;
         let l1_outcome = match outcome {
@@ -243,19 +238,20 @@ impl Lsu {
                 if let Some(at) = self.head_pos() {
                     self.resolve_at(at, true, ready_at, done);
                 }
-                Some(L1Outcome::Hit)
+                L1Outcome::Hit
             }
             L1AccessOutcome::Miss => {
                 self.note_fill_pending();
-                Some(L1Outcome::Miss)
+                L1Outcome::Miss
             }
             L1AccessOutcome::Merged { into_prefetch } => {
                 self.note_fill_pending();
-                Some(L1Outcome::Merged { into_prefetch })
+                L1Outcome::Merged { into_prefetch }
             }
-            L1AccessOutcome::StoreForwarded => None,
-            L1AccessOutcome::PrefetchDropped | L1AccessOutcome::PrefetchIssued => {
-                unreachable!("LSU never sends prefetches")
+            L1AccessOutcome::StoreForwarded
+            | L1AccessOutcome::PrefetchDropped
+            | L1AccessOutcome::PrefetchIssued => {
+                unreachable!("the load queue sends only loads")
             }
         };
         // Re-borrow the head op (resolve_line may have completed it, but the
@@ -263,17 +259,15 @@ impl Lsu {
         let Some(op) = self.queue.front_mut() else {
             return activity;
         };
-        if op.is_load && is_head {
-            if let Some(outcome) = l1_outcome {
-                activity.head_event = Some(L1Event {
-                    warp: op.warp,
-                    pc: op.pc,
-                    addr: op.addr0,
-                    line,
-                    outcome,
-                    now,
-                });
-            }
+        if is_head {
+            activity.head_event = Some(L1Event {
+                warp: op.warp,
+                pc: op.pc,
+                addr: op.addr0,
+                line,
+                outcome: l1_outcome,
+                now,
+            });
         }
         op.sent += 1;
         if op.sent >= op.lines.len() {

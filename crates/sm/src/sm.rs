@@ -22,7 +22,7 @@ use crate::traits::{
 use gpu_common::config::GpuConfig;
 use gpu_common::fault::FaultCounters;
 use gpu_common::stats::{CacheStats, EnergyEvents, PrefetchStats, SimStats};
-use gpu_common::{Cycle, LineAddr, Pc, SmId, StallReason, StalledWarp, WarpId};
+use gpu_common::{Cycle, LineAddr, SmId, StallReason, StalledWarp, WarpId};
 use gpu_kernel::{Kernel, Op, PatternSampler, WarpProgram, WarpProgress};
 use gpu_mem::coalesce::coalesce;
 use gpu_mem::l1::L1Cache;
@@ -34,30 +34,30 @@ use std::sync::Arc;
 const LSU_QUEUE_DEPTH: usize = 16;
 
 /// A warp's cached issue gate: the first cycle its next instruction can
-/// issue ([`WarpProgress::issue_gate`]) and the ready-set entry that
-/// instruction gives it. Refreshed whenever the warp issues, a load of it
+/// issue ([`WarpProgress::issue_gate`]), the ready-set entry that
+/// instruction gives it, and whether it is a load (which LSU queue it
+/// needs room in). Refreshed whenever the warp issues, a load of it
 /// completes, it blocks at or is released from a barrier, or its slot gets
 /// a new block wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IssueGate {
     at: Cycle,
     ready: ReadyWarp,
+    next_is_load: bool,
 }
 
 impl IssueGate {
     fn of(id: usize, warp: &WarpProgress, kernel: &Kernel) -> Self {
-        let (next_is_mem, next_is_load, next_pc) = match warp.current(kernel) {
-            Some(ins) => (ins.op.is_mem(), ins.op.is_load(), ins.pc),
-            None => (false, false, Pc(0)),
-        };
+        let (next_is_mem, next_is_load) = warp
+            .current(kernel)
+            .map_or((false, false), |ins| (ins.op.is_mem(), ins.op.is_load()));
         IssueGate {
             at: warp.issue_gate(kernel),
             ready: ReadyWarp {
                 id: WarpId(id as u32),
                 next_is_mem,
-                next_is_load,
-                next_pc,
             },
+            next_is_load,
         }
     }
 }
@@ -100,7 +100,7 @@ impl WarpMasks {
         let bit = 1u64 << i;
         let put = |mask: &mut u64, on: bool| *mask = if on { *mask | bit } else { *mask & !bit };
         put(&mut self.mem, gate.ready.next_is_mem);
-        put(&mut self.load, gate.ready.next_is_load);
+        put(&mut self.load, gate.next_is_load);
         put(&mut self.open, gate.at <= now);
         put(&mut self.pending, now < gate.at && gate.at < Cycle::MAX);
         if self.pending & bit != 0 {

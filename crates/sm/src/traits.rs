@@ -6,18 +6,15 @@ use gpu_common::{Addr, Cycle, LaneList, LineAddr, Pc, SmId, WarpId, MAX_WARPS_PE
 use gpu_mem::request::RequestSource;
 
 /// A warp eligible for issue this cycle, with the information schedulers
-/// condition on.
+/// condition on. Eight bytes, so the SM rebuilds its ready list cheaply on
+/// every issue slot (DESIGN.md §14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadyWarp {
     /// The warp.
     pub id: WarpId,
-    /// Its next instruction is a global load or store (MASCAR and LAWS
-    /// condition on memory-ness).
+    /// Its next instruction is a global load or store. Only MASCAR reads
+    /// it.
     pub next_is_mem: bool,
-    /// Its next instruction is a global load.
-    pub next_is_load: bool,
-    /// PC of the next instruction.
-    pub next_pc: Pc,
 }
 
 /// Per-cycle context handed to the scheduler.
@@ -228,6 +225,11 @@ mod tests {
         assert!(p.on_group_miss(&acc, &[WarpId(1)]).is_empty());
         assert_eq!(p.table_accesses(), 0);
         assert_eq!(p.name(), "none");
+    }
+
+    #[test]
+    fn a_ready_entry_takes_eight_bytes() {
+        assert_eq!(std::mem::size_of::<ReadyWarp>(), 8);
     }
 
     #[test]

@@ -39,13 +39,13 @@ impl Observer for AllocWatch {
 }
 
 /// Heap allocations per cycle from cycle `WARMUP_CYCLES` to the end of a
-/// baseline (LRR, no prefetcher) run of `bench` on 2 Table III SMs.
-fn steady_allocs_per_cycle(bench: Benchmark) -> f64 {
+/// run of `bench` under `sched` without a prefetcher on 2 Table III SMs.
+fn steady_allocs_per_cycle(bench: Benchmark, sched: SchedulerChoice) -> f64 {
     let mut cfg = GpuConfig::paper_baseline();
     cfg.core.num_sms = 2;
     let gpu = Simulation::new(bench.kernel_scaled(8))
         .config(cfg)
-        .scheduler(SchedulerChoice::Lrr)
+        .scheduler(sched)
         .prefetcher(PrefetcherChoice::None)
         .build()
         .expect("valid configuration");
@@ -57,13 +57,28 @@ fn steady_allocs_per_cycle(bench: Benchmark) -> f64 {
     (a1 - a0) as f64 / (c1 - c0) as f64
 }
 
+/// Every scheduler. Prefetchers stay out: their hooks return a `Vec` per
+/// call (ROADMAP item 6).
+const SCHEDULERS: [SchedulerChoice; 7] = [
+    SchedulerChoice::Lrr,
+    SchedulerChoice::Gto,
+    SchedulerChoice::TwoLevel,
+    SchedulerChoice::Ccws,
+    SchedulerChoice::Mascar,
+    SchedulerChoice::Pa,
+    SchedulerChoice::Laws,
+];
+
 #[test]
 fn steady_state_cycles_do_not_allocate() {
     for bench in [Benchmark::Km, Benchmark::Bfs] {
-        let per_cycle = steady_allocs_per_cycle(bench);
-        assert!(
-            per_cycle < 0.1,
-            "{bench:?} made {per_cycle:.3} heap allocations per cycle after cycle {WARMUP_CYCLES}"
-        );
+        for sched in SCHEDULERS {
+            let per_cycle = steady_allocs_per_cycle(bench, sched);
+            assert!(
+                per_cycle < 0.1,
+                "{bench:?} under {sched:?} made {per_cycle:.3} heap allocations per cycle \
+                 after cycle {WARMUP_CYCLES}"
+            );
+        }
     }
 }

@@ -154,10 +154,11 @@ fn observing_a_run_never_changes_its_result() {
 /// barriers. The last three pin orders
 /// the bookkeeping containers must keep: DRAM fills that return out of
 /// order (FR-FCFS row hits), L2 MSHR retries, and a full 64-warp ready
-/// mask.
-fn stall_case(case: &str) -> (GpuConfig, apres::Kernel) {
+/// mask. Every case but `barrier` runs KM for `iterations` (`one-mshr`
+/// for one).
+fn stall_case(case: &str, iterations: u64) -> (GpuConfig, apres::Kernel) {
     let mut cfg = GpuConfig::small_test();
-    let mut kernel = Benchmark::Km.kernel_scaled(3);
+    let mut kernel = Benchmark::Km.kernel_scaled(iterations);
     match case {
         "one-mshr" => {
             // One MSHR serialises every miss: one iteration already runs
@@ -187,6 +188,27 @@ fn stall_case(case: &str) -> (GpuConfig, apres::Kernel) {
     (cfg, kernel)
 }
 
+/// Hash of the codec encodings of `case`'s runs under `policies`, in order.
+fn stall_case_hash(
+    case: &str,
+    iterations: u64,
+    policies: &[(SchedulerChoice, PrefetcherChoice)],
+) -> String {
+    let (cfg, kernel) = stall_case(case, iterations);
+    let mut hasher = ContentHasher::new();
+    for &(s, p) in policies {
+        let r = Simulation::new(kernel.clone())
+            .config(cfg.clone())
+            .scheduler(s)
+            .prefetcher(p)
+            .run()
+            .expect("stall case runs");
+        assert!(r.termination.is_drained(), "{case} {s:?}+{p:?}");
+        hasher.update(encode(&r).to_compact().as_bytes());
+    }
+    hash_hex(hasher.finish())
+}
+
 #[test]
 fn stall_memos_reproduce_pinned_results() {
     // Hash of the codec encodings of the case's runs under LRR, LAWS+SAP
@@ -209,18 +231,31 @@ fn stall_memos_reproduce_pinned_results() {
         (SchedulerChoice::Ccws, PrefetcherChoice::Str),
     ];
     for (case, pinned) in PINNED {
-        let (cfg, kernel) = stall_case(case);
-        let mut hasher = ContentHasher::new();
-        for (s, p) in policies {
-            let r = Simulation::new(kernel.clone())
-                .config(cfg.clone())
-                .scheduler(s)
-                .prefetcher(p)
-                .run()
-                .expect("stall case runs");
-            assert!(r.termination.is_drained(), "{case} {s:?}+{p:?}");
-            hasher.update(encode(&r).to_compact().as_bytes());
-        }
-        assert_eq!(hash_hex(hasher.finish()), pinned, "{case}");
+        assert_eq!(stall_case_hash(case, 3, &policies), pinned, "{case}");
+    }
+}
+
+#[test]
+fn every_scheduler_reproduces_pinned_results() {
+    // The schedulers the test above leaves out, CCWS and LAWS without a
+    // prefetcher, and SLD, at one KM iteration, pinned before CCWS and
+    // LAWS moved to flat per-warp tables and the ready entry shrank to 8
+    // bytes.
+    const PINNED: [(&str, &str); 3] = [
+        ("one-mshr", "e35046ec2d9e0c0b68f611d9c3e18ed9"),
+        ("barrier", "65156495515ffa05667cdc22e0b01053"),
+        ("64-warps", "e8b2f99d5b2d901e070a7d35dbbdd098"),
+    ];
+    let policies = [
+        (SchedulerChoice::Gto, PrefetcherChoice::None),
+        (SchedulerChoice::TwoLevel, PrefetcherChoice::None),
+        (SchedulerChoice::Mascar, PrefetcherChoice::None),
+        (SchedulerChoice::Pa, PrefetcherChoice::None),
+        (SchedulerChoice::Ccws, PrefetcherChoice::None),
+        (SchedulerChoice::Laws, PrefetcherChoice::None),
+        (SchedulerChoice::Lrr, PrefetcherChoice::Sld),
+    ];
+    for (case, pinned) in PINNED {
+        assert_eq!(stall_case_hash(case, 1, &policies), pinned, "{case}");
     }
 }
