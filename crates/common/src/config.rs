@@ -139,7 +139,7 @@ pub enum DramRowPolicy {
     Uniform,
     /// Banked row buffers with FR-FCFS scheduling: row hits are faster and
     /// cheaper, row misses pay precharge+activate. An extension used by the
-    /// `dram_ablation` study.
+    /// `ablation_substrate` study.
     FrFcfsRowBuffer,
 }
 
@@ -153,15 +153,14 @@ pub struct DramConfig {
     /// Core cycles between successive line transfers per partition
     /// (models per-partition bandwidth; 1 line each `service_interval` cycles).
     pub service_interval: u64,
-    /// Maximum queued requests per partition before back-pressure.
-    pub queue_depth: usize,
     /// Bytes interleaved across partitions (address hashing granularity).
     pub interleave_bytes: u64,
     /// Service-timing model.
     pub row_policy: DramRowPolicy,
 }
 
-/// Core pipeline parameters of one SM.
+/// Core pipeline parameters of one SM. Every SM issues at most one warp
+/// instruction per cycle, and every warp is resident from cycle 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Number of streaming multiprocessors.
@@ -172,24 +171,6 @@ pub struct CoreConfig {
     /// Threads per warp (SIMD width), at most
     /// [`MAX_REQUESTS_PER_WARP`].
     pub warp_size: usize,
-    /// Register read-after-write latency for ALU producers, in cycles.
-    /// The paper assumes 8 cycles (Section IV).
-    pub alu_latency: u64,
-    /// Number of instructions issued per SM per cycle.
-    pub issue_width: usize,
-    /// Depth of the issue→execute pipeline segment; sizes the Warp Group
-    /// Table (the paper uses 3).
-    pub issue_to_execute_stages: usize,
-    /// Cycles between successive warp launches on one SM. Real GPUs hand
-    /// thread blocks to SMs over time, so resident warps are skewed in
-    /// their progress rather than lock-stepped; this is the drift that
-    /// locality-aware scheduling regathers (Section IV's premise).
-    pub launch_skew: u64,
-    /// Thread-block waves per warp slot: when a warp retires, the block
-    /// scheduler hands the slot a fresh block (with fresh data) this many
-    /// times in total. Values > 1 amortize the end-of-kernel tail exactly
-    /// as a real grid (thousands of blocks) does.
-    pub waves_per_slot: u32,
 }
 
 /// Interconnect between SMs and the shared L2.
@@ -212,12 +193,6 @@ pub struct ApresConfig {
     pub drq_entries: usize,
     /// Maximum prefetches generated per trigger (bounded by group size).
     pub max_prefetches_per_miss: usize,
-    /// Move a missing load's warp group to the queue tail (the paper's
-    /// behaviour). Disable to ablate the demotion half of LAWS.
-    pub demote_on_miss: bool,
-    /// Width of the scheduling-queue head that round-robins as the leading
-    /// group (the paper reasons about 8 via its pipeline-latency argument).
-    pub head_window: usize,
 }
 
 impl ApresConfig {
@@ -230,8 +205,6 @@ impl ApresConfig {
             pt_entries: 10,
             drq_entries: 32,
             max_prefetches_per_miss: 47,
-            demote_on_miss: true,
-            head_window: 8,
         }
     }
 }
@@ -283,11 +256,6 @@ impl GpuConfig {
                 num_sms: 15,
                 warps_per_sm: 48,
                 warp_size: 32,
-                alu_latency: 8,
-                issue_width: 1,
-                issue_to_execute_stages: 3,
-                launch_skew: 0,
-                waves_per_slot: 1,
             },
             l1: CacheConfig {
                 capacity_bytes: 32 * 1024,
@@ -313,7 +281,6 @@ impl GpuConfig {
                 partitions: 6,
                 latency: 440,
                 service_interval: 2,
-                queue_depth: 64,
                 interleave_bytes: 256,
                 row_policy: DramRowPolicy::Uniform,
             },
@@ -331,7 +298,6 @@ impl GpuConfig {
         let mut cfg = Self::paper_baseline();
         cfg.core.num_sms = 1;
         cfg.core.warps_per_sm = 16;
-        cfg.core.waves_per_slot = 1;
         cfg.l1.capacity_bytes = 8 * 1024;
         cfg.l1.mshrs = 16;
         cfg.l2.capacity_bytes = 64 * 1024;
@@ -371,9 +337,6 @@ impl GpuConfig {
                 ),
             ));
         }
-        if self.core.issue_width == 0 {
-            return Err(SimError::config("core.issue_width", "must be > 0"));
-        }
         self.l1.validate("l1")?;
         if self.l1.line_bytes != self.l2.line_bytes {
             return Err(SimError::config(
@@ -410,9 +373,6 @@ impl GpuConfig {
         l2_bank.validate("l2")?;
         if self.dram.service_interval == 0 {
             return Err(SimError::config("dram.service_interval", "must be > 0"));
-        }
-        if self.dram.queue_depth == 0 {
-            return Err(SimError::config("dram.queue_depth", "must be > 0"));
         }
         if self.dram.interleave_bytes == 0 || !self.dram.interleave_bytes.is_power_of_two() {
             return Err(SimError::config(

@@ -1,9 +1,9 @@
 //! Typed simulation errors.
 //!
 //! Every failure mode of the simulator is represented here so that a bad
-//! configuration, an exhausted resource, a broken conservation law, or a
-//! stalled pipeline surfaces as a value the caller can match on — never as a
-//! panic that kills an entire figure sweep. The taxonomy follows the
+//! configuration, a broken conservation law, or a stalled pipeline surfaces
+//! as a value the caller can match on — never as a panic that kills an
+//! entire figure sweep. The taxonomy follows the
 //! validated-configuration / conservation-of-traffic discipline of the
 //! Accel-Sim modeling line of work: a simulator's *relative* policy
 //! orderings (the product of this reproduction) are only trustworthy if runs
@@ -13,15 +13,16 @@
 //!
 //! * [`SimError::ConfigValidation`] — rejected before any cycle is simulated
 //!   ([`crate::config::GpuConfig::validate`] runs once up front);
-//! * [`SimError::ResourceExhaustion`] — a bounded hardware structure was
-//!   asked to exceed its capacity in a way the model cannot absorb;
 //! * [`SimError::InvariantViolation`] — a runtime audit (request
 //!   conservation, leak detection) found the machine in an impossible state;
 //! * [`SimError::WatchdogTimeout`] — the forward-progress watchdog declared
 //!   a deadlock and attached a [`DeadlockDiagnosis`] naming the stalled
 //!   warps and in-flight misses;
 //! * [`SimError::Parse`] — a serialised artifact (workload spec JSON) was
-//!   malformed.
+//!   malformed;
+//! * [`SimError::KernelValidation`] — the static kernel-IR verifier
+//!   rejected the kernel before any cycle was simulated;
+//! * [`SimError::JobTimeout`] — a batch-service job overran its deadline.
 //!
 //! Cycle-budget exhaustion is deliberately *not* an error: a run that hits
 //! its budget still carries valid partial statistics and is reported as
@@ -133,16 +134,6 @@ pub enum SimError {
         /// Human-readable rejection reason.
         reason: String,
     },
-    /// A bounded structure was driven beyond its capacity in a way the
-    /// model cannot absorb by back-pressure.
-    ResourceExhaustion {
-        /// Which structure (e.g. `"l1.mshrs"`, `"trace.sm_index"`).
-        resource: &'static str,
-        /// What happened.
-        detail: String,
-        /// Simulation cycle of the failure.
-        cycle: Cycle,
-    },
     /// A runtime audit found a conservation law broken.
     InvariantViolation {
         /// Which invariant (e.g. `"request-conservation"`).
@@ -195,7 +186,6 @@ impl SimError {
     pub fn class(&self) -> &'static str {
         match self {
             SimError::ConfigValidation { .. } => "config-validation",
-            SimError::ResourceExhaustion { .. } => "resource-exhaustion",
             SimError::InvariantViolation { .. } => "invariant-violation",
             SimError::WatchdogTimeout { .. } => "watchdog-timeout",
             SimError::Parse { .. } => "parse",
@@ -228,11 +218,6 @@ impl fmt::Display for SimError {
             SimError::ConfigValidation { field, reason } => {
                 write!(f, "invalid configuration: {field}: {reason}")
             }
-            SimError::ResourceExhaustion {
-                resource,
-                detail,
-                cycle,
-            } => write!(f, "resource exhausted at cycle {cycle}: {resource}: {detail}"),
             SimError::InvariantViolation {
                 invariant,
                 detail,

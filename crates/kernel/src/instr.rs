@@ -27,7 +27,7 @@ pub enum Op {
         slot: LoadSlot,
     },
     /// Block-wide barrier (`__syncthreads`): the warp stalls until every
-    /// resident warp of the same block wave has arrived.
+    /// unretired warp of its SM has arrived.
     Barrier,
 }
 

@@ -224,7 +224,6 @@ mod tests {
                 partitions: 2,
                 latency: 100,
                 service_interval: 2,
-                queue_depth: 8,
                 interleave_bytes: 256,
                 row_policy: gpu_common::config::DramRowPolicy::Uniform,
             },

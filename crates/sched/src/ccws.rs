@@ -96,7 +96,7 @@ impl Ccws {
         self.warps[warp.index()].score
     }
 
-    /// A fresh or retired warp has no locality history.
+    /// A retired warp has no locality history.
     fn forget(&mut self, warp: WarpId) {
         let w = &mut self.warps[warp.index()];
         self.total -= w.score;
@@ -173,10 +173,6 @@ impl WarpScheduler for Ccws {
     }
 
     fn on_warp_finished(&mut self, warp: WarpId) {
-        self.forget(warp);
-    }
-
-    fn on_warp_launched(&mut self, warp: WarpId) {
         self.forget(warp);
     }
 
@@ -285,16 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn relaunched_warp_starts_clean() {
-        let mut s = Ccws::new();
-        s.on_l1_event(&miss_event(0, 7));
-        s.on_l1_event(&miss_event(0, 7));
-        assert!(s.score(WarpId(0)) > 0);
-        s.on_warp_launched(WarpId(0));
-        assert_eq!(s.score(WarpId(0)), 0);
-    }
-
-    #[test]
     fn finished_warp_forgotten() {
         let mut s = Ccws::new();
         s.on_l1_event(&miss_event(0, 7));
@@ -362,8 +348,8 @@ mod tests {
     }
 
     /// Drives the flat table and the reference model with one random
-    /// stream of picks, L1 events, finishes and launches, comparing every
-    /// pick, score and total. Returns (throttled picks, picks with one
+    /// stream of picks, L1 events and finishes, comparing every pick,
+    /// score and total. Returns (throttled picks, picks with one
     /// ready warp more than the cut allows).
     fn replay_against_reference(seed: u64, warps_per_sm: usize, ops: usize) -> (u64, u64) {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -407,12 +393,8 @@ mod tests {
                     flat.on_l1_event(&ev);
                     reference.on_l1_event(&ev);
                 }
-                18 => {
-                    flat.on_warp_finished(warp);
-                    reference.warps.remove(&warp);
-                }
                 _ => {
-                    flat.on_warp_launched(warp);
+                    flat.on_warp_finished(warp);
                     reference.warps.remove(&warp);
                 }
             }

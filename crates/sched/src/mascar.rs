@@ -92,13 +92,6 @@ impl WarpScheduler for Mascar {
         }
     }
 
-    fn on_warp_launched(&mut self, warp: WarpId) {
-        // The slot now runs a different thread block.
-        if self.owner == Some(warp) {
-            self.owner = None;
-        }
-    }
-
     fn on_issue(&mut self, _warp: WarpId, _now: Cycle) {}
 }
 

@@ -623,83 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn dual_issue_raises_ipc_on_compute_kernels() {
-        let compute = || {
-            Kernel::builder("alu-heavy")
-                .alu(8, &[])
-                .alu(8, &[])
-                .alu(8, &[0])
-                .alu(8, &[1])
-                .iterations(64)
-                .build()
-        };
-        let single = small_gpu(compute()).run(2_000_000, &mut ()).unwrap();
-        let mut cfg = GpuConfig::small_test();
-        cfg.core.issue_width = 2;
-        let dual = Gpu::new(
-            &cfg,
-            compute(),
-            &|_| Box::new(SimpleRoundRobin::default()),
-            &|_| Box::new(NullPrefetcher),
-        )
-        .unwrap()
-        .run(2_000_000, &mut ())
-        .unwrap();
-        assert!(!dual.timed_out);
-        assert_eq!(single.sim.instructions, dual.sim.instructions);
-        assert!(
-            dual.cycles < single.cycles,
-            "dual {} vs single {}",
-            dual.cycles,
-            single.cycles
-        );
-        assert!(dual.ipc() > 1.05, "dual IPC {:.3}", dual.ipc());
-    }
-
-    #[test]
-    fn block_waves_refill_slots() {
-        let mut cfg = GpuConfig::small_test();
-        cfg.core.waves_per_slot = 3;
-        let k = strided_kernel(4);
-        let gpu = Gpu::new(&cfg, k, &|_| Box::new(SimpleRoundRobin::default()), &|_| {
-            Box::new(NullPrefetcher)
-        })
-        .unwrap();
-        let res = gpu.run(2_000_000, &mut ()).unwrap();
-        assert!(!res.timed_out);
-        // 16 warps × 3 waves × 2 instructions × 4 iterations.
-        assert_eq!(res.sim.instructions, 16 * 3 * 2 * 4);
-        // Fresh blocks touch fresh data: loads triple.
-        assert_eq!(res.sim.loads, 16 * 3 * 4);
-    }
-
-    #[test]
-    fn launch_skew_delays_warps() {
-        let mut cfg = GpuConfig::small_test();
-        cfg.core.launch_skew = 50;
-        let skewed = Gpu::new(
-            &cfg,
-            strided_kernel(4),
-            &|_| Box::new(SimpleRoundRobin::default()),
-            &|_| Box::new(NullPrefetcher),
-        )
-        .unwrap()
-        .run(2_000_000, &mut ())
-        .unwrap();
-        let flat = small_gpu(strided_kernel(4))
-            .run(2_000_000, &mut ())
-            .unwrap();
-        assert!(!skewed.timed_out);
-        assert!(
-            skewed.cycles > flat.cycles,
-            "skewed {} vs flat {}",
-            skewed.cycles,
-            flat.cycles
-        );
-        assert_eq!(skewed.sim.instructions, flat.sim.instructions);
-    }
-
-    #[test]
     fn observed_run_records_pipeline_events() {
         use crate::trace::{IssueKind, TraceEvent};
         struct Trace(Vec<TraceEvent>);
@@ -763,25 +686,6 @@ mod tests {
         let res = small_gpu(k).run(2_000_000, &mut ()).unwrap();
         assert!(!res.timed_out, "barrier must not deadlock");
         assert_eq!(res.sim.instructions, 16 * 4 * 4);
-    }
-
-    #[test]
-    fn barrier_with_waves_does_not_deadlock() {
-        let mut cfg = GpuConfig::small_test();
-        cfg.core.waves_per_slot = 2;
-        let k = Kernel::builder("sync")
-            .alu(8, &[])
-            .barrier(&[0])
-            .alu(4, &[0])
-            .iterations(3)
-            .build();
-        let gpu = Gpu::new(&cfg, k, &|_| Box::new(SimpleRoundRobin::default()), &|_| {
-            Box::new(NullPrefetcher)
-        })
-        .unwrap();
-        let res = gpu.run(2_000_000, &mut ()).unwrap();
-        assert!(!res.timed_out);
-        assert_eq!(res.sim.instructions, 16 * 2 * 3 * 3);
     }
 
     #[test]

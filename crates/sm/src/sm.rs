@@ -37,8 +37,7 @@ const LSU_QUEUE_DEPTH: usize = 16;
 /// issue ([`WarpProgress::issue_gate`]), the ready-set entry that
 /// instruction gives it, and whether it is a load (which LSU queue it
 /// needs room in). Refreshed whenever the warp issues, a load of it
-/// completes, it blocks at or is released from a barrier, or its slot gets
-/// a new block wave.
+/// completes, or it blocks at or is released from a barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IssueGate {
     at: Cycle,
@@ -64,7 +63,7 @@ impl IssueGate {
 
 /// The cached issue gates as warp bitmasks, bit `i` standing for warp `i`
 /// ([`GpuConfig::validate`] caps `warps_per_sm` at 64). A slot's ready set
-/// is `open & launched` minus the warps a full LSU blocks.
+/// is `open` minus the warps a full LSU blocks.
 #[derive(Debug, Clone, Copy, Default)]
 struct WarpMasks {
     /// Warps whose issue gate has passed.
@@ -73,20 +72,17 @@ struct WarpMasks {
     /// load, at a barrier or retired (gate `Cycle::MAX`) is in neither
     /// mask until its gate is refreshed.
     pending: u64,
-    /// Warps whose thread block the SM has received (launch skew).
-    launched: u64,
     /// Warps whose next instruction is a memory instruction.
     mem: u64,
     /// Warps whose next instruction is a load.
     load: u64,
-    /// The earliest pending gate or launch-skew start: until this cycle,
-    /// only a gate refresh changes `open` or `launched`.
+    /// The earliest pending gate: until this cycle, only a gate refresh
+    /// changes `open`.
     rescan_at: Cycle,
 }
 
 impl WarpMasks {
-    /// Masks for an SM's initial gates; nothing is launched before the
-    /// first rescan, at cycle 0.
+    /// Masks for an SM's initial gates; the first rescan is at cycle 0.
     fn new(gates: &[IssueGate]) -> Self {
         let mut masks = WarpMasks::default();
         for (i, gate) in gates.iter().enumerate() {
@@ -108,9 +104,9 @@ impl WarpMasks {
         }
     }
 
-    /// Opens the pending gates and launches the warps whose cycle has come
-    /// by `now`, and finds the next such cycle.
-    fn rescan(&mut self, gates: &[IssueGate], skew: Cycle, now: Cycle) {
+    /// Opens the pending gates whose cycle has come by `now`, and finds the
+    /// next such cycle.
+    fn rescan(&mut self, gates: &[IssueGate], now: Cycle) {
         let mut next = Cycle::MAX;
         for i in bits(self.pending) {
             if gates[i].at <= now {
@@ -118,19 +114,6 @@ impl WarpMasks {
                 self.pending &= !(1 << i);
             } else {
                 next = next.min(gates[i].at);
-            }
-        }
-        let all = match gates.len() {
-            64 => u64::MAX,
-            n => (1 << n) - 1,
-        };
-        for i in bits(all & !self.launched) {
-            // Warp i's thread block is handed to the SM at i × skew.
-            let start = i as Cycle * skew;
-            if start <= now {
-                self.launched |= 1 << i;
-            } else {
-                next = next.min(start);
             }
         }
         self.rescan_at = next;
@@ -169,9 +152,6 @@ pub struct Sm {
     gates: Vec<IssueGate>,
     /// The gates as warp bitmasks.
     masks: WarpMasks,
-    /// Block wave currently occupying each warp slot (0-based).
-    wave: Vec<u32>,
-    finished_reported: Vec<bool>,
     scheduler: Box<dyn WarpScheduler>,
     prefetcher: Box<dyn Prefetcher>,
     l1: L1Cache,
@@ -183,8 +163,8 @@ pub struct Sm {
     completions: Vec<LoadCompletion>,
     /// Warps targeted by this access's issued prefetches (reused).
     prefetch_targets: Vec<WarpId>,
-    /// Barrier rendezvous: (wave, iteration, body index) → warps arrived.
-    barriers: BTreeMap<(u32, u64, usize), Vec<WarpId>>,
+    /// Barrier rendezvous: (iteration, body index) → warps arrived.
+    barriers: BTreeMap<(u64, usize), Vec<WarpId>>,
     /// Record pipeline events into `events` (set per run by the cycle loop).
     record_events: bool,
     /// This cycle's pipeline events; cleared at the start of every tick.
@@ -215,8 +195,6 @@ impl Sm {
             masks: WarpMasks::new(&gates),
             gates,
             kernel,
-            wave: vec![0; warps.len()],
-            finished_reported: vec![false; warps.len()],
             warps,
             scheduler,
             prefetcher,
@@ -269,10 +247,7 @@ impl Sm {
         self.events.clear();
         self.apply_fills(now, port);
         self.lsu_stage(now, port);
-        // Dual-issue SMs (Fermi+) run one scheduler pass per issue slot.
-        for _ in 0..self.cfg.core.issue_width.max(1) {
-            self.issue_stage(now);
-        }
+        self.issue_stage(now);
         self.drain_stage(now, port);
     }
 
@@ -399,15 +374,13 @@ impl Sm {
 
     fn issue_stage(&mut self, now: Cycle) {
         if now >= self.masks.rescan_at {
-            self.masks
-                .rescan(&self.gates, self.cfg.core.launch_skew, now);
+            self.masks.rescan(&self.gates, now);
         }
         let blocked = self
             .masks
             .lsu_blocked(self.lsu.has_room(), self.lsu.has_store_room());
-        let ready = self.masks.open & self.masks.launched & !blocked;
-        // The stall cause ignores launch skew: a gate that has passed but
-        // for the LSU makes the stall structural.
+        let ready = self.masks.open & !blocked;
+        // A gate that has passed but for the LSU makes the stall structural.
         let structural = self.masks.open & blocked != 0;
         debug_assert!(
             self.ready_is_exact(now, ready, structural),
@@ -487,12 +460,10 @@ impl Sm {
                 let lanes = issued
                     .active_lanes
                     .unwrap_or(self.cfg.core.warp_size as u32);
-                let virtual_warp =
-                    wid.0 + self.wave[wid.index()] * self.cfg.core.warps_per_sm as u32;
                 let addrs = self.sampler.addresses(
                     self.kernel.pattern(slot),
                     self.id.0,
-                    virtual_warp,
+                    wid.0,
                     issued.iter,
                     lanes,
                 );
@@ -510,15 +481,7 @@ impl Sm {
             }
         }
         if self.warps[wid.index()].is_finished() {
-            if self.wave[wid.index()] + 1 < self.cfg.core.waves_per_slot {
-                // Block-wave replacement: the slot receives a fresh block.
-                self.wave[wid.index()] += 1;
-                self.warps[wid.index()] = WarpProgram::new(self.kernel.clone()).start();
-                self.scheduler.on_warp_launched(wid);
-            } else if !self.finished_reported[wid.index()] {
-                self.finished_reported[wid.index()] = true;
-                self.scheduler.on_warp_finished(wid);
-            }
+            self.scheduler.on_warp_finished(wid);
         }
         self.refresh_gate(wid.index(), now);
     }
@@ -539,7 +502,6 @@ impl Sm {
     fn ready_is_exact(&self, now: Cycle, ready: u64, structural: bool) -> bool {
         let lsu_room = self.lsu.has_room();
         let store_room = self.lsu.has_store_room();
-        let skew = self.cfg.core.launch_skew;
         let mut fresh_ready = 0u64;
         let mut fresh_structural = false;
         for (i, w) in self.warps.iter().enumerate() {
@@ -553,7 +515,7 @@ impl Sm {
                 continue;
             };
             let blocked = lsu_blocks(instr.op.is_mem(), instr.op.is_load(), lsu_room, store_room);
-            if now >= i as Cycle * skew && !blocked {
+            if !blocked {
                 fresh_ready |= 1 << i;
             }
             fresh_structural |= blocked;
@@ -567,21 +529,15 @@ impl Sm {
         self.masks.set(i, &self.gates[i], now);
     }
 
-    /// Records `wid`'s arrival at a barrier; releases the whole wave when
-    /// every participating warp has arrived.
+    /// Records `wid`'s arrival at a barrier; releases every arrived warp
+    /// when all participating warps have arrived.
     fn arrive_at_barrier(&mut self, wid: WarpId, iter: u64, body_idx: usize, now: Cycle) {
-        let wave = self.wave[wid.index()];
-        let key = (wave, iter, body_idx);
+        let key = (iter, body_idx);
         let arrived = self.barriers.entry(key).or_default();
         arrived.push(wid);
-        // Participants: resident warps of the same wave that have not
-        // retired (a retired warp has already passed every barrier).
-        let participants = self
-            .warps
-            .iter()
-            .enumerate()
-            .filter(|(i, w)| self.wave[*i] == wave && !w.is_finished())
-            .count();
+        // Participants: warps that have not retired (a retired warp has
+        // already passed every barrier).
+        let participants = self.warps.iter().filter(|w| !w.is_finished()).count();
         if arrived.len() >= participants {
             let arrived = self.barriers.remove(&key).unwrap_or_default();
             let released = arrived.len() as u32;

@@ -141,7 +141,8 @@ pub trait WarpScheduler {
     /// `warp` has retired its last instruction.
     fn on_warp_finished(&mut self, _warp: WarpId) {}
 
-    /// `warp`'s slot received a fresh thread block (block-wave replacement).
+    /// Never called: every warp is resident from cycle 0. Kept only
+    /// because the benchmark's traced scheduler still forwards it.
     fn on_warp_launched(&mut self, _warp: WarpId) {}
 
     /// Accesses to policy-private SRAM structures so far (energy model).

@@ -84,12 +84,3 @@ perf-gate:
 # performance work: writes the next BENCH_<n>.json for review/check-in.
 perf-record:
     cargo run --release -p apres-bench --bin perf_trajectory -- --fast --write > /dev/null
-
-# Regenerate every paper exhibit at reduced scale (smoke test of the
-# figure pipeline; skipped data points are reported on stderr).
-exhibits-fast:
-    cargo run --release -p apres-bench --bin table1
-    cargo run --release -p apres-bench --bin table2
-    cargo run --release -p apres-bench --bin table3
-    cargo run --release -p apres-bench --bin fig2 -- --fast
-    cargo run --release -p apres-bench --bin fig10 -- --fast

@@ -7,9 +7,12 @@ use apres::{
     Benchmark, GpuConfig, PrefetcherChoice, RunResult, SchedulerChoice, Simulation, Termination,
 };
 
+/// SMs in every run here (the issue-slot ledger scales with it).
+const NUM_SMS: usize = 2;
+
 fn run(b: Benchmark, s: SchedulerChoice, p: PrefetcherChoice) -> RunResult {
     let mut cfg = GpuConfig::paper_baseline();
-    cfg.core.num_sms = 2;
+    cfg.core.num_sms = NUM_SMS;
     Simulation::new(b.kernel_scaled(8))
         .config(cfg)
         .scheduler(s)
@@ -46,6 +49,17 @@ fn check_invariants(r: &RunResult, tag: &str) {
     );
     // Instruction mix adds up.
     assert!(r.sim.loads + r.sim.stores <= r.sim.instructions, "{tag}");
+    // Issue-slot ledger: every SM-cycle issues one instruction or counts
+    // one stall, and a stall has at most one cause.
+    assert_eq!(
+        r.sim.instructions + r.sim.stall_cycles,
+        r.cycles * NUM_SMS as u64,
+        "{tag}: issue slots do not add up"
+    );
+    assert!(
+        r.sim.stall_lsu_full + r.sim.stall_dependency <= r.sim.stall_cycles,
+        "{tag}: stall causes exceed stalls"
+    );
     // A completed run retired every instruction and drained memory.
     assert!(!r.timed_out, "{tag}: timed out");
     // Latency accounting saw every load instruction exactly once.
@@ -112,7 +126,7 @@ fn simd_efficiency_reflects_divergence() {
 #[test]
 fn l1_bypass_composes_with_apres() {
     let mut cfg = GpuConfig::paper_baseline();
-    cfg.core.num_sms = 2;
+    cfg.core.num_sms = NUM_SMS;
     cfg.l1.bypass = true;
     let r = Simulation::new(Benchmark::Km.kernel_scaled(8))
         .config(cfg)

@@ -62,9 +62,8 @@ fn all_benchmarks_complete_under_apres() {
         let r = run_once(b, SchedulerChoice::Laws, PrefetcherChoice::Sap);
         assert!(!r.timed_out, "{} timed out", b.label());
         assert!(r.ipc() > 0.0, "{} produced no work", b.label());
-        // 2 SMs × 48 warps × block waves × body × 8 iterations.
-        let waves = u64::from(cfg().core.waves_per_slot);
-        let expected = 2 * 48 * waves * b.kernel_scaled(8).dynamic_len();
+        // 2 SMs × 48 warps × body × 8 iterations.
+        let expected = 2 * 48 * b.kernel_scaled(8).dynamic_len();
         assert_eq!(r.sim.instructions, expected, "{}", b.label());
     }
 }
@@ -150,12 +149,10 @@ fn observing_a_run_never_changes_its_result() {
 
 /// A configuration that stresses one of the ways a memoised stall cycle
 /// could go stale: MSHR refusals (one MSHR with one merge slot), bypass
-/// predictor updates, launch skew, dual issue, block-wave replacement and
-/// barriers. The last three pin orders
-/// the bookkeeping containers must keep: DRAM fills that return out of
-/// order (FR-FCFS row hits), L2 MSHR retries, and a full 64-warp ready
-/// mask. Every case but `barrier` runs KM for `iterations` (`one-mshr`
-/// for one).
+/// predictor updates and barriers. Three more pin orders the bookkeeping
+/// containers must keep: DRAM fills that return out of order (FR-FCFS row
+/// hits), L2 MSHR retries, and a full 64-warp ready mask. Every case but
+/// `barrier` runs KM for `iterations` (`one-mshr` for one).
 fn stall_case(case: &str, iterations: u64) -> (GpuConfig, apres::Kernel) {
     let mut cfg = GpuConfig::small_test();
     let mut kernel = Benchmark::Km.kernel_scaled(iterations);
@@ -168,9 +165,6 @@ fn stall_case(case: &str, iterations: u64) -> (GpuConfig, apres::Kernel) {
             cfg.l1.mshr_merge_slots = 1;
         }
         "bypass" => cfg.l1.bypass = true,
-        "launch-skew" => cfg.core.launch_skew = 16,
-        "dual-issue" => cfg.core.issue_width = 2,
-        "waves" => cfg.core.waves_per_slot = 2,
         "barrier" => {
             kernel = apres::Kernel::builder("sync")
                 .load(AddressPattern::warp_strided(0, 4096, 1 << 20, 4), &[])
@@ -214,12 +208,9 @@ fn stall_memos_reproduce_pinned_results() {
     // Hash of the codec encodings of the case's runs under LRR, LAWS+SAP
     // and CCWS+STR, pinned from the simulator before it memoised stalled
     // issue slots and MSHR refusals.
-    const PINNED: [(&str, &str); 9] = [
+    const PINNED: [(&str, &str); 6] = [
         ("one-mshr", "44b07e7d6529d46952d2efdb8c72bd87"),
         ("bypass", "83fd4d577aca972494d4fb3ee42c800a"),
-        ("launch-skew", "0f09aed7da0567d6e9b3cac353107a1c"),
-        ("dual-issue", "18f9d168c37d7b0e9b0dfb13aa6aac4c"),
-        ("waves", "89d813c3e813150801457311a489a666"),
         ("barrier", "85a11feba8a04ee8df9065d8cbf6fc16"),
         ("frfcfs", "b24afe0ed63333387d412e9695eafdf2"),
         ("l2-starved", "c71e20f208254cb40bfe8b8185d09d2e"),

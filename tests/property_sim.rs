@@ -68,9 +68,20 @@ fn kernel_of(g: &mut Gen, max_iterations: u64) -> Kernel {
     b.iterations(iterations).build()
 }
 
-fn check(r: &RunResult, tag: &str) -> Result<(), String> {
+fn check(r: &RunResult, num_sms: usize, tag: &str) -> Result<(), String> {
     if r.timed_out {
         return Err(format!("{tag}: timed out"));
+    }
+    // Issue-slot ledger: every SM-cycle issues one instruction or counts
+    // one stall, and a stall has at most one cause.
+    if r.sim.instructions + r.sim.stall_cycles != r.cycles * num_sms as u64 {
+        return Err(format!(
+            "{tag}: {} instructions + {} stalls != {} cycles x {num_sms} SMs",
+            r.sim.instructions, r.sim.stall_cycles, r.cycles
+        ));
+    }
+    if r.sim.stall_lsu_full + r.sim.stall_dependency > r.sim.stall_cycles {
+        return Err(format!("{tag}: stall causes exceed stalls"));
     }
     if r.l1.hits + r.l1.misses() != r.l1.accesses {
         return Err(format!("{tag}: hits+misses != accesses"));
@@ -117,7 +128,7 @@ fn random_kernels_preserve_invariants() {
                 .max_cycles(2_000_000)
                 .run()
                 .map_err(|e| format!("{s:?}+{p:?}: unexpected SimError [{}] {e}", e.class()))?;
-            check(&r, &format!("{s:?}+{p:?}"))?;
+            check(&r, cfg.core.num_sms, &format!("{s:?}+{p:?}"))?;
         }
         Ok(())
     });
@@ -153,7 +164,7 @@ fn random_kernels_deterministic() {
 
 /// A random configuration that [`GpuConfig::validate`] accepts: 1–4 SMs,
 /// 1–8 L1 MSHRs with 1–2 merge slots, 1–4 L2 MSHRs per bank, 1–3
-/// partitions, NoC latency 0–8, issue width 1–4, either DRAM row policy.
+/// partitions, NoC latency 0–8, either DRAM row policy.
 /// Draws that `validate` refuses (an L2 that does not split into
 /// power-of-two banks) are drawn again.
 fn valid_config(g: &mut Gen) -> GpuConfig {
@@ -161,7 +172,6 @@ fn valid_config(g: &mut Gen) -> GpuConfig {
         let mut cfg = GpuConfig::small_test();
         cfg.core.num_sms = g.usize_range(1, 4);
         cfg.core.warps_per_sm = g.usize_range(1, 8);
-        cfg.core.issue_width = g.usize_range(1, 4);
         cfg.l1.mshrs = g.usize_range(1, 8);
         cfg.l1.mshr_merge_slots = g.usize_range(1, 2);
         cfg.l2.mshrs = g.usize_range(1, 4);
@@ -200,7 +210,7 @@ fn drains_or_fails_typed_twice(g: &mut Gen, cfg: GpuConfig) -> Result<(), String
     };
     let first = run()?;
     match &first {
-        Ok(r) => check(r, &format!("{s:?}+{p:?} on {cfg:?}"))?,
+        Ok(r) => check(r, cfg.core.num_sms, &format!("{s:?}+{p:?} on {cfg:?}"))?,
         Err(e @ SimError::InvariantViolation { .. }) => {
             return Err(format!("{s:?}+{p:?} on {cfg:?}: {e}"));
         }
